@@ -4,14 +4,15 @@ from .errors import (ConfigError, ContractError, DegenerateInputError,
                      DomainError, RpsketchError, ShapeError, SketchFormatError,
                      SparseTextError)
 from .vectors import Corpus, DataVector, cosine, load_sparse_text, normalize, save_sparse_text
-from .projection import (FullSketch, ProjectionConfig, SignSketch,
+from .projection import (FullSketch, ProjectionConfig, SignSketch, SignStore,
                          gaussian_entry, load_sketches, matching_bits,
-                         project, project_corpus, save_sketches, sign_array,
-                         sign_quantize)
-from .estimators import (EstimateReport, Estimator, SignFullPair,
-                         estimate_batch, estimate_full, estimate_full_norm,
-                         estimate_g, estimate_g_norm, estimate_pair,
-                         estimate_s, estimate_s_norm, estimate_sign_sign)
+                         project, project_corpus, quantize_store,
+                         save_sketches, sign_array, sign_quantize)
+from .estimators import (BatchEstimate, EstimateReport, Estimator, SignFullPair,
+                         estimate_batch, estimate_full, estimate_full_batch,
+                         estimate_full_norm, estimate_g, estimate_g_norm,
+                         estimate_pair, estimate_s, estimate_s_norm,
+                         estimate_sign_sign)
 from .mle import (MleResult, SolverConfig, inv_mills, mle_full, mle_sign_full,
                   norm_cdf, norm_pdf, score)
 from .variance import (FisherConfig, VarianceFactor,

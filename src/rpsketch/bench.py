@@ -24,7 +24,8 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, ShapeError
 from .estimators import Estimator, estimate_batch
-from .projection import FullSketch, ProjectionConfig, SignSketch, project_corpus, sign_quantize
+from .projection import (FullSketch, ProjectionConfig, SignSketch, SignStore,
+                         project_corpus, quantize_store)
 from .vectors import Corpus, DataVector
 
 log = logging.getLogger(__name__)
@@ -75,17 +76,12 @@ def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray
     return [np.nonzero(row >= rho0)[0] for row in sims]
 
 
-def rank_queries(sign_store: Sequence[SignSketch],
+def rank_queries(sign_store: SignStore | Sequence[SignSketch],
                  queries: Sequence[FullSketch],
                  estimator: Estimator) -> list[np.ndarray]:
     """Training indices sorted by descending estimate, ties by lower index."""
-    n = len(sign_store)
-    rankings = []
-    for q in queries:
-        reports = estimate_batch(sign_store, q, estimator)
-        scores = np.array([r.rho_hat for r in reports])
-        rankings.append(np.lexsort((np.arange(n), -scores)))
-    return rankings
+    scores = estimate_batch(sign_store, list(queries), estimator).rho_hat
+    return list(np.argsort(-scores, axis=1, kind="stable"))
 
 
 def pr_curve(rankings: Sequence[np.ndarray],
@@ -152,7 +148,7 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     rows: list[tuple[Estimator, float, int, PrPoint]] = []
     for k in ks:
         pcfg = ProjectionConfig(k=int(k), seed=seed)
-        store = [sign_quantize(s) for s in project_corpus(train, pcfg)]
+        store = quantize_store(project_corpus(train, pcfg))
         query_sketches = project_corpus(queries, pcfg)
         for est in estimators:
             rankings = rank_queries(store, query_sketches, est)

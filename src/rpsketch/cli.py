@@ -19,13 +19,12 @@ from contextlib import nullcontext
 from . import bench as bench_mod
 from . import simulate as sim_mod
 from . import variance as var_mod
-from .errors import RpsketchError
-from .estimators import (Estimator, estimate_full, estimate_full_norm,
-                         estimate_batch)
+from .errors import ContractError, RpsketchError
+from .estimators import (SIGN_STORE_ESTIMATORS, Estimator, estimate_batch,
+                         estimate_full_batch)
 from .mle import mle_full
-from .projection import (KIND_FULL, ProjectionConfig, SignSketch,
-                         load_sketches, project_corpus, save_sketches,
-                         sign_quantize)
+from .projection import (KIND_FULL, ProjectionConfig, SignStore, load_sketches,
+                         project_corpus, quantize_store, save_sketches)
 from .vectors import load_sparse_text, save_sparse_text
 
 
@@ -118,43 +117,44 @@ def _cmd_sketch(args) -> int:
     cfg = ProjectionConfig(args.k, args.seed)
     sketches = project_corpus(corpus, cfg)
     if args.kind == "sign":
-        save_sketches(args.out, [sign_quantize(s) for s in sketches])
+        save_sketches(args.out, quantize_store(sketches))
     else:
         save_sketches(args.out, sketches, kind=KIND_FULL)
     return 0
 
 
 def _cmd_estimate(args) -> int:
+    """Score every query against the store, writing the CSV one query at a time."""
     store = load_sketches(args.store)
     estimator = _parse_estimators(args.estimator)[0]
     queries = load_sparse_text(args.queries, args.dim)
-    if not store:
-        _emit(args.out, ["query", "train", "estimator", "rho_hat", "clamped"], [])
+    header = ["query", "train", "estimator", "rho_hat", "clamped"]
+    if not len(store):
+        _emit(args.out, header, [])
         return 0
-    k = store[0].k
+    sign_store = isinstance(store, SignStore)
+    allowed = (SIGN_STORE_ESTIMATORS if sign_store
+               else {Estimator.FULL, Estimator.FULL_NORM, Estimator.MLE_FULL})
+    if estimator not in allowed:  # before any output is written
+        raise ContractError(f"estimator {estimator.cli_name!r} cannot score a "
+                            f"{'sign' if sign_store else 'full'} store")
+    k = store.k if sign_store else store[0].k
     query_sketches = project_corpus(queries, ProjectionConfig(k, args.seed))
-    rows = []
-    if isinstance(store[0], SignSketch):
+    # rows as csv.writer writes them: no field needs quoting, floats by repr,
+    # flags as True/False
+    mids = [f",{ti},{estimator.cli_name}," for ti in range(len(store))]
+    score = estimate_batch if sign_store else estimate_full_batch
+    with _csv_sink(args.out) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for qi, q in enumerate(query_sketches):
-            for ti, rep in enumerate(estimate_batch(store, q, estimator)):
-                rows.append([qi, ti, estimator.cli_name, rep.rho_hat, rep.clamped])
-    else:
-        scorers = {Estimator.FULL: estimate_full,
-                   Estimator.FULL_NORM: estimate_full_norm}
-        for qi, q in enumerate(query_sketches):
-            for ti, stored in enumerate(store):
-                if estimator is Estimator.MLE_FULL:
-                    res = mle_full(stored, q)
-                    rows.append([qi, ti, estimator.cli_name, res.rho_hat,
-                                 res.at_boundary])
-                elif estimator in scorers:
-                    rep = scorers[estimator](stored, q)
-                    rows.append([qi, ti, estimator.cli_name, rep.rho_hat,
-                                 rep.clamped])
-                else:
-                    raise RpsketchError(
-                        f"estimator {estimator.cli_name!r} cannot score a full store")
-    _emit(args.out, ["query", "train", "estimator", "rho_hat", "clamped"], rows)
+            if estimator is Estimator.MLE_FULL:
+                scores = [(r.rho_hat, r.at_boundary) for r in (mle_full(s, q) for s in store)]
+            else:
+                res = score(store, q, estimator)
+                scores = zip(res.rho_hat.tolist(), res.clamped.tolist())
+            head = str(qi)
+            fh.write("".join([head + mid + repr(r) + (",True\n" if c else ",False\n")
+                              for mid, (r, c) in zip(mids, scores)]))
     return 0
 
 

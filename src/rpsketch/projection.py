@@ -98,6 +98,46 @@ class SignSketch:
         object.__setattr__(self, "bits", bits)
 
 
+@dataclass(frozen=True, eq=False)
+class SignStore:
+    """n sign sketches of one length k, as one (n, ceil(k/8)) uint8 array.
+
+    Row i is packed like SignSketch.bits; indexing returns that row as a
+    SignSketch.  Pad bits of the final column are zero.
+    """
+
+    bits: np.ndarray
+    k: int
+
+    def __post_init__(self):
+        bits = np.asarray(self.bits, dtype=np.uint8)
+        if self.k < 0 or bits.ndim != 2 or bits.shape[1] != (self.k + 7) // 8:
+            raise ShapeError(
+                f"expected {(self.k + 7) // 8} packed bytes per row for k={self.k}")
+        pad = self.k % 8
+        if pad and bits.size and np.any(bits[:, -1] >> pad):
+            raise SketchFormatError("nonzero pad bits in final byte")
+        object.__setattr__(self, "bits", bits)
+
+    def __len__(self) -> int:
+        return self.bits.shape[0]
+
+    def __getitem__(self, i: int) -> SignSketch:
+        return SignSketch(self.bits[i], self.k)
+
+    @classmethod
+    def stack(cls, rows: Sequence[SignSketch]) -> "SignStore":
+        """Stack sketches of one length; an empty sequence gives k = 0."""
+        rows = list(rows)
+        k = rows[0].k if rows else 0
+        for i, sk in enumerate(rows):
+            if sk.k != k:
+                raise ShapeError(f"sketch {i}: k mismatch ({sk.k} vs {k})")
+        if not rows:
+            return cls(np.zeros((0, 0), dtype=np.uint8), 0)
+        return cls(np.stack([sk.bits for sk in rows]), k)
+
+
 def gaussian_entry(seed: int, row: int, col: int) -> float:
     """Standard-normal entry (row, col) of the implicit projection matrix."""
     return float(rng.normals(seed, row, col))
@@ -136,10 +176,25 @@ def project_corpus(corpus: Corpus | Sequence[DataVector],
     return out
 
 
+def pack_signs(values: np.ndarray) -> np.ndarray:
+    """Pack bit j = 1 iff value_j >= 0 (so sgn(0) maps to +) along the last axis."""
+    return np.packbits(values >= 0.0, axis=-1, bitorder="little")
+
+
 def sign_quantize(s: FullSketch) -> SignSketch:
-    """Keep only the signs: bit j = 1 iff value_j >= 0 (so sgn(0) maps to +)."""
-    bits = np.packbits(s.values >= 0.0, bitorder="little")
-    return SignSketch(bits, s.k)
+    """Keep only the signs of one sketch."""
+    return SignSketch(pack_signs(s.values), s.k)
+
+
+def quantize_store(sketches: Sequence[FullSketch]) -> SignStore:
+    """Keep only the signs of many equal-length sketches, with one packbits."""
+    sketches = list(sketches)
+    if not sketches:
+        return SignStore.stack([])
+    k = sketches[0].k
+    if any(s.k != k for s in sketches):
+        raise ShapeError("all sketches in a store must share k")
+    return SignStore(pack_signs(np.stack([s.values for s in sketches])), k)
 
 
 def sign_array(s: SignSketch) -> np.ndarray:
@@ -161,47 +216,50 @@ def matching_bits(a: SignSketch, b: SignSketch) -> int:
     return a.k - differing
 
 
-def save_sketches(path, sketches: Sequence[SignSketch] | Sequence[FullSketch],
+def save_sketches(path, sketches: SignStore | Sequence[SignSketch] | Sequence[FullSketch],
                   kind: int | None = None) -> None:
-    """Serialize a homogeneous collection of sketches.
+    """Serialize a sign store or a homogeneous collection of sketches.
 
     Layout: magic ``SFRP``, version byte, kind byte (0x00 sign / 0x01 full),
     uint32-LE k, uint64-LE count, then the payload: packed sign bytes per
     sketch, or all k-vectors as float64-LE followed by the sumsq values.
     """
-    sketches = list(sketches)
-    if sketches:
+    if not isinstance(sketches, SignStore):
+        sketches = list(sketches)
         kinds = {KIND_SIGN if isinstance(s, SignSketch) else KIND_FULL
                  for s in sketches}
-        if len(kinds) != 1:
+        if len(kinds) > 1:
             raise ShapeError("cannot mix sign and full sketches in one file")
-        inferred = kinds.pop()
-        if kind is not None and kind != inferred:
+        if kinds and kind is not None and kind not in kinds:
             raise ShapeError("explicit kind contradicts sketch types")
-        kind = inferred
-        ks = {s.k for s in sketches}
-        if len(ks) != 1:
+        kind = kinds.pop() if kinds else (KIND_SIGN if kind is None else kind)
+        if kind not in (KIND_SIGN, KIND_FULL):
+            raise SketchFormatError(f"unknown sketch kind {kind:#x}")
+        if len({s.k for s in sketches}) > 1:
             raise ShapeError("all sketches in a file must share k")
-        k = ks.pop()
-    else:
-        kind = KIND_SIGN if kind is None else kind
-        k = 0
-    if kind not in (KIND_SIGN, KIND_FULL):
-        raise SketchFormatError(f"unknown sketch kind {kind:#x}")
+        if kind == KIND_SIGN:
+            sketches = SignStore.stack(sketches)
+    elif kind not in (None, KIND_SIGN):
+        raise ShapeError("explicit kind contradicts sketch types")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<BBIQ", _VERSION, kind, k, len(sketches)))
-        if kind == KIND_SIGN:
-            for s in sketches:
-                fh.write(s.bits.tobytes())
+        if isinstance(sketches, SignStore):
+            fh.write(struct.pack("<BBIQ", _VERSION, KIND_SIGN, sketches.k, len(sketches)))
+            fh.write(sketches.bits.tobytes())
         else:
+            k = sketches[0].k if sketches else 0
+            fh.write(struct.pack("<BBIQ", _VERSION, KIND_FULL, k, len(sketches)))
             for s in sketches:
                 fh.write(s.values.astype("<f8").tobytes())
             fh.write(np.array([s.sumsq for s in sketches], dtype="<f8").tobytes())
 
 
-def load_sketches(path) -> list[SignSketch] | list[FullSketch]:
-    """Read a sketch file back; the round trip is bit-exact."""
+def load_sketches(path) -> SignStore | list[FullSketch]:
+    """Read a sketch file back; the round trip is bit-exact.
+
+    The header is untrusted: count is checked against the payload size, in
+    Python integers, before anything is allocated.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 18 or blob[:4] != _MAGIC:
@@ -209,19 +267,20 @@ def load_sketches(path) -> list[SignSketch] | list[FullSketch]:
     version, kind, k, count = struct.unpack("<BBIQ", blob[4:18])
     if version != _VERSION:
         raise SketchFormatError(f"unsupported version {version}")
-    payload = blob[18:]
+    if k == 0 and count > 0:
+        raise SketchFormatError(f"k = 0 with {count} sketches")
+    payload = len(blob) - 18
     if kind == KIND_SIGN:
         stride = (k + 7) // 8
-        if len(payload) != stride * count:
+        if payload != stride * count:
             raise SketchFormatError("payload length does not match header")
-        return [SignSketch(np.frombuffer(payload, dtype=np.uint8,
-                                         count=stride, offset=i * stride).copy(), k)
-                for i in range(count)]
+        bits = np.frombuffer(blob, dtype=np.uint8, offset=18)
+        return SignStore(bits.reshape(count, stride), k)
     if kind == KIND_FULL:
-        if len(payload) != 8 * (k + 1) * count:
+        if payload != 8 * (k + 1) * count:
             raise SketchFormatError("payload length does not match header")
-        values = np.frombuffer(payload, dtype="<f8", count=count * k)
-        sumsq = np.frombuffer(payload, dtype="<f8", count=count, offset=8 * count * k)
+        values = np.frombuffer(blob, dtype="<f8", count=count * k, offset=18)
+        sumsq = np.frombuffer(blob, dtype="<f8", count=count, offset=18 + 8 * count * k)
         return [FullSketch(values[i * k:(i + 1) * k].astype(np.float64),
                            float(sumsq[i]))
                 for i in range(count)]

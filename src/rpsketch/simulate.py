@@ -9,7 +9,6 @@ so reports are bitwise-reproducible for any worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import mle, rng, variance
 from .errors import ConfigError
-from .estimators import SQRT_HALF_PI, SQRT_TAU, Estimator
+from .estimators import Estimator, SampleStats, raw_values
 
 _BLOCK_VALUES = 4_000_000  # trials per block = _BLOCK_VALUES // k
 
@@ -70,35 +69,25 @@ def sample_pair(rho: float, seed: int, trial: int, j: int) -> tuple[float, float
 
 def raw_estimates(estimator: Estimator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Raw per-trial formula values over (trials, k) sample blocks."""
-    k = x.shape[1]
-    if estimator is Estimator.SIGN_SIGN:
-        m = ((x >= 0.0) == (y >= 0.0)).sum(axis=1)
-        return np.cos(np.pi * (1.0 - m / k))
-    if estimator is Estimator.FULL:
-        return (x * y).mean(axis=1)
-    if estimator is Estimator.FULL_NORM:
-        return (x * y).sum(axis=1) / np.sqrt((x * x).sum(axis=1) * (y * y).sum(axis=1))
-    if estimator is Estimator.MLE_FULL:
-        b = (x * y).mean(axis=1)
-        m2 = ((x * x).sum(axis=1) + (y * y).sum(axis=1)) / k
-        return np.array([mle.solve_full_from_moments(bi, mi, k).rho_hat
-                         for bi, mi in zip(b, m2)])
+    return _block_estimates((estimator,), x, y)[estimator]
 
-    s = np.where(x >= 0.0, 1.0, -1.0) * y
-    if estimator is Estimator.G:
-        return SQRT_HALF_PI * s.mean(axis=1)
-    if estimator is Estimator.G_NORM:
-        sy2 = (y * y).sum(axis=1)
-        return SQRT_HALF_PI * s.sum(axis=1) / (math.sqrt(k) * np.sqrt(sy2))
-    if estimator is Estimator.S:
-        mis = np.maximum(-s, 0.0).sum(axis=1)
-        return 1.0 - SQRT_TAU / k * mis
-    if estimator is Estimator.S_NORM:
-        sy2 = (y * y).sum(axis=1)
-        mis = np.maximum(-s, 0.0).sum(axis=1)
-        return 1.0 - SQRT_TAU * mis / (math.sqrt(k) * np.sqrt(sy2))
-    # MLE_SIGN_FULL
-    return np.array([mle.solve_sign_full(row).rho_hat for row in s])
+
+def _block_estimates(estimators, x: np.ndarray,
+                     y: np.ndarray) -> dict[Estimator, np.ndarray]:
+    """Raw values of every estimator on one block; each statistic the closed
+    forms share is computed once."""
+    st = SampleStats(x, y)
+    out = {}
+    for est in estimators:
+        if est is Estimator.MLE_FULL:
+            out[est] = np.array([mle.solve_full_from_moments(bi, mi, st.k).rho_hat
+                                 for bi, mi in zip(st.xy / st.k, (st.xx + st.yy) / st.k)])
+        elif est is Estimator.MLE_SIGN_FULL:
+            s = np.where(x >= 0.0, 1.0, -1.0) * y
+            out[est] = np.array([mle.solve_sign_full(row).rho_hat for row in s])
+        else:
+            out[est] = raw_values(est, st)
+    return out
 
 
 def _block_starts(trials: int, k: int) -> list[tuple[int, int]]:
@@ -113,7 +102,7 @@ def _simulate_raw(cfg: SimConfig, threads: int = 1) -> dict[Estimator, np.ndarra
     def one_block(args: tuple[int, int]) -> dict[Estimator, np.ndarray]:
         start, n = args
         x, y = rng.bivariate_block(cfg.rho, cfg.seed, start, n, cfg.k)
-        return {est: raw_estimates(est, x, y) for est in cfg.estimators}
+        return _block_estimates(cfg.estimators, x, y)
 
     blocks = _block_starts(cfg.trials, cfg.k)
     if threads > 1:

@@ -182,7 +182,10 @@ def half_gaussian_cdf_integrals(rho: float) -> tuple[float, float, float]:
         raise DomainError("rho must lie in [-1, 1]")
     i1 = (1.0 + rho) / 2.0
     i2 = (2.0 + 3.0 * rho - rho**3) / 2.0
-    i3 = math.sqrt(math.pi / 2.0) - _wedge(rho) / math.sqrt(2.0 * math.pi)
+    if rho >= 0.0:
+        i3 = math.sqrt(math.pi / 2.0) - _wedge(rho) / math.sqrt(2.0 * math.pi)
+    else:  # pi - wedge(rho) = wedge(-rho): no cancellation as rho -> -1
+        i3 = _wedge(-rho) / math.sqrt(2.0 * math.pi)
     return i1, i2, i3
 
 

@@ -166,12 +166,13 @@ def load_sparse_text(path, dim: int | None = None) -> Corpus:
             if not idx:
                 skipped += 1
                 continue
+            if dim is not None and idx[-1] >= dim:
+                raise SparseTextError(
+                    line_no, f"index {idx[-1] + 1} exceeds declared dim {dim}")
             max_index = max(max_index, idx[-1])
             rows.append((idx, val))
     if dim is None:
         dim = max_index + 1
-    elif max_index >= dim:
-        raise SparseTextError(0, f"declared dim {dim} smaller than max index {max_index + 1}")
     if skipped:
         log.warning("skipped %d empty vector line(s) in %s", skipped, path)
     vectors = [normalize(DataVector(np.array(i, dtype=np.int64),

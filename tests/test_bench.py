@@ -67,8 +67,8 @@ class TestRankQueries:
         (query,) = project_corpus([vecs[7]], cfg)
         from rpsketch import estimate_batch
 
-        reports = estimate_batch(store, query, Estimator.S_NORM)
-        assert reports[7].rho_hat == 1.0
+        scores = estimate_batch(store, query, Estimator.S_NORM)
+        assert scores.rho_hat[7] == 1.0
         (ranking,) = rank_queries(store, [query], Estimator.S_NORM)
         assert ranking[0] == 7
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ class TestExitCodes:
         code = run(["estimate", "--store", str(store), "--queries",
                     str(queries), "--estimator", "s-norm", "--seed", "1"])
         assert code == 2
+
+    def test_zero_k_header_with_huge_count(self, tmp_path, capsys):
+        store = tmp_path / "store.bin"
+        store.write_bytes(b"SFRP" + struct.pack("<BBIQ", 1, 0, 0, 2**64 - 1))
+        queries = tmp_path / "q.txt"
+        queries.write_text("1:1\n")
+        code = run(["estimate", "--store", str(store), "--queries",
+                    str(queries), "--estimator", "s-norm", "--seed", "1"])
+        assert code == 2
+        assert "k = 0" in capsys.readouterr().err
 
     def test_full_estimator_on_sign_store(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -124,6 +135,22 @@ class TestPipelines:
         diag = {r["train"]: float(r["rho_hat"]) for r in rows
                 if r["query"] == r["train"]}
         assert all(v == 1.0 for v in diag.values())
+
+    def test_estimate_csv_text(self, tmp_path):
+        # one coordinate: g-norm's raw value is sqrt(pi/2) and clamps to 1.0
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("1:1\n")
+        store = tmp_path / "store.bin"
+        assert run(["sketch", "--input", str(corpus), "--k", "1",
+                    "--seed", "5", "--out", str(store)]) == 0
+        scores = tmp_path / "scores.csv"
+        for estimator, row in [("g-norm", "0,0,g-norm,1.0,True"),
+                               ("s-norm", "0,0,s-norm,1.0,False")]:
+            assert run(["estimate", "--store", str(store), "--queries",
+                        str(corpus), "--estimator", estimator, "--seed", "5",
+                        "--out", str(scores)]) == 0
+            assert scores.read_bytes() == (
+                "query,train,estimator,rho_hat,clamped\n" + row + "\n").encode()
 
     def test_full_store_with_full_norm(self, tmp_path):
         corpus = tmp_path / "c.txt"

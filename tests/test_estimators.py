@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (DomainError, Estimator, FullSketch, ShapeError,
-                      SignFullPair, estimate_batch, estimate_full,
-                      estimate_full_norm, estimate_g, estimate_g_norm,
-                      estimate_pair, estimate_s, estimate_s_norm,
-                      estimate_sign_sign, sign_quantize)
+from rpsketch import (DomainError, EstimateReport, Estimator, FullSketch,
+                      ShapeError, SignFullPair, estimate_batch, estimate_full,
+                      estimate_full_batch, estimate_full_norm, estimate_g,
+                      estimate_g_norm, estimate_pair, estimate_s,
+                      estimate_s_norm, estimate_sign_sign, quantize_store,
+                      sign_quantize)
 from rpsketch import rng
 from rpsketch.errors import ContractError
 
@@ -236,30 +237,35 @@ class TestBatch:
         store = self._store(400, 77, seed=3)
         query = FullSketch(np.random.default_rng(4).standard_normal(77))
         batch = estimate_batch(store, query, estimator)
-        for sk, rep in zip(store, batch):
+        assert len(batch) == len(store)
+        for i, sk in enumerate(store):
             scalar = estimate_pair(estimator, sk, query)
-            assert rep.rho_hat == scalar.rho_hat
-            assert rep.raw == scalar.raw
-            assert rep.clamped == scalar.clamped
+            assert batch.rho_hat[i] == scalar.rho_hat
+            assert batch.raw[i] == scalar.raw
+            assert batch.clamped[i] == scalar.clamped
 
     def test_batch_of_one(self):
         store = self._store(1, 16, seed=5)
         query = FullSketch(np.random.default_rng(6).standard_normal(16))
-        (rep,) = estimate_batch(store, query, Estimator.S_NORM)
+        batch = estimate_batch(store, query, Estimator.S_NORM)
+        rep = EstimateReport(batch.estimator, batch.k, float(batch.rho_hat[0]),
+                             bool(batch.clamped[0]), float(batch.raw[0]))
+        assert batch.raw.shape == (1,)
         assert rep == estimate_s_norm(SignFullPair(store[0], query))
 
     def test_identical_sketches_identical_reports(self):
         sk = signs_of(np.random.default_rng(7).standard_normal(32))
         query = FullSketch(np.random.default_rng(8).standard_normal(32))
-        reports = estimate_batch([sk] * 10, query, Estimator.G_NORM)
-        assert len(set(r.rho_hat for r in reports)) == 1
+        batch = estimate_batch([sk] * 10, query, Estimator.G_NORM)
+        assert batch.rho_hat.shape == (10,)
+        assert len(set(batch.rho_hat.tolist())) == 1
 
     def test_mle_batch_matches_scalar(self):
         store = self._store(5, 40, seed=9)
         query = FullSketch(np.random.default_rng(10).standard_normal(40))
         batch = estimate_batch(store, query, Estimator.MLE_SIGN_FULL)
-        for sk, rep in zip(store, batch):
-            assert rep.rho_hat == estimate_pair(
+        for i, sk in enumerate(store):
+            assert batch.rho_hat[i] == estimate_pair(
                 Estimator.MLE_SIGN_FULL, sk, query).rho_hat
 
     def test_full_estimator_rejected(self):
@@ -272,6 +278,114 @@ class TestBatch:
         store = self._store(2, 8, seed=12) + [signs_of(np.ones(9))]
         with pytest.raises(ShapeError, match="sketch 2"):
             estimate_batch(store, FullSketch(np.ones(8)), Estimator.G)
+
+
+_SIGN_STORE_CLOSED = (Estimator.SIGN_SIGN, Estimator.G, Estimator.G_NORM,
+                      Estimator.S, Estimator.S_NORM)
+
+
+def _random_store(seed, n, k):
+    rng_ = np.random.default_rng(seed)
+    store = quantize_store([FullSketch(rng_.standard_normal(k)) for _ in range(n)])
+    query = rng_.standard_normal(k)
+    query[rng_.random(k) < 0.1] = 0.0  # sgn(0) maps to +, |0| weighs nothing
+    query[0] = query[0] or 1.0  # nonzero, for the normalized estimators
+    return store, FullSketch(query)
+
+
+class TestKernelContracts:
+    """The byte-table kernel against its scalar definitions, over k = 1..300."""
+
+    store_shapes = (st.integers(0, 2**31), st.sampled_from([1, 7, 400]),
+                    st.integers(1, 300))
+
+    @given(*store_shapes)
+    @settings(max_examples=25, deadline=None)
+    def test_rows_equal_scalar_calls(self, seed, n, k):
+        store, query = _random_store(seed, n, k)
+        rows = range(n) if n < 400 else sorted({0, 1, 57, 199, 398, 399})
+        for est in _SIGN_STORE_CLOSED:
+            batch = estimate_batch(store, query, est)
+            assert batch.raw.shape == (n,)
+            for i in rows:
+                rep = estimate_pair(est, store[i], query)
+                assert (batch.raw[i], batch.rho_hat[i], batch.clamped[i]) == (
+                    rep.raw, rep.rho_hat, rep.clamped)
+
+    @given(*store_shapes)
+    @settings(max_examples=25, deadline=None)
+    def test_multi_query_rows_equal_single_queries(self, seed, n, k):
+        store, query = _random_store(seed, n, k)
+        queries = [query, FullSketch(-query.values), FullSketch(2.5 * query.values)]
+        for est in _SIGN_STORE_CLOSED:
+            many = estimate_batch(store, queries, est)
+            assert many.raw.shape == (3, n) and len(many) == 3 * n
+            for j, q in enumerate(queries):
+                one = estimate_batch(store, q, est)
+                assert np.array_equal(many.raw[j], one.raw)
+                assert np.array_equal(many.rho_hat[j], one.rho_hat)
+                assert np.array_equal(many.clamped[j], one.clamped)
+
+    @given(*store_shapes)
+    @settings(max_examples=25, deadline=None)
+    def test_mismatch_estimators_exact_when_signs_agree(self, seed, n, k):
+        _, query = _random_store(seed, n, k)
+        store = quantize_store([query] * n)
+        for est in (Estimator.S, Estimator.S_NORM):
+            batch = estimate_batch(store, query, est)
+            assert np.all(batch.raw == 1.0) and np.all(batch.rho_hat == 1.0)
+            assert not batch.clamped.any()
+
+    @given(*store_shapes)
+    @settings(max_examples=25, deadline=None)
+    def test_sign_sign_equals_scalar_cosine(self, seed, n, k):
+        store, query = _random_store(seed, n, k)
+        batch = estimate_batch(store, query, Estimator.SIGN_SIGN)
+        qsigns = query.values >= 0.0
+        for i in range(n):
+            stored = np.unpackbits(store.bits[i], count=k, bitorder="little") == 1
+            m = int(np.sum(stored == qsigns))
+            assert batch.raw[i] == float(np.cos(np.pi * (1 - m / k)))
+        assert not batch.clamped.any()
+
+    @given(*store_shapes)
+    @settings(max_examples=10, deadline=None)
+    def test_zero_query_rejected_by_normalized(self, seed, n, k):
+        store, _ = _random_store(seed, n, k)
+        zero = FullSketch(np.zeros(k))
+        for est in (Estimator.G_NORM, Estimator.S_NORM):
+            with pytest.raises(DomainError):
+                estimate_batch(store, zero, est)
+            with pytest.raises(DomainError):
+                estimate_batch(store, [FullSketch(np.ones(k)), zero], est)
+
+
+class TestFullBatch:
+    def test_rows_equal_scalar_calls(self):
+        rng_ = np.random.default_rng(15)
+        store = [FullSketch(rng_.standard_normal(33)) for _ in range(7)]
+        queries = [FullSketch(rng_.standard_normal(33)) for _ in range(3)]
+        for est, scalar in ((Estimator.FULL, estimate_full),
+                            (Estimator.FULL_NORM, estimate_full_norm)):
+            many = estimate_full_batch(store, queries, est)
+            assert many.raw.shape == (3, 7)
+            for j, q in enumerate(queries):
+                one = estimate_full_batch(store, q, est)
+                assert np.array_equal(one.raw, many.raw[j])
+                for i, x in enumerate(store):
+                    rep = scalar(x, q)
+                    assert (one.raw[i], one.rho_hat[i], one.clamped[i]) == (
+                        rep.raw, rep.rho_hat, rep.clamped)
+
+    def test_sign_estimator_rejected(self):
+        with pytest.raises(ContractError):
+            estimate_full_batch([FullSketch(np.ones(4))], FullSketch(np.ones(4)),
+                                Estimator.S_NORM)
+
+    def test_zero_sketch_rejected(self):
+        with pytest.raises(DomainError):
+            estimate_full_batch([FullSketch(np.ones(4)), FullSketch(np.zeros(4))],
+                                FullSketch(np.ones(4)), Estimator.FULL_NORM)
 
 
 class TestMonteCarloMoments:

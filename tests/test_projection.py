@@ -1,4 +1,6 @@
 import math
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpsketch import (DataVector, DomainError, FullSketch, ProjectionConfig,
-                      ShapeError, SignSketch, SketchFormatError, cosine,
+                      ShapeError, SignSketch, SignStore, SketchFormatError, cosine,
                       gaussian_entry, load_sketches, matching_bits, normalize,
-                      project, project_corpus, save_sketches, sign_array,
-                      sign_quantize)
+                      project, project_corpus, quantize_store, save_sketches,
+                      sign_array, sign_quantize)
 from rpsketch import rng
 from rpsketch.errors import ConfigError
 
@@ -155,7 +157,9 @@ class TestSketchFiles:
     def test_empty_collection(self, tmp_path):
         path = tmp_path / "e.sfrp"
         save_sketches(path, [])
-        assert load_sketches(path) == []
+        loaded = load_sketches(path)
+        assert isinstance(loaded, SignStore)
+        assert len(loaded) == 0 and loaded.k == 0
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "bad.sfrp"
@@ -172,6 +176,44 @@ class TestSketchFiles:
                              for _ in range(4)])
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
+        with pytest.raises(SketchFormatError):
+            load_sketches(path)
+
+    def test_store_round_trip_matches_row_path(self, tmp_path):
+        rng_ = np.random.default_rng(5)
+        full = [FullSketch(rng_.standard_normal(61)) for _ in range(30)]
+        rows, stored = tmp_path / "rows.sfrp", tmp_path / "store.sfrp"
+        save_sketches(rows, [sign_quantize(s) for s in full])
+        save_sketches(stored, quantize_store(full))
+        assert rows.read_bytes() == stored.read_bytes()
+        loaded = load_sketches(stored)
+        assert loaded.bits.shape == (30, 8) and loaded.k == 61
+        for i, s in enumerate(full):
+            assert np.array_equal(loaded[i].bits, sign_quantize(s).bits)
+
+    def test_store_pad_bits_validated(self, tmp_path):
+        path = tmp_path / "pad.sfrp"
+        save_sketches(path, [sign_quantize(FullSketch(-np.ones(3)))] * 2)
+        blob = bytearray(path.read_bytes())
+        blob[-1] |= 0x80
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SketchFormatError):
+            load_sketches(path)
+
+    @pytest.mark.parametrize("count", [100_000, 2**64 - 1])
+    @pytest.mark.parametrize("kind", [0x00, 0x01])
+    def test_zero_k_with_count_fails_fast(self, tmp_path, kind, count):
+        path = tmp_path / "zero-k.sfrp"
+        path.write_bytes(b"SFRP" + struct.pack("<BBIQ", 1, kind, 0, count))
+        start = time.perf_counter()
+        with pytest.raises(SketchFormatError):
+            load_sketches(path)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k, count", [(64, 2**61), (1, 2**64 - 1)])
+    def test_count_bounded_by_payload(self, tmp_path, k, count):
+        path = tmp_path / "big.sfrp"
+        path.write_bytes(b"SFRP" + struct.pack("<BBIQ", 1, 0, k, count) + b"\x00" * 8)
         with pytest.raises(SketchFormatError):
             load_sketches(path)
 

@@ -85,6 +85,18 @@ class TestIntegralClosedForms:
         assert i2 == pytest.approx(self.quad_oracle(rho, 3), abs=1e-8)
         assert i3 == pytest.approx(self.quad_oracle(rho, 2), abs=1e-8)
 
+    def test_m2_matches_multiprecision_near_minus_one(self):
+        # i3 tends to 0 as rho -> -1; the closed form must not cancel there
+        mp = pytest.importorskip("mpmath")
+        for e in range(1, 13):
+            rho = -1.0 + 10.0**-e
+            with mp.workdps(60):
+                r = mp.mpf(rho)
+                root = mp.sqrt((1 - r) * (1 + r))
+                i3 = mp.sqrt(mp.pi / 2) - (mp.atan2(root, r) - r * root) / mp.sqrt(2 * mp.pi)
+            assert half_gaussian_cdf_integrals(rho)[2] == pytest.approx(
+                float(i3), rel=1e-14, abs=0.0), f"rho = -1 + 1e-{e}"
+
     def test_values_at_zero(self):
         i1, i2, i3 = half_gaussian_cdf_integrals(0.0)
         assert i1 == 0.5

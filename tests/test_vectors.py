@@ -175,6 +175,14 @@ class TestLoader:
         with pytest.raises(SparseTextError):
             load_sparse_text(p, dim=1)
 
+    def test_dim_overflow_reports_its_line(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("1:1\n2:1\n1:1 7:2\n3:1\n")
+        with pytest.raises(SparseTextError) as err:
+            load_sparse_text(p, dim=4)
+        assert err.value.line_no == 3
+        assert "index 7" in str(err.value)
+
     def test_explicit_zero_values_dropped(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("1:0 2:5\n3:0\n")
