@@ -4,7 +4,7 @@ from .errors import (ConfigError, ContractError, DegenerateInputError,
                      DomainError, RpsketchError, ShapeError, SketchFormatError,
                      SparseTextError)
 from .vectors import Corpus, DataVector, cosine, load_sparse_text, normalize, save_sparse_text
-from .projection import (FullSketch, ProjectionConfig, SignSketch, SignStore,
+from .projection import (FullSketch, FullStore, ProjectionConfig, SignSketch, SignStore,
                          gaussian_entry, load_sketches, matching_bits,
                          project, project_corpus, quantize_store,
                          save_sketches, sign_array, sign_quantize)
@@ -13,8 +13,8 @@ from .estimators import (BatchEstimate, EstimateReport, Estimator, SignFullPair,
                          estimate_full_norm, estimate_g, estimate_g_norm,
                          estimate_pair, estimate_s, estimate_s_norm,
                          estimate_sign_sign)
-from .mle import (MleResult, SolverConfig, inv_mills, mle_full, mle_sign_full,
-                  norm_cdf, norm_pdf, score)
+from .mle import (MleBatch, MleResult, SolverConfig, inv_mills, mle_full,
+                  mle_sign_full, norm_cdf, norm_pdf, score)
 from .variance import (FisherConfig, VarianceFactor,
                        half_gaussian_cdf_integrals, mle_variance_factor,
                        sign_sign_variance_asymptote, v_factor,

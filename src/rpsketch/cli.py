@@ -22,7 +22,7 @@ from . import variance as var_mod
 from .errors import ContractError, RpsketchError
 from .estimators import (SIGN_STORE_ESTIMATORS, Estimator, estimate_batch,
                          estimate_full_batch)
-from .mle import mle_full
+from .mle import mle_full_store
 from .projection import (KIND_FULL, ProjectionConfig, SignStore, load_sketches,
                          project_corpus, quantize_store, save_sketches)
 from .vectors import load_sparse_text, save_sparse_text
@@ -138,8 +138,7 @@ def _cmd_estimate(args) -> int:
     if estimator not in allowed:  # before any output is written
         raise ContractError(f"estimator {estimator.cli_name!r} cannot score a "
                             f"{'sign' if sign_store else 'full'} store")
-    k = store.k if sign_store else store[0].k
-    query_sketches = project_corpus(queries, ProjectionConfig(k, args.seed))
+    query_sketches = project_corpus(queries, ProjectionConfig(store.k, args.seed))
     # rows as csv.writer writes them: no field needs quoting, floats by repr,
     # flags as True/False
     mids = [f",{ti},{estimator.cli_name}," for ti in range(len(store))]
@@ -147,8 +146,9 @@ def _cmd_estimate(args) -> int:
     with _csv_sink(args.out) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for qi, q in enumerate(query_sketches):
-            if estimator is Estimator.MLE_FULL:
-                scores = [(r.rho_hat, r.at_boundary) for r in (mle_full(s, q) for s in store)]
+            if estimator is Estimator.MLE_FULL:  # clamped: the boundary flag
+                res = mle_full_store(store, q)
+                scores = zip(res.rho_hat.tolist(), res.at_boundary.tolist())
             else:
                 res = score(store, q, estimator)
                 scores = zip(res.rho_hat.tolist(), res.clamped.tolist())

@@ -31,8 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .projection import (FullSketch, SignSketch, SignStore, matching_bits,
-                         pack_signs, popcount, sign_array)
+from .projection import (FullSketch, FullStore, SignSketch, SignStore,
+                         matching_bits, pack_signs, popcount, sign_array,
+                         sum_product)
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 SQRT_TAU = math.sqrt(2.0 * math.pi)
@@ -169,11 +170,6 @@ def _byte_partials(w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_product of each row pair: the same multiply and pairwise sum."""
-    return np.multiply(a, b).sum(axis=1)
-
-
 class SampleStats:
     """Per-pair statistics of (n, k) float blocks, one pair per row: x the
     stored side, y the query side.  With differ_j = [x_j >= 0] != [y_j >= 0]:
@@ -205,15 +201,15 @@ class SampleStats:
 
     @functools.cached_property
     def xy(self) -> np.ndarray:
-        return _row_dot(self.x, self.y)
+        return sum_product(self.x, self.y)
 
     @functools.cached_property
     def xx(self) -> np.ndarray:
-        return _row_dot(self.x, self.x)
+        return sum_product(self.x, self.x)
 
     @functools.cached_property
     def yy(self) -> np.ndarray:
-        return _row_dot(self.y, self.y)
+        return sum_product(self.y, self.y)
 
 
 class StoreStats:
@@ -275,13 +271,13 @@ def estimate_batch(signs: SignStore | Sequence[SignSketch],
     if estimator is Estimator.MLE_SIGN_FULL:
         from . import mle
 
-        return _score_queries(estimator, store.k, len(store), query, lambda q: [
-            mle.mle_sign_full(SignFullPair(sk, q)).rho_hat for sk in store])
+        return _score_queries(estimator, store.k, len(store), query,
+                              lambda q: mle.mle_sign_full_store(store, q).rho_hat)
     return _score_queries(estimator, store.k, len(store), query,
                           lambda q: raw_values(estimator, StoreStats(store, q)))
 
 
-def estimate_full_batch(store: Sequence[FullSketch],
+def estimate_full_batch(store: FullStore | Sequence[FullSketch],
                         query: FullSketch | Sequence[FullSketch],
                         estimator: Estimator) -> BatchEstimate:
     """Score full-precision queries against full sketches with ``full`` or
@@ -289,14 +285,9 @@ def estimate_full_batch(store: Sequence[FullSketch],
     if estimator not in (Estimator.FULL, Estimator.FULL_NORM):
         raise ContractError(
             f"estimator {estimator.cli_name!r} cannot score a full store")
-    store = list(store)
-    k = store[0].k if store else 0
-    if any(s.k != k for s in store):
-        raise ShapeError("all stored sketches must share k")
-    values = np.stack([s.values for s in store]) if store else np.zeros((0, 0))
-    sumsq = np.array([s.sumsq for s in store])
-    return _score_queries(estimator, k, len(store), query, lambda q: raw_values(
-        estimator, SampleStats(values, q.values[None, :], xx=sumsq, yy=q.sumsq)))
+    store = store if isinstance(store, FullStore) else FullStore.stack(store)
+    return _score_queries(estimator, store.k, len(store), query, lambda q: raw_values(
+        estimator, SampleStats(store.values, q.values[None, :], xx=store.sumsq, yy=q.sumsq)))
 
 
 def _report(res: BatchEstimate) -> EstimateReport:

@@ -43,14 +43,15 @@ class ProjectionConfig:
         object.__setattr__(self, "seed", int(self.seed) & rng.MASK64)
 
 
-def sum_product(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a*b) via elementwise multiply + pairwise sum.
+def sum_product(a: np.ndarray, b: np.ndarray):
+    """sum(a*b) along the last axis via elementwise multiply + pairwise sum:
+    a float for vectors, an array of row sums for matrices.
 
-    Deliberately not BLAS dot: the same reduction is used on matrix rows in
-    the batch and simulation lanes, so scalar and vectorized paths stay
-    bitwise-identical.
+    Deliberately not BLAS dot: the same reduction runs on every row, so
+    scalar and vectorized paths stay bitwise-identical.
     """
-    return float(np.multiply(a, b).sum())
+    out = np.multiply(a, b).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,44 @@ class SignStore:
         return cls(np.stack([sk.bits for sk in rows]), k)
 
 
+@dataclass(frozen=True, eq=False)
+class FullStore:
+    """n full sketches of one length k: an (n, k) float64 array and their
+    sums of squares, each checked as FullSketch checks it.  Indexing returns
+    row i as a FullSketch."""
+
+    values: np.ndarray
+    sumsq: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        object.__setattr__(self, "sumsq", np.asarray(self.sumsq, dtype=np.float64))
+        if self.values.ndim != 2 or self.sumsq.shape != self.values.shape[:1]:
+            raise ShapeError("expected (n, k) values and n sums of squares")
+        for i in np.flatnonzero(sum_product(self.values, self.values) != self.sumsq):
+            FullSketch(self.values[i], float(self.sumsq[i]))  # raises unless close
+
+    @property
+    def k(self) -> int:
+        return self.values.shape[1]
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i: int) -> FullSketch:
+        return FullSketch(self.values[i], float(self.sumsq[i]))
+
+    @classmethod
+    def stack(cls, rows: Sequence[FullSketch]) -> "FullStore":
+        """Stack sketches of one length; an empty sequence gives k = 0."""
+        rows = list(rows)
+        if len({s.k for s in rows}) > 1:
+            raise ShapeError("all stored sketches must share k")
+        if not rows:
+            return cls(np.zeros((0, 0)), np.zeros(0))
+        return cls(np.stack([s.values for s in rows]), [s.sumsq for s in rows])
+
+
 def gaussian_entry(seed: int, row: int, col: int) -> float:
     """Standard-normal entry (row, col) of the implicit projection matrix."""
     return float(rng.normals(seed, row, col))
@@ -197,9 +236,9 @@ def quantize_store(sketches: Sequence[FullSketch]) -> SignStore:
     return SignStore(pack_signs(np.stack([s.values for s in sketches])), k)
 
 
-def sign_array(s: SignSketch) -> np.ndarray:
-    """Signs as a float64 array of +1/-1, length k."""
-    unpacked = np.unpackbits(s.bits, count=s.k, bitorder="little")
+def sign_array(s: SignSketch | SignStore) -> np.ndarray:
+    """Signs as float64 +1/-1: length k, or (n, k) for a store."""
+    unpacked = np.unpackbits(s.bits, axis=-1, count=s.k, bitorder="little")
     return unpacked.astype(np.float64) * 2.0 - 1.0
 
 
@@ -254,7 +293,7 @@ def save_sketches(path, sketches: SignStore | Sequence[SignSketch] | Sequence[Fu
             fh.write(np.array([s.sumsq for s in sketches], dtype="<f8").tobytes())
 
 
-def load_sketches(path) -> SignStore | list[FullSketch]:
+def load_sketches(path) -> SignStore | FullStore:
     """Read a sketch file back; the round trip is bit-exact.
 
     The header is untrusted: count is checked against the payload size, in
@@ -281,7 +320,5 @@ def load_sketches(path) -> SignStore | list[FullSketch]:
             raise SketchFormatError("payload length does not match header")
         values = np.frombuffer(blob, dtype="<f8", count=count * k, offset=18)
         sumsq = np.frombuffer(blob, dtype="<f8", count=count, offset=18 + 8 * count * k)
-        return [FullSketch(values[i * k:(i + 1) * k].astype(np.float64),
-                           float(sumsq[i]))
-                for i in range(count)]
+        return FullStore(values.reshape(count, k), sumsq)
     raise SketchFormatError(f"unknown sketch kind {kind:#x}")

@@ -80,11 +80,11 @@ def _block_estimates(estimators, x: np.ndarray,
     out = {}
     for est in estimators:
         if est is Estimator.MLE_FULL:
-            out[est] = np.array([mle.solve_full_from_moments(bi, mi, st.k).rho_hat
-                                 for bi, mi in zip(st.xy / st.k, (st.xx + st.yy) / st.k)])
+            out[est] = mle.solve_full_batch(st.xy / st.k, (st.xx + st.yy) / st.k,
+                                            st.k).rho_hat
         elif est is Estimator.MLE_SIGN_FULL:
             s = np.where(x >= 0.0, 1.0, -1.0) * y
-            out[est] = np.array([mle.solve_sign_full(row).rho_hat for row in s])
+            out[est] = mle.solve_sign_full_batch(s).rho_hat
         else:
             out[est] = raw_values(est, st)
     return out

@@ -27,7 +27,7 @@ from rpsketch import (Estimator, FisherConfig, SimConfig,
                       sign_sign_variance_asymptote, v_factor)
 from rpsketch import rng
 from rpsketch.cli import main as cli_main
-from rpsketch.mle import solve_sign_full
+from rpsketch.mle import solve_sign_full_batch
 from rpsketch.projection import ProjectionConfig
 from rpsketch.vectors import DataVector
 
@@ -184,12 +184,12 @@ def test_criterion_07_mle_consistency():
     failures = []
     rho, k, seeds = 0.5, 10_000, 200
     vm = mle_variance_factor(rho, FisherConfig(1_000_000, SEED)).value
-    estimates = np.empty(seeds)
+    s = np.empty((seeds, k))
     for i in range(seeds):
         x, y = rng.bivariate_block(rho, seed=40_000 + i, major_start=0,
                                    n_major=1, k=k)
-        s = np.where(x[0] >= 0.0, 1.0, -1.0) * y[0]
-        estimates[i] = solve_sign_full(s).rho_hat
+        s[i] = np.where(x[0] >= 0.0, 1.0, -1.0) * y[0]
+    estimates = solve_sign_full_batch(s).rho_hat
     mean_tol = 4 * math.sqrt(vm / k / seeds)
     _check(failures, abs(estimates.mean() - rho) <= mean_tol,
            f"mean {estimates.mean():.6f} vs 0.5 (tol {mean_tol:.2e})")

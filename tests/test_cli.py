@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from rpsketch import (ProjectionConfig, SignFullPair, load_sketches,
+                      load_sparse_text, mle_full, mle_sign_full, project_corpus)
 from rpsketch.cli import main
 
 
@@ -165,6 +167,41 @@ class TestPipelines:
         rows = rows_of(scores)
         diag = [float(r["rho_hat"]) for r in rows if r["query"] == r["train"]]
         assert diag == [1.0, 1.0]
+
+    def test_mle_estimates_equal_pair_calls_for_any_threads(self, tmp_path):
+        # the store holds the queries too, so some pairs sit on the boundary
+        train, query = tmp_path / "train.txt", tmp_path / "query.txt"
+        assert run(["synth", "--dim", "32", "--clusters", "3", "--train", "12",
+                    "--query", "4", "--seed", "8", "--out-train", str(train),
+                    "--out-query", str(query)]) == 0
+        train.write_text(train.read_text() + query.read_text())
+        queries = project_corpus(load_sparse_text(query, 32), ProjectionConfig(24, 8))
+        for kind, estimator in (("sign", "mle"), ("full", "mle-full")):
+            store = tmp_path / f"{kind}.sfrp"
+            assert run(["sketch", "--input", str(train), "--k", "24", "--seed", "8",
+                        "--kind", kind, "--dim", "32", "--out", str(store)]) == 0
+            outs = []
+            for threads in ("1", "2"):
+                outs.append(tmp_path / f"{estimator}-{threads}.csv")
+                assert run(["estimate", "--store", str(store), "--queries", str(query),
+                            "--estimator", estimator, "--seed", "8", "--dim", "32",
+                            "--threads", threads, "--out", str(outs[-1])]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+            rows = rows_of(outs[0])
+            loaded = load_sketches(store)
+            assert len(rows) == len(queries) * len(loaded) == 64
+            for r in rows:
+                q, x = queries[int(r["query"])], loaded[int(r["train"])]
+                if kind == "sign":
+                    res, clamped = mle_sign_full(SignFullPair(x, q)), False
+                else:
+                    res = mle_full(x, q)
+                    clamped = res.at_boundary
+                assert r["estimator"] == estimator
+                assert r["rho_hat"] == repr(res.rho_hat)
+                assert r["clamped"] == str(clamped)
+            flags = [r["clamped"] == "True" for r in rows]
+            assert any(flags) == (kind == "full")
 
     def test_synth_then_bench(self, tmp_path):
         train = tmp_path / "train.txt"

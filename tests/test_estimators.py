@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpsketch import (DomainError, EstimateReport, Estimator, FullSketch,
-                      ShapeError, SignFullPair, estimate_batch, estimate_full,
+                      FullStore, ShapeError, SignFullPair, mle_sign_full, estimate_batch, estimate_full,
                       estimate_full_batch, estimate_full_norm, estimate_g,
                       estimate_g_norm, estimate_pair, estimate_s,
                       estimate_s_norm, estimate_sign_sign, quantize_store,
                       sign_quantize)
 from rpsketch import rng
-from rpsketch.errors import ContractError
+from rpsketch.errors import ContractError, DegenerateInputError
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2)
 SQRT_TAU = math.sqrt(2 * math.pi)
@@ -349,6 +349,24 @@ class TestKernelContracts:
         assert not batch.clamped.any()
 
     @given(*store_shapes)
+    @settings(max_examples=15, deadline=None)
+    def test_mle_rows_equal_scalar_and_single_query_calls(self, seed, n, k):
+        store, query = _random_store(seed, n, k)
+        queries = [query, FullSketch(-query.values), FullSketch(2.5 * query.values)]
+        many = estimate_batch(store, queries, Estimator.MLE_SIGN_FULL)
+        assert many.raw.shape == (3, n)
+        for j, q in enumerate(queries):
+            one = estimate_batch(store, q, Estimator.MLE_SIGN_FULL)
+            assert np.array_equal(many.raw[j], one.raw)
+            assert np.array_equal(many.clamped[j], one.clamped)
+        rows = range(n) if n < 400 else sorted({0, 1, 57, 199, 398, 399})
+        for i in rows:
+            rep = estimate_pair(Estimator.MLE_SIGN_FULL, store[i], query)
+            res = mle_sign_full(SignFullPair(store[i], query))
+            assert (many.raw[0, i], many.rho_hat[0, i], many.clamped[0, i]) == (
+                rep.raw, rep.rho_hat, rep.clamped) == (res.rho_hat, res.rho_hat, False)
+
+    @given(*store_shapes)
     @settings(max_examples=10, deadline=None)
     def test_zero_query_rejected_by_normalized(self, seed, n, k):
         store, _ = _random_store(seed, n, k)
@@ -358,6 +376,8 @@ class TestKernelContracts:
                 estimate_batch(store, zero, est)
             with pytest.raises(DomainError):
                 estimate_batch(store, [FullSketch(np.ones(k)), zero], est)
+        with pytest.raises(DegenerateInputError):
+            estimate_batch(store, zero, Estimator.MLE_SIGN_FULL)
 
 
 class TestFullBatch:
@@ -369,6 +389,8 @@ class TestFullBatch:
                             (Estimator.FULL_NORM, estimate_full_norm)):
             many = estimate_full_batch(store, queries, est)
             assert many.raw.shape == (3, 7)
+            stacked = estimate_full_batch(FullStore.stack(store), queries, est)
+            assert np.array_equal(stacked.raw, many.raw)
             for j, q in enumerate(queries):
                 one = estimate_full_batch(store, q, est)
                 assert np.array_equal(one.raw, many.raw[j])

@@ -1,15 +1,21 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
-from rpsketch import (DomainError, FullSketch, MleResult, SignFullPair,
-                      SolverConfig, inv_mills, mle_full, mle_sign_full,
-                      norm_cdf, norm_pdf, score, sign_quantize)
-from rpsketch import rng
+from rpsketch import (DomainError, FullSketch, FullStore, MleResult,
+                      SignFullPair, SolverConfig, inv_mills, mle_full,
+                      mle_sign_full, norm_cdf, norm_pdf, quantize_store, score,
+                      sign_quantize)
+from rpsketch import mle, rng
 from rpsketch.errors import DegenerateInputError
-from rpsketch.mle import solve_full_from_moments, solve_sign_full
+from rpsketch.mle import (solve_full_batch, solve_full_from_moments,
+                          solve_sign_full, solve_sign_full_batch)
 
 mp.mp.dps = 30
 
@@ -155,7 +161,7 @@ class TestSignFullMle:
         x, y = rng.bivariate_block(0.0, seed=77, major_start=0,
                                    n_major=trials, k=k)
         s = np.where(x >= 0.0, 1.0, -1.0) * y
-        estimates = np.array([solve_sign_full(row).rho_hat for row in s])
+        estimates = solve_sign_full_batch(s).rho_hat
         assert abs(estimates.var() * k / (math.pi / 2) - 1.0) < 0.05
 
     def test_tolerance_config_respected(self):
@@ -186,8 +192,7 @@ class TestFullMle:
                                    n_major=trials, k=k)
         b = (x * y).mean(axis=1)
         m = ((x * x).sum(axis=1) + (y * y).sum(axis=1)) / k
-        est = np.array([solve_full_from_moments(bi, mi, k).rho_hat
-                        for bi, mi in zip(b, m)])
+        est = solve_full_batch(b, m, k).rho_hat
         v_fm = (1 - 0.25) ** 2 / 1.25
         assert abs(est.mean() - 0.5) < 4 * math.sqrt(v_fm / k / trials) + 2e-3
         assert abs(est.var() * k / v_fm - 1.0) < 0.05
@@ -215,3 +220,205 @@ class TestFullMle:
     def test_result_type(self):
         v = FullSketch(np.array([1.0, -1.0]))
         assert isinstance(mle_full(v, v), MleResult)
+
+
+def _reference_sign_full(s, cfg=SolverConfig()):
+    """The per-row safeguarded Newton that the batched core replaced, kept
+    as the oracle: (rho_hat, at_boundary, iterations)."""
+
+    def score_at(rho):
+        c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
+        return float(np.sum(inv_mills(c * s) * s))
+
+    def loglik(rho):
+        c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
+        return float(np.sum(log_ndtr(c * s)))
+
+    lo, hi = -1.0 + cfg.boundary_eps, 1.0 - cfg.boundary_eps
+    f_lo, f_hi = score_at(lo), score_at(hi)
+    if not (f_lo > 0.0 > f_hi):
+        if f_lo > 0.0 and f_hi >= 0.0:
+            return hi, True, 0
+        if f_lo <= 0.0 and f_hi < 0.0:
+            return lo, True, 0
+        return (hi if loglik(hi) >= loglik(lo) else lo), True, 0
+    a, b = lo, hi
+    x = 0.5 * (a + b)
+    iterations = 0
+    while iterations < cfg.max_iter:
+        omr2 = (1.0 - x) * (1.0 + x)
+        cs = x / math.sqrt(omr2) * s
+        h = inv_mills(cs)
+        f = float(np.sum(h * s))
+        slope = -float(np.sum(h * (cs + h) * s * s)) / omr2**1.5
+        iterations += 1
+        if f > 0.0:
+            a = x
+        elif f < 0.0:
+            b = x
+        else:
+            return x, False, iterations
+        step_ok = False
+        if slope != 0.0 and math.isfinite(slope):
+            x_new = x - f / slope
+            step_ok = a < x_new < b
+        if not step_ok:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= cfg.tolerance:
+            return x_new, False, iterations
+        x = x_new
+    return x, False, iterations
+
+
+def _reference_full(b, m, k, cfg=SolverConfig()):
+    """The per-row np.roots cubic solve that the batched core replaced."""
+
+    def loglik(rho):
+        r = min(max(rho, -1.0 + cfg.boundary_eps), 1.0 - cfg.boundary_eps)
+        omr2 = (1.0 - r) * (1.0 + r)
+        return -0.5 * k * math.log(omr2) - k * (m - 2.0 * r * b) / (2.0 * omr2)
+
+    roots = np.roots([1.0, -b, m - 1.0, -b])
+    roots = np.unique(roots[np.abs(roots.imag) <= 1e-9 * np.maximum(
+        1.0, np.abs(roots.real))].real)
+    in_range = roots[(roots >= -1.0) & (roots <= 1.0)]
+    if in_range.size:
+        best = max(in_range, key=loglik)
+        return float(best), bool(abs(best) >= 1.0 - cfg.boundary_eps), 0
+    nearest = roots[np.argmin(np.abs(np.abs(roots) - 1.0))]
+    return math.copysign(1.0, nearest), True, 0
+
+
+def _bits(*values):
+    """Float fields by bit pattern, so -0.0 and 0.0 differ."""
+    return tuple(np.float64(v).view(np.uint64) if isinstance(v, float) else v
+                 for v in values)
+
+
+def _fields(res: MleResult):
+    return res.rho_hat, res.at_boundary, res.iterations
+
+
+def _sign_full_rows(seed, n, k, first):
+    """(n, k) products: bivariate rows at a drawn rho, then fixed special
+    rows: all positive, all negative, a quarter zeros, all zero."""
+    rng_ = np.random.default_rng(seed)
+    rho = rng_.uniform(-0.99, 0.99)
+    x = rng_.standard_normal((n, k))
+    y = rho * x + math.sqrt(1.0 - rho * rho) * rng_.standard_normal((n, k))
+    s = np.where(x >= 0.0, 1.0, -1.0) * y
+    kinds = [first, "pos", "neg", "zeros", "zero"]
+    for i, kind in enumerate(kinds[:n]):
+        if kind == "pos":
+            s[i] = np.abs(s[i])
+        elif kind == "neg":
+            s[i] = -np.abs(s[i])
+        elif kind == "zeros":
+            s[i, rng_.random(k) < 0.25] = 0.0
+        elif kind == "zero":
+            s[i] = 0.0
+    return s
+
+
+#: fixed moment rows: three real roots in [-1, 1] (b=0.1, m=0.5); only
+#: roots beyond +1 or -1; identical sketches (a root at 1)
+_SPECIAL_MOMENTS = [(0.1, 0.5), (2.0, 0.5), (-2.0, 0.5), (1.0, 2.0), (-1.5, 0.1)]
+
+
+class TestBatchContracts:
+    """Row i of a batched solve equals the scalar call on row i and the
+    per-row loop it replaced, bit for bit, over k = 1..300."""
+
+    shapes = (st.integers(0, 2**31), st.sampled_from([1, 7, 400]),
+              st.integers(1, 300))
+    configs = st.sampled_from([SolverConfig(), SolverConfig(tolerance=1e-12),
+                               SolverConfig(max_iter=3)])
+    chunks = st.sampled_from([97, mle._CHUNK_VALUES])
+
+    @staticmethod
+    def _rows(n):
+        return range(n) if n < 400 else sorted({0, 1, 2, 3, 4, 57, 199, 398, 399})
+
+    @given(*shapes, configs, chunks,
+           st.sampled_from(["normal", "pos", "neg", "zeros", "zero"]))
+    @settings(max_examples=30, deadline=None)
+    def test_sign_full_rows_equal_scalar_calls(self, seed, n, k, cfg, chunk, first):
+        s = _sign_full_rows(seed, n, k, first)
+        with mock.patch.object(mle, "_CHUNK_VALUES", chunk):
+            batch = solve_sign_full_batch(s, cfg)
+        assert batch.rho_hat.shape == (n,) and len(batch) == n
+        for i in self._rows(n):
+            one = solve_sign_full(s[i], cfg)
+            assert batch[i] == one
+            assert _bits(*_fields(one)) == _bits(*_reference_sign_full(s[i], cfg))
+        assert n < 2 or batch[1].at_boundary and batch[1].rho_hat > 0.0
+        assert n < 3 or batch[2].at_boundary and batch[2].rho_hat < 0.0
+
+    @given(*shapes, configs, chunks)
+    @settings(max_examples=30, deadline=None)
+    def test_full_rows_equal_scalar_calls(self, seed, n, k, cfg, chunk):
+        rng_ = np.random.default_rng(seed)
+        rho = rng_.uniform(-0.99, 0.99)
+        x = rng_.standard_normal((n, k))
+        y = rho * x + math.sqrt(1.0 - rho * rho) * rng_.standard_normal((n, k))
+        b = np.multiply(x, y).sum(axis=1) / k
+        m = (np.multiply(x, x).sum(axis=1) + np.multiply(y, y).sum(axis=1)) / k
+        special = _SPECIAL_MOMENTS[:n]
+        b[:len(special)], m[:len(special)] = zip(*special)
+        with mock.patch.object(mle, "_CHUNK_VALUES", chunk):
+            batch = solve_full_batch(b, m, k, cfg)
+        assert batch.rho_hat.shape == (n,)
+        for i in range(n):
+            one = solve_full_from_moments(b[i], m[i], k, cfg)
+            assert batch[i] == one
+            assert _bits(*_fields(one)) == _bits(*_reference_full(b[i], m[i], k, cfg))
+
+    def test_lab_block_equals_reference_loop(self):
+        # a boundary-heavy lab block; a few of its rows change in the last
+        # bit if the slope's omr2**1.5 is taken by numpy's vector pow
+        x, y = rng.bivariate_block(0.3, seed=7, major_start=0, n_major=3000, k=8)
+        s = np.where(x >= 0.0, 1.0, -1.0) * y
+        batch = solve_sign_full_batch(s)
+        assert batch.at_boundary.sum() > 20
+        for i, row in enumerate(s):
+            assert _bits(*_fields(batch[i])) == _bits(*_reference_sign_full(row))
+        b = np.multiply(x, y).sum(axis=1) / 8
+        m = (np.multiply(x, x).sum(axis=1) + np.multiply(y, y).sum(axis=1)) / 8
+        full = solve_full_batch(b, m, 8)
+        for i in range(3000):
+            assert _bits(*_fields(full[i])) == _bits(*_reference_full(b[i], m[i], 8))
+
+    def test_three_real_roots_and_out_of_range_moments(self):
+        assert len(np.roots([1.0, -0.1, -0.5, -0.1])) == 3
+        batch = solve_full_batch(*zip(*_SPECIAL_MOMENTS), 4)
+        for i, (b, m) in enumerate(_SPECIAL_MOMENTS):
+            assert _bits(batch.rho_hat[i], bool(batch.at_boundary[i])) == \
+                _bits(*_reference_full(b, m, 4)[:2])
+        assert not batch.at_boundary[0]
+        assert batch.rho_hat[1:3].tolist() == [1.0, -1.0]
+        assert batch.at_boundary[1:].all()
+
+    def test_empty_batches(self):
+        assert len(solve_sign_full_batch(np.zeros((0, 5)))) == 0
+        assert len(solve_full_batch(np.zeros(0), np.zeros(0), 5)) == 0
+
+    @given(*shapes)
+    @settings(max_examples=10, deadline=None)
+    def test_zero_query_rejected(self, seed, n, k):
+        rng_ = np.random.default_rng(seed)
+        store = quantize_store([FullSketch(rng_.standard_normal(k)) for _ in range(n)])
+        with pytest.raises(DegenerateInputError):
+            mle.mle_sign_full_store(store, FullSketch(np.zeros(k)))
+        with pytest.raises(DegenerateInputError):
+            mle_sign_full(SignFullPair(store[0], FullSketch(np.zeros(k))))
+
+    def test_store_rows_equal_pairwise_calls(self):
+        rng_ = np.random.default_rng(30)
+        full = [FullSketch(rng_.standard_normal(45)) for _ in range(9)]
+        query = FullSketch(rng_.standard_normal(45))
+        signs = mle.mle_sign_full_store(quantize_store(full), query)
+        moments = mle.mle_full_store(FullStore.stack(full + [query]), query)
+        for i, x in enumerate(full):
+            assert signs[i] == mle_sign_full(SignFullPair(sign_quantize(x), query))
+            assert moments[i] == mle_full(x, query)
+        assert moments[9].at_boundary

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (DataVector, DomainError, FullSketch, ProjectionConfig,
+from rpsketch import (DataVector, DomainError, FullSketch, FullStore, ProjectionConfig,
                       ShapeError, SignSketch, SignStore, SketchFormatError, cosine,
                       gaussian_entry, load_sketches, matching_bits, normalize,
                       project, project_corpus, quantize_store, save_sketches,
                       sign_array, sign_quantize)
 from rpsketch import rng
 from rpsketch.errors import ConfigError
+from rpsketch.projection import KIND_FULL
 
 
 def vec(dense, dim=None):
@@ -153,6 +154,28 @@ class TestSketchFiles:
         for a, b in zip(sketches, loaded):
             assert np.array_equal(a.values, b.values)
             assert a.sumsq == b.sumsq
+
+    def test_full_file_loads_as_columns(self, tmp_path):
+        rng_ = np.random.default_rng(7)
+        sketches = [FullSketch(rng_.standard_normal(17)) for _ in range(9)]
+        path = tmp_path / "f.sfrp"
+        save_sketches(path, sketches)
+        loaded = load_sketches(path)
+        assert isinstance(loaded, FullStore)
+        assert loaded.values.shape == (9, 17) and loaded.k == 17
+        assert np.array_equal(loaded.values, np.stack([s.values for s in sketches]))
+        assert loaded.sumsq.tolist() == [s.sumsq for s in sketches]
+        save_sketches(path, sketches[:0], kind=KIND_FULL)
+        assert len(load_sketches(path)) == 0
+
+    def test_full_file_sumsq_checked(self, tmp_path):
+        path = tmp_path / "f.sfrp"
+        save_sketches(path, [FullSketch(np.ones(4)), FullSketch(np.full(4, 2.0))])
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", 99.0)  # second row's sumsq
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SketchFormatError, match="inconsistent"):
+            load_sketches(path)
 
     def test_empty_collection(self, tmp_path):
         path = tmp_path / "e.sfrp"
