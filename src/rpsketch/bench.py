@@ -136,8 +136,8 @@ def run_benchmark(train: Corpus, queries: Corpus,
 
 def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
                    rho0s: Sequence[float], estimators: Sequence[Estimator],
-                   seed: int, l_grid: Sequence[int] | None = None
-                   ) -> list[tuple[Estimator, float, int, PrPoint]]:
+                   seed: int, l_grid: Sequence[int] | None = None, *,
+                   threads: int = 1) -> list[tuple[Estimator, float, int, PrPoint]]:
     """Curves for the full (estimator, rho0, k) grid.
 
     Ground truth depends only on rho0 and rankings only on (k, estimator),
@@ -148,8 +148,8 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     rows: list[tuple[Estimator, float, int, PrPoint]] = []
     for k in ks:
         pcfg = ProjectionConfig(k=int(k), seed=seed)
-        store = quantize_store(project_corpus(train, pcfg))
-        query_sketches = project_corpus(queries, pcfg)
+        store = quantize_store(project_corpus(train, pcfg, threads=threads))
+        query_sketches = project_corpus(queries, pcfg, threads=threads)
         for est in estimators:
             rankings = rank_queries(store, query_sketches, est)
             for r0 in rho0s:

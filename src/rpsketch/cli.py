@@ -115,7 +115,7 @@ def _cmd_sketch(args) -> int:
         raise UsageError("sketch writes binary data; --out is required")
     corpus = load_sparse_text(args.input, args.dim)
     cfg = ProjectionConfig(args.k, args.seed)
-    sketches = project_corpus(corpus, cfg)
+    sketches = project_corpus(corpus, cfg, threads=args.threads)
     if args.kind == "sign":
         save_sketches(args.out, quantize_store(sketches))
     else:
@@ -138,7 +138,8 @@ def _cmd_estimate(args) -> int:
     if estimator not in allowed:  # before any output is written
         raise ContractError(f"estimator {estimator.cli_name!r} cannot score a "
                             f"{'sign' if sign_store else 'full'} store")
-    query_sketches = project_corpus(queries, ProjectionConfig(store.k, args.seed))
+    query_sketches = project_corpus(queries, ProjectionConfig(store.k, args.seed),
+                                    threads=args.threads)
     # rows as csv.writer writes them: no field needs quoting, floats by repr,
     # flags as True/False
     mids = [f",{ti},{estimator.cli_name}," for ti in range(len(store))]
@@ -218,7 +219,8 @@ def _cmd_bench(args) -> int:
     l_grid = _parse_int_list(args.l_grid, "L") if args.l_grid else None
     rows = [[est.cli_name, rho0, k, p.L, p.precision, p.recall]
             for est, rho0, k, p in bench_mod.benchmark_grid(
-                train, queries, ks, rho0s, estimators, args.seed, l_grid)]
+                train, queries, ks, rho0s, estimators, args.seed, l_grid,
+                threads=args.threads)]
     _emit(args.out, ["estimator", "rho0", "k", "L", "precision", "recall"], rows)
     return 0
 
@@ -329,6 +331,8 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
+        if args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, not {args.threads}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

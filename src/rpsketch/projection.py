@@ -191,13 +191,14 @@ def project(u: DataVector, cfg: ProjectionConfig) -> FullSketch:
     return FullSketch(values)
 
 
-def project_corpus(corpus: Corpus | Sequence[DataVector],
-                   cfg: ProjectionConfig) -> list[FullSketch]:
+def project_corpus(corpus: Corpus | Sequence[DataVector], cfg: ProjectionConfig,
+                   *, threads: int = 1) -> list[FullSketch]:
     """Project many vectors; bit-identical to calling project() in a loop.
 
-    The rows for the union of supports are materialized once when that fits
-    in memory; each vector still reduces over its own support in index order,
-    so the floating-point result matches the scalar path exactly.
+    The rows for the union of supports are materialized once (on up to
+    `threads` workers) when that fits in memory; each vector still reduces
+    over its own support in index order, so the floating-point result matches
+    the scalar path exactly.
     """
     vectors = list(corpus)
     if not vectors:
@@ -205,7 +206,7 @@ def project_corpus(corpus: Corpus | Sequence[DataVector],
     union = np.unique(np.concatenate([v.indices for v in vectors]))
     if union.size * cfg.k > _ROW_CACHE_LIMIT:
         return [project(v, cfg) for v in vectors]
-    table = rng.normal_grid(cfg.seed, union, cfg.k)
+    table = rng.normal_grid(cfg.seed, union, cfg.k, threads=threads)
     out = []
     for v in vectors:
         if v.nnz == 0:

@@ -9,7 +9,6 @@ so reports are bitwise-reproducible for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import mle, rng, variance
 from .errors import ConfigError
 from .estimators import Estimator, SampleStats, raw_values
 
-_BLOCK_VALUES = 4_000_000  # trials per block = _BLOCK_VALUES // k
+_BLOCK_VALUES = 1 << 17  # trials per block = _BLOCK_VALUES // k
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,10 @@ class Histogram:
 
 
 def sample_pair(rho: float, seed: int, trial: int, j: int) -> tuple[float, float]:
-    """One correlated pair: x ~ N(0,1), y = rho*x + sqrt(1-rho^2)*z."""
-    x, y = rng.bivariate_block(rho, seed, trial, 1, j + 1)
-    return float(x[0, j]), float(y[0, j])
+    """Pair j of trial `trial`, drawn as rng.bivariate_block draws it: x and z
+    from minor counters 2j and 2j+1, y = rho*x + sqrt(1-rho^2)*z."""
+    x, z = rng.normals(seed, trial, [2 * j, 2 * j + 1])
+    return float(x), float(np.sqrt((1.0 - rho) * (1.0 + rho)) * z + rho * x)
 
 
 def raw_estimates(estimator: Estimator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,26 +90,16 @@ def _block_estimates(estimators, x: np.ndarray,
     return out
 
 
-def _block_starts(trials: int, k: int) -> list[tuple[int, int]]:
-    block = max(1, _BLOCK_VALUES // k)
-    return [(start, min(block, trials - start))
-            for start in range(0, trials, block)]
-
-
 def _simulate_raw(cfg: SimConfig, threads: int = 1) -> dict[Estimator, np.ndarray]:
     """Raw estimates for every requested estimator, trial-major order."""
+    block = max(1, _BLOCK_VALUES // cfg.k)
 
-    def one_block(args: tuple[int, int]) -> dict[Estimator, np.ndarray]:
-        start, n = args
-        x, y = rng.bivariate_block(cfg.rho, cfg.seed, start, n, cfg.k)
+    def one_block(start: int) -> dict[Estimator, np.ndarray]:
+        x, y = rng.bivariate_block(cfg.rho, cfg.seed, start,
+                                   min(block, cfg.trials - start), cfg.k)
         return _block_estimates(cfg.estimators, x, y)
 
-    blocks = _block_starts(cfg.trials, cfg.k)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_block, blocks))
-    else:
-        results = [one_block(b) for b in blocks]
+    results = rng.ordered_map(one_block, range(0, cfg.trials, block), threads)
     return {est: np.concatenate([r[est] for r in results])
             for est in cfg.estimators}
 

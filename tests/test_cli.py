@@ -33,6 +33,12 @@ class TestExitCodes:
         assert run(["variance-table", "--estimators", "g",
                     "--rho-grid", "1:0:0.1"]) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one(self, threads, capsys):
+        assert run(["simulate", "--rho", "0.5", "--k", "8", "--trials", "10",
+                    "--estimators", "g", "--seed", "1", "--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         code = run(["sketch", "--input", str(tmp_path / "absent.txt"),
                     "--k", "8", "--seed", "1",

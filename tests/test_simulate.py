@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpsketch import (Estimator, FullSketch, SignFullPair, SimConfig,
                       estimate_g, estimate_g_norm, estimate_s, estimate_s_norm,
                       run_histogram, run_mse, run_mse_ratio, sample_pair,
                       sign_quantize, v_factor)
-from rpsketch import rng
+from rpsketch import rng, simulate
 from rpsketch.errors import ConfigError
 from rpsketch.simulate import raw_estimates
 
@@ -22,6 +24,14 @@ class TestSamplePair:
 
     def test_deterministic(self):
         assert sample_pair(0.3, 1, 2, 3) == sample_pair(0.3, 1, 2, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rho=st.floats(-1.0, 1.0), seed=st.integers(0, 2**64 - 1),
+           trial=st.integers(0, 2**40), j=st.integers(0, 10_000))
+    def test_equals_column_of_bivariate_block(self, rho, seed, trial, j):
+        x, y = rng.bivariate_block(rho, seed, trial, 1, j + 1)
+        got = np.array(sample_pair(rho, seed, trial, j))
+        assert got.tobytes() == np.array([x[0, j], y[0, j]]).tobytes()
 
     def test_independence_at_zero(self):
         x, y = rng.bivariate_block(0.0, seed=17, major_start=0,
@@ -79,9 +89,26 @@ class TestRunMse:
         cfg = SimConfig(0.5, 50, 2_000, 7, FIVE)
         assert run_mse(cfg) == run_mse(cfg)
 
-    def test_threads_do_not_change_results(self):
-        cfg = SimConfig(0.5, 64, 5_000, 11, FIVE)
-        assert run_mse(cfg, threads=1) == run_mse(cfg, threads=4)
+    def test_threads_do_not_change_results(self, monkeypatch):
+        # block sizes k and 7k+3 put 1 and 7 trials in a block, so every
+        # thread count runs many blocks
+        k = 64
+        for estimators, trials in [(FIVE, 2_000),
+                                   ((Estimator.MLE_SIGN_FULL, Estimator.MLE_FULL), 400)]:
+            cfg = SimConfig(0.5, k, trials, 11, estimators)
+            reports = run_mse(cfg)
+            hist = run_histogram(0.5, k, trials, 11, estimators[-1], 13)
+            for block in (k, 7 * k + 3, simulate._BLOCK_VALUES):
+                monkeypatch.setattr(simulate, "_BLOCK_VALUES", block)
+                for threads in (1, 2, 3):
+                    assert run_mse(cfg, threads=threads) == reports
+                    got = run_histogram(0.5, k, trials, 11, estimators[-1], 13,
+                                        threads=threads)
+                    assert got.counts.tobytes() == hist.counts.tobytes()
+                    assert got.edges.tobytes() == hist.edges.tobytes()
+                    assert (got.frac_above_one, got.frac_below_neg_one) == (
+                        hist.frac_above_one, hist.frac_below_neg_one)
+                monkeypatch.undo()
 
     def test_mse_identity_exact(self):
         for rep in run_mse(SimConfig(0.3, 32, 3_000, 13, FIVE)):
