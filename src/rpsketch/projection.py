@@ -195,10 +195,9 @@ def project_corpus(corpus: Corpus | Sequence[DataVector], cfg: ProjectionConfig,
                    *, threads: int = 1) -> list[FullSketch]:
     """Project many vectors; bit-identical to calling project() in a loop.
 
-    The rows for the union of supports are materialized once (on up to
-    `threads` workers) when that fits in memory; each vector still reduces
-    over its own support in index order, so the floating-point result matches
-    the scalar path exactly.
+    The rows for the union of supports are materialized once, on up to
+    `threads` workers, when that fits in memory; each vector still reduces over
+    its own support in index order, so the result matches project() exactly.
     """
     vectors = list(corpus)
     if not vectors:

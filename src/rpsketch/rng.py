@@ -6,9 +6,8 @@ independently, in any order, on any number of workers, with identical results.
 The construction is a SplitMix64-style hash chain: the seed and the major
 counter are folded into a 64-bit key, the minor counter is folded into that,
 and the mixed word is mapped to a normal deviate through the inverse CDF of a
-53-bit uniform in (0, 1).  Grids are filled in place, in pieces of at most
-_CHUNK_VALUES values, so a grid costs its output plus a few piece-sized
-buffers per worker.
+53-bit uniform in (0, 1).  Grids are filled in place, piece by piece, so a
+grid costs its output plus a few piece-sized buffers per worker.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _GAMMA_MAJOR = np.uint64(0x9E3779B97F4A7C15)
 _GAMMA_MINOR = np.uint64(0xC2B2AE3D27D4EB4F)
-_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
-        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 _U53_SCALE = 2.0**-53
 _CHUNK_VALUES = 1 << 16  # values per grid piece: a row range, or part of one row
 
@@ -31,21 +28,20 @@ _CHUNK_VALUES = 1 << 16  # values per grid piece: a row range, or part of one ro
 def ordered_map(fn, tasks, threads: int = 1) -> list:
     """[fn(t) for t in tasks], run on min(threads, len(tasks)) worker threads."""
     tasks = list(tasks)
-    workers = min(threads, len(tasks))
-    if workers <= 1:
+    if min(threads, len(tasks)) <= 1:
         return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 
 def _mix64(z) -> np.ndarray:
-    """SplitMix64 finalizer, in place on a uint64 array (a scalar becomes a
-    0-d array), with one scratch buffer."""
-    z = np.asarray(z)
+    """SplitMix64 finalizer, in place on a uint64 array, with one scratch buffer."""
+    z = np.asarray(z)  # a numpy scalar becomes a 0-d array
     tmp = np.empty_like(z)
-    for shift, mult in _MIX:
-        z ^= np.right_shift(z, shift, out=tmp)
-        z *= mult
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= np.uint64(0x94D049BB133111EB)
     z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
@@ -67,8 +63,7 @@ def uniforms(seed, major, minor) -> np.ndarray:
     """Uniform deviates in the open interval (0, 1), broadcast over inputs.
 
     Each output is ((h >> 11) + 0.5) * 2**-53 for the mixed word h, which can
-    never be exactly 0 or 1, keeping the inverse normal CDF finite.  This is
-    the reference the grid kernel is tested against.
+    never be exactly 0 or 1, keeping the inverse normal CDF finite.
     """
     with np.errstate(over="ignore"):
         h = _mix64(_keys(seed, major) + _GAMMA_MINOR * np.asarray(minor, dtype=np.uint64))
@@ -81,24 +76,19 @@ def normals(seed, major, minor) -> np.ndarray:
 
 
 def _pieces(rows: int, cols: int) -> list[tuple[slice, slice]]:
-    """Pieces of a (rows, cols) grid of at most _CHUNK_VALUES values each:
-    runs of whole rows, or parts of one row when a row is wider than that."""
-    if cols > _CHUNK_VALUES:
-        return [(slice(r, r + 1), slice(c, min(c + _CHUNK_VALUES, cols)))
-                for r in range(rows) for c in range(0, cols, _CHUNK_VALUES)]
-    step = _CHUNK_VALUES // max(cols, 1)
-    return [(slice(r, min(r + step, rows)), slice(0, cols))
-            for r in range(0, rows, step)]
+    """Runs of whole rows, or parts of one row, of at most _CHUNK_VALUES values."""
+    rstep = max(1, _CHUNK_VALUES // max(cols, 1))
+    cstep = max(1, min(cols, _CHUNK_VALUES))
+    return [(slice(r, min(r + rstep, rows)), slice(c, min(c + cstep, cols)))
+            for r in range(0, rows, rstep) for c in range(0, cols, cstep)]
 
 
 def _fill(out: np.ndarray, keys: np.ndarray, piece, offset: int = 0,
           stride: int = 1) -> np.ndarray:
-    """Write the normals of (row key, minor offset + stride * column) into
-    out[piece] in place; returns that view."""
+    """Normals of (row key, offset + stride * column), written into out[piece]."""
     rows, cols = piece
-    h = np.arange(offset + stride * cols.start, offset + stride * cols.stop, stride,
-                  dtype=np.uint64)
-    h *= _GAMMA_MINOR
+    h = _GAMMA_MINOR * np.arange(offset + stride * cols.start, offset + stride * cols.stop,
+                                 stride, dtype=np.uint64)
     h = _mix64(keys[rows, None] + h)
     h >>= np.uint64(11)
     view = np.add(h, 0.5, out=out[piece])
@@ -107,8 +97,7 @@ def _fill(out: np.ndarray, keys: np.ndarray, piece, offset: int = 0,
 
 
 def normal_grid(seed: int, majors, k: int, *, threads: int = 1) -> np.ndarray:
-    """Matrix of normals with one row per major counter and k minor columns;
-    bitwise equal to normals(seed, majors[:, None], arange(k)[None, :])."""
+    """normals(seed, majors[:, None], arange(k)[None, :]): one row per major counter."""
     keys = _keys(seed, majors)
     out = np.empty((keys.shape[0], k))
     ordered_map(lambda piece: _fill(out, keys, piece), _pieces(*out.shape), threads)
@@ -116,7 +105,7 @@ def normal_grid(seed: int, majors, k: int, *, threads: int = 1) -> np.ndarray:
 
 
 def bivariate_block(rho: float, seed: int, major_start: int, n_major: int,
-                    k: int, *, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
     """(n_major, k) blocks of correlated standard-normal pairs.
 
     x is standard normal and y = rho*x + sqrt(1 - rho^2)*z for an independent
@@ -127,11 +116,8 @@ def bivariate_block(rho: float, seed: int, major_start: int, n_major: int,
     keys = _keys(seed, np.arange(major_start, major_start + n_major, dtype=np.uint64))
     x, y = np.empty((n_major, k)), np.empty((n_major, k))
     c = np.sqrt((1.0 - rho) * (1.0 + rho))
-
-    def pairs(piece):
+    for piece in _pieces(n_major, k):
         z = _fill(y, keys, piece, 1, 2)
         z *= c
         z += rho * _fill(x, keys, piece, 0, 2)
-
-    ordered_map(pairs, _pieces(n_major, k), threads)
     return x, y

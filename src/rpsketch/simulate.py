@@ -61,8 +61,7 @@ class Histogram:
 
 
 def sample_pair(rho: float, seed: int, trial: int, j: int) -> tuple[float, float]:
-    """Pair j of trial `trial`, drawn as rng.bivariate_block draws it: x and z
-    from minor counters 2j and 2j+1, y = rho*x + sqrt(1-rho^2)*z."""
+    """Pair j of trial `trial`, from minor counters 2j and 2j+1 as in rng.bivariate_block."""
     x, z = rng.normals(seed, trial, [2 * j, 2 * j + 1])
     return float(x), float(np.sqrt((1.0 - rho) * (1.0 + rho)) * z + rho * x)
 

@@ -60,8 +60,9 @@ class TestNormalGrid:
 
     def test_one_wide_row_spans_chunks(self):
         k = 3 * rng._CHUNK_VALUES + 5
-        grid = rng.normal_grid(5, [2**63 + 1], k, threads=2)
-        assert bits(grid) == bits(rng.normals(5, 2**63 + 1, np.arange(k))[None, :])
+        ref = rng.normals(5, 2**63 + 1, np.arange(k))[None, :]
+        for workers in (1, 2, 3):
+            assert bits(rng.normal_grid(5, [2**63 + 1], k, threads=workers)) == bits(ref)
 
     def test_rows_of_chunk_width_and_one_more(self):
         for k in (rng._CHUNK_VALUES, rng._CHUNK_VALUES + 1):
@@ -73,21 +74,18 @@ class TestNormalGrid:
 class TestBivariateBlock:
     @settings(max_examples=60, deadline=None)
     @given(rho=st.floats(-1.0, 1.0), seed=seeds, major_start=st.integers(0, 2**40),
-           n_major=st.integers(0, 6), k=st.integers(0, 23), chunk=chunks,
-           workers=threads)
-    def test_bitwise_equal_to_reference(self, rho, seed, major_start, n_major, k,
-                                        chunk, workers):
+           n_major=st.integers(0, 6), k=st.integers(0, 23), chunk=chunks)
+    def test_bitwise_equal_to_reference(self, rho, seed, major_start, n_major, k, chunk):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rng, "_CHUNK_VALUES", chunk)
-            x, y = rng.bivariate_block(rho, seed, major_start, n_major, k,
-                                       threads=workers)
+            x, y = rng.bivariate_block(rho, seed, major_start, n_major, k)
         xr, yr = reference_pairs(rho, seed, major_start, n_major, k)
         assert bits(x) == bits(xr)
         assert bits(y) == bits(yr)
 
     def test_one_wide_row_spans_chunks(self):
         k = 2 * rng._CHUNK_VALUES + 3
-        x, y = rng.bivariate_block(0.8, 3, 11, 1, k, threads=3)
+        x, y = rng.bivariate_block(0.8, 3, 11, 1, k)
         xr, yr = reference_pairs(0.8, 3, 11, 1, k)
         assert bits(x) == bits(xr)
         assert bits(y) == bits(yr)

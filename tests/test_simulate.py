@@ -90,25 +90,27 @@ class TestRunMse:
         assert run_mse(cfg) == run_mse(cfg)
 
     def test_threads_do_not_change_results(self, monkeypatch):
-        # block sizes k and 7k+3 put 1 and 7 trials in a block, so every
-        # thread count runs many blocks
-        k = 64
-        for estimators, trials in [(FIVE, 2_000),
-                                   ((Estimator.MLE_SIGN_FULL, Estimator.MLE_FULL), 400)]:
+        # block sizes k and 7k+3 put 1 and 7 trials in a block; the default
+        # block holds 2^17 // k = 2048 trials, so 5000 trials span three
+        k, default = 64, simulate._BLOCK_VALUES
+        assert 5_000 > 2 * (default // k)
+        mles = (Estimator.MLE_SIGN_FULL, Estimator.MLE_FULL)
+        for estimators, trials, block in [
+                (FIVE, 2_000, k), (FIVE, 2_000, 7 * k + 3), (FIVE, 5_000, default),
+                (mles, 400, k), (mles, 400, 7 * k + 3), (mles, 5_000, default)]:
             cfg = SimConfig(0.5, k, trials, 11, estimators)
             reports = run_mse(cfg)
             hist = run_histogram(0.5, k, trials, 11, estimators[-1], 13)
-            for block in (k, 7 * k + 3, simulate._BLOCK_VALUES):
-                monkeypatch.setattr(simulate, "_BLOCK_VALUES", block)
-                for threads in (1, 2, 3):
-                    assert run_mse(cfg, threads=threads) == reports
-                    got = run_histogram(0.5, k, trials, 11, estimators[-1], 13,
-                                        threads=threads)
-                    assert got.counts.tobytes() == hist.counts.tobytes()
-                    assert got.edges.tobytes() == hist.edges.tobytes()
-                    assert (got.frac_above_one, got.frac_below_neg_one) == (
-                        hist.frac_above_one, hist.frac_below_neg_one)
-                monkeypatch.undo()
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", block)
+            for threads in (1, 2, 3):
+                assert run_mse(cfg, threads=threads) == reports
+                got = run_histogram(0.5, k, trials, 11, estimators[-1], 13,
+                                    threads=threads)
+                assert got.counts.tobytes() == hist.counts.tobytes()
+                assert got.edges.tobytes() == hist.edges.tobytes()
+                assert (got.frac_above_one, got.frac_below_neg_one) == (
+                    hist.frac_above_one, hist.frac_below_neg_one)
+            monkeypatch.undo()
 
     def test_mse_identity_exact(self):
         for rep in run_mse(SimConfig(0.3, 32, 3_000, 13, FIVE)):
