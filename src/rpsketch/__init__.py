@@ -8,7 +8,7 @@ from .projection import (FullSketch, FullStore, ProjectionConfig, SignSketch, Si
                          gaussian_entry, load_sketches, matching_bits,
                          project, project_corpus, quantize_store,
                          save_sketches, sign_array, sign_quantize)
-from .estimators import (BatchEstimate, EstimateReport, Estimator, SignFullPair,
+from .estimators import (BatchEstimate, EstimateReport, Estimator,
                          estimate_batch, estimate_full, estimate_full_batch,
                          estimate_full_norm, estimate_g, estimate_g_norm,
                          estimate_pair, estimate_s, estimate_s_norm,

@@ -24,8 +24,8 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, ShapeError
 from .estimators import Estimator, estimate_batch
-from .projection import (FullSketch, ProjectionConfig, SignSketch, SignStore,
-                         project_corpus, quantize_store)
+from .projection import (FullSketch, FullStore, ProjectionConfig, SignSketch,
+                         SignStore, project_corpus, quantize_store)
 from .vectors import Corpus, DataVector
 
 log = logging.getLogger(__name__)
@@ -77,10 +77,10 @@ def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray
 
 
 def rank_queries(sign_store: SignStore | Sequence[SignSketch],
-                 queries: Sequence[FullSketch],
+                 queries: FullStore | Sequence[FullSketch],
                  estimator: Estimator) -> list[np.ndarray]:
     """Training indices sorted by descending estimate, ties by lower index."""
-    scores = estimate_batch(sign_store, list(queries), estimator).rho_hat
+    scores = estimate_batch(sign_store, queries, estimator).rho_hat
     return list(np.argsort(-scores, axis=1, kind="stable"))
 
 
@@ -196,4 +196,4 @@ def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
 
     train = [member(n_clusters + m, m) for m in range(n_train)]
     queries = [member(n_clusters + n_train + q, q) for q in range(n_queries)]
-    return Corpus(tuple(train), dim), Corpus(tuple(queries), dim)
+    return Corpus.from_vectors(train, dim), Corpus.from_vectors(queries, dim)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import re
 import sys
 from contextlib import nullcontext
@@ -23,9 +24,13 @@ from .errors import ContractError, RpsketchError
 from .estimators import (SIGN_STORE_ESTIMATORS, Estimator, estimate_batch,
                          estimate_full_batch)
 from .mle import mle_full_store
-from .projection import (KIND_FULL, ProjectionConfig, SignStore, load_sketches,
-                         project_corpus, quantize_store, save_sketches)
+from .projection import (ProjectionConfig, SignStore, load_sketches, project_corpus,
+                         quantize_store, save_sketches)
 from .vectors import load_sparse_text, save_sparse_text
+
+
+#: the most points a --rho-grid may ask for
+MAX_GRID_POINTS = 10**6
 
 
 class UsageError(Exception):
@@ -62,26 +67,24 @@ def _parse_rho_grid(spec: str) -> list[float]:
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"non-numeric rho grid {spec!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise UsageError(f"rho grid {spec!r} is not finite")
     if a == b:
         return [a]
     if step <= 0 or b < a:
         raise UsageError("rho grid needs start <= stop and step > 0")
-    n = int((b - a) / step + 1e-9) + 1
-    return [a + i * step for i in range(n)]
+    span = (b - a) / step + 1e-9  # the point count, less one; inf on overflow
+    if not span < MAX_GRID_POINTS:
+        raise UsageError(f"rho grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [a + i * step for i in range(int(span) + 1)]
 
 
-def _parse_int_list(spec: str, what: str) -> list[int]:
+def _parse_list(spec: str, what: str, kind=int) -> list:
     try:
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+        return [kind(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"non-integer {what} in {spec!r}") from None
-
-
-def _parse_float_list(spec: str, what: str) -> list[float]:
-    try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"non-numeric {what} in {spec!r}") from None
+        raise UsageError(f"non-{'integer' if kind is int else 'numeric'} {what} "
+                         f"in {spec!r}") from None
 
 
 def _parse_levels(spec: str) -> list[tuple[float, int]]:
@@ -113,13 +116,9 @@ def _emit(path, header, rows):
 def _cmd_sketch(args) -> int:
     if not args.out:
         raise UsageError("sketch writes binary data; --out is required")
-    corpus = load_sparse_text(args.input, args.dim)
-    cfg = ProjectionConfig(args.k, args.seed)
-    sketches = project_corpus(corpus, cfg, threads=args.threads)
-    if args.kind == "sign":
-        save_sketches(args.out, quantize_store(sketches))
-    else:
-        save_sketches(args.out, sketches, kind=KIND_FULL)
+    sketches = project_corpus(load_sparse_text(args.input, args.dim),
+                              ProjectionConfig(args.k, args.seed), threads=args.threads)
+    save_sketches(args.out, quantize_store(sketches) if args.kind == "sign" else sketches)
     return 0
 
 
@@ -187,7 +186,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mse_ratio(args) -> int:
-    points = sim_mod.run_mse_ratio(args.rho, _parse_int_list(args.k_grid, "k"),
+    points = sim_mod.run_mse_ratio(args.rho, _parse_list(args.k_grid, "k"),
                                    args.trials, args.seed, threads=args.threads)
     rows = [[p.k, p.mse_sign_sign, p.mse_s_norm, p.mse_g_norm, p.ratio_s_norm,
              p.ratio_g_norm, p.theory_ratio_s_norm, p.theory_ratio_g_norm]
@@ -214,9 +213,9 @@ def _cmd_bench(args) -> int:
     train = load_sparse_text(args.train, args.dim)
     queries = load_sparse_text(args.query, args.dim)
     estimators = _parse_estimators(args.estimators)
-    ks = _parse_int_list(args.k, "k")
-    rho0s = _parse_float_list(args.rho0, "rho0")
-    l_grid = _parse_int_list(args.l_grid, "L") if args.l_grid else None
+    ks = _parse_list(args.k, "k")
+    rho0s = _parse_list(args.rho0, "rho0", float)
+    l_grid = _parse_list(args.l_grid, "L") if args.l_grid else None
     rows = [[est.cli_name, rho0, k, p.L, p.precision, p.recall]
             for est, rho0, k, p in bench_mod.benchmark_grid(
                 train, queries, ks, rho0s, estimators, args.seed, l_grid,
@@ -240,7 +239,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rpsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, seed_required=True):
+    def common(p, run, seed_required=True):
+        p.set_defaults(run=run)
         p.add_argument("--seed", type=int, required=seed_required, default=0,
                        help="64-bit seed; mandatory for stochastic commands")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -248,40 +248,40 @@ def build_parser() -> _Parser:
                        help="worker cap; never changes the output bytes")
 
     p = sub.add_parser("sketch", help="project a corpus and store its sketches")
-    common(p)
+    common(p, _cmd_sketch)
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=["sign", "full"], default="sign")
     p.add_argument("--dim", type=int, default=None)
 
     p = sub.add_parser("estimate", help="score stored sketches against queries")
-    common(p)
+    common(p, _cmd_estimate)
     p.add_argument("--store", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--estimator", required=True)
     p.add_argument("--dim", type=int, default=None)
 
     p = sub.add_parser("variance-table", help="closed-form variance factors")
-    common(p, seed_required=False)
+    common(p, _cmd_variance_table, seed_required=False)
     p.add_argument("--estimators", required=True)
     p.add_argument("--rho-grid", required=True, help="start:stop:step")
     p.add_argument("--mle-samples", type=int, default=1_000_000)
 
     p = sub.add_parser("simulate", help="empirical bias/variance/MSE")
-    common(p)
+    common(p, _cmd_simulate)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--estimators", required=True)
 
     p = sub.add_parser("mse-ratio", help="sign-sign over normalized MSE ratios")
-    common(p)
+    common(p, _cmd_mse_ratio)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--k-grid", default="10,20,50,100,200,500,1000")
     p.add_argument("--trials", type=int, default=100_000)
 
     p = sub.add_parser("histogram", help="histogram of raw estimates")
-    common(p)
+    common(p, _cmd_histogram)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
@@ -289,7 +289,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bins", type=int, default=50)
 
     p = sub.add_parser("bench", help="precision-recall ranking benchmark")
-    common(p)
+    common(p, _cmd_bench)
     p.add_argument("--train", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--k", required=True, help="comma-separated k values")
@@ -299,7 +299,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate a planted-cluster corpus")
-    common(p)
+    common(p, _cmd_synth)
     p.add_argument("--dim", type=int, default=512)
     p.add_argument("--clusters", type=int, default=10)
     p.add_argument("--train", type=int, default=1000)
@@ -312,18 +312,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "sketch": _cmd_sketch,
-    "estimate": _cmd_estimate,
-    "variance-table": _cmd_variance_table,
-    "simulate": _cmd_simulate,
-    "mse-ratio": _cmd_mse_ratio,
-    "histogram": _cmd_histogram,
-    "bench": _cmd_bench,
-    "synth": _cmd_synth,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -333,7 +321,7 @@ def main(argv=None) -> int:
             return 1
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, not {args.threads}")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

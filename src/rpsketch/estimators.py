@@ -30,10 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import mle
 from .errors import ContractError, DomainError, ShapeError
 from .projection import (FullSketch, FullStore, SignSketch, SignStore,
-                         matching_bits, pack_signs, popcount, sign_array,
-                         sum_product)
+                         matching_bits, pack_signs, popcount, sum_product)
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 SQRT_TAU = math.sqrt(2.0 * math.pi)
@@ -93,22 +93,6 @@ class BatchEstimate:
 
     def __len__(self) -> int:
         return int(self.raw.size)
-
-
-@dataclass(frozen=True)
-class SignFullPair:
-    """Stored projection signs paired with a full-precision query sketch."""
-
-    signs: SignSketch
-    query: FullSketch
-
-    def __post_init__(self):
-        if self.signs.k != self.query.k:
-            raise ShapeError(f"k mismatch: {self.signs.k} vs {self.query.k}")
-
-    def products(self) -> np.ndarray:
-        """s_j = sgn(x_j) * y_j."""
-        return sign_array(self.signs) * self.query.values
 
 
 @functools.lru_cache(maxsize=64)
@@ -269,8 +253,6 @@ def estimate_batch(signs: SignStore | Sequence[SignSketch],
             f"estimator {estimator.cli_name!r} cannot score a sign store")
     store = signs if isinstance(signs, SignStore) else SignStore.stack(signs)
     if estimator is Estimator.MLE_SIGN_FULL:
-        from . import mle
-
         return _score_queries(estimator, store.k, len(store), query,
                               lambda q: mle.mle_sign_full_store(store, q).rho_hat)
     return _score_queries(estimator, store.k, len(store), query,
@@ -319,21 +301,21 @@ def estimate_full_norm(x: FullSketch, y: FullSketch) -> EstimateReport:
     return _report(estimate_full_batch([x], y, Estimator.FULL_NORM))
 
 
-def estimate_g(p: SignFullPair) -> EstimateReport:
+def estimate_g(signs: SignSketch, query: FullSketch) -> EstimateReport:
     """sqrt(pi/2) * mean(s), inverting E(s) = sqrt(2/pi) * rho."""
-    return estimate_pair(Estimator.G, p.signs, p.query)
+    return estimate_pair(Estimator.G, signs, query)
 
 
-def estimate_g_norm(p: SignFullPair) -> EstimateReport:
+def estimate_g_norm(signs: SignSketch, query: FullSketch) -> EstimateReport:
     """Moment estimator with the query norm divided out."""
-    return estimate_pair(Estimator.G_NORM, p.signs, p.query)
+    return estimate_pair(Estimator.G_NORM, signs, query)
 
 
-def estimate_s(p: SignFullPair) -> EstimateReport:
+def estimate_s(signs: SignSketch, query: FullSketch) -> EstimateReport:
     """1 - sqrt(2*pi)/k * sum of mismatch magnitudes max(-s_j, 0)."""
-    return estimate_pair(Estimator.S, p.signs, p.query)
+    return estimate_pair(Estimator.S, signs, query)
 
 
-def estimate_s_norm(p: SignFullPair) -> EstimateReport:
+def estimate_s_norm(signs: SignSketch, query: FullSketch) -> EstimateReport:
     """Mismatch estimator with the query norm divided out; still <= 1."""
-    return estimate_pair(Estimator.S_NORM, p.signs, p.query)
+    return estimate_pair(Estimator.S_NORM, signs, query)

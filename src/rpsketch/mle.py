@@ -21,8 +21,7 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
 
 from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
-from .estimators import SignFullPair
-from .projection import (FullSketch, FullStore, SignStore, sign_array,
+from .projection import (FullSketch, FullStore, SignSketch, SignStore, sign_array,
                          sum_product)
 
 _INV_SQRT_TAU = 1.0 / math.sqrt(2.0 * math.pi)
@@ -124,18 +123,16 @@ def _scores(rho: np.ndarray, s: np.ndarray, slope: bool = False):
     return f, -np.sum(h * (cs + h) * s * s, axis=1) / _libm(lambda o: o**1.5, omr2)
 
 
-def _products(pairs: SignFullPair) -> np.ndarray:
-    s = pairs.products()
-    if not np.any(s != 0.0):
-        raise DegenerateInputError("all query coordinates are zero")
-    return s
-
-
-def score(rho: float, pairs: SignFullPair) -> float:
-    """Likelihood score sum_j invmills(c*s_j)*s_j at a given rho in (-1, 1)."""
+def score(rho: float, signs: SignSketch, query: FullSketch) -> float:
+    """Likelihood score sum_j invmills(c*s_j)*s_j at a given rho in (-1, 1),
+    with s_j = sgn(x_j) * y_j."""
+    if signs.k != query.k:
+        raise ShapeError(f"k mismatch: {signs.k} vs {query.k}")
     if not -1.0 < rho < 1.0:
         raise DomainError("score requires |rho| < 1")
-    return float(_scores(np.array([float(rho)]), _products(pairs)[None, :])[0])
+    if not np.any(query.values != 0.0):
+        raise DegenerateInputError("all query coordinates are zero")
+    return float(_scores(np.array([float(rho)]), (sign_array(signs) * query.values)[None, :])[0])
 
 
 def _log_likelihood(rho: float, s: np.ndarray) -> np.ndarray:
@@ -143,15 +140,15 @@ def _log_likelihood(rho: float, s: np.ndarray) -> np.ndarray:
     return np.sum(log_ndtr(c * s), axis=1)
 
 
-def mle_sign_full(pairs: SignFullPair, cfg: SolverConfig = SolverConfig()) -> MleResult:
+def mle_sign_full(signs: SignSketch, query: FullSketch,
+                  cfg: SolverConfig = SolverConfig()) -> MleResult:
     """Root of the sign-full likelihood score, by safeguarded Newton.
 
     If the score never changes sign on [-1+eps, 1-eps] the likelihood is
     monotone there (all nonzero s_j share a sign) and the boundary the score
     points at is returned with ``at_boundary`` set.
     """
-    signs = pairs.signs
-    return mle_sign_full_store(SignStore(signs.bits[None, :], signs.k), pairs.query, cfg)[0]
+    return mle_sign_full_store(SignStore(signs.bits[None, :], signs.k), query, cfg)[0]
 
 
 def mle_sign_full_store(store: SignStore, query: FullSketch,

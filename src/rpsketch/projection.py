@@ -26,7 +26,7 @@ KIND_FULL = 0x01
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint16)
 
-# rows with more scratch entries than this are regenerated per vector
+# unions with more table entries than this are drawn per vector
 _ROW_CACHE_LIMIT = 50_000_000
 
 
@@ -191,28 +191,31 @@ def project(u: DataVector, cfg: ProjectionConfig) -> FullSketch:
     return FullSketch(values)
 
 
-def project_corpus(corpus: Corpus | Sequence[DataVector], cfg: ProjectionConfig,
-                   *, threads: int = 1) -> list[FullSketch]:
-    """Project many vectors; bit-identical to calling project() in a loop.
-
-    The rows for the union of supports are materialized once, on up to
-    `threads` workers, when that fits in memory; each vector still reduces over
-    its own support in index order, so the result matches project() exactly.
-    """
-    vectors = list(corpus)
-    if not vectors:
-        return []
-    union = np.unique(np.concatenate([v.indices for v in vectors]))
-    if union.size * cfg.k > _ROW_CACHE_LIMIT:
-        return [project(v, cfg) for v in vectors]
-    table = rng.normal_grid(cfg.seed, union, cfg.k, threads=threads)
-    out = []
-    for v in vectors:
-        if v.nnz == 0:
-            raise DomainError("cannot project an empty vector")
-        rows = table[np.searchsorted(union, v.indices)]
-        out.append(FullSketch(v.values @ rows))
-    return out
+def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *,
+                   threads: int = 1) -> FullStore:
+    """Project every row of a corpus, bit-identical to project(corpus[i], cfg);
+    an empty corpus gives k = 0.  The rows of the union of supports are drawn
+    once, on up to `threads` workers, when they fit the row cache, and each
+    row reduces over a slice of them where its support is a run of the union."""
+    n, k, indptr = len(corpus), cfg.k, corpus.indptr
+    if np.any(np.diff(indptr) == 0):
+        raise DomainError("cannot project an empty vector")
+    out = np.empty((n, k if n else 0))
+    union = np.unique(corpus.indices)
+    cached = union.size * k <= _ROW_CACHE_LIMIT
+    if cached:
+        table = rng.normal_grid(cfg.seed, union, k, threads=threads)
+        pos = np.searchsorted(union, corpus.indices)
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        if not cached:
+            rows = rng.normal_grid(cfg.seed, corpus.indices[lo:hi], k, threads=threads)
+        elif pos[hi - 1] - pos[lo] == hi - lo - 1:
+            rows = table[pos[lo]:pos[hi - 1] + 1]
+        else:
+            rows = table[pos[lo:hi]]
+        out[i] = corpus.values[lo:hi] @ rows
+    return FullStore(out, sum_product(out, out))
 
 
 def pack_signs(values: np.ndarray) -> np.ndarray:
@@ -225,15 +228,9 @@ def sign_quantize(s: FullSketch) -> SignSketch:
     return SignSketch(pack_signs(s.values), s.k)
 
 
-def quantize_store(sketches: Sequence[FullSketch]) -> SignStore:
-    """Keep only the signs of many equal-length sketches, with one packbits."""
-    sketches = list(sketches)
-    if not sketches:
-        return SignStore.stack([])
-    k = sketches[0].k
-    if any(s.k != k for s in sketches):
-        raise ShapeError("all sketches in a store must share k")
-    return SignStore(pack_signs(np.stack([s.values for s in sketches])), k)
+def quantize_store(store: FullStore) -> SignStore:
+    """Keep only the signs of every row of a full store, with one packbits."""
+    return SignStore(pack_signs(store.values), store.k)
 
 
 def sign_array(s: SignSketch | SignStore) -> np.ndarray:
@@ -255,42 +252,19 @@ def matching_bits(a: SignSketch, b: SignSketch) -> int:
     return a.k - differing
 
 
-def save_sketches(path, sketches: SignStore | Sequence[SignSketch] | Sequence[FullSketch],
-                  kind: int | None = None) -> None:
-    """Serialize a sign store or a homogeneous collection of sketches.
+def save_sketches(path, store: SignStore | FullStore) -> None:
+    """Serialize a sign or full store.
 
     Layout: magic ``SFRP``, version byte, kind byte (0x00 sign / 0x01 full),
     uint32-LE k, uint64-LE count, then the payload: packed sign bytes per
     sketch, or all k-vectors as float64-LE followed by the sumsq values.
     """
-    if not isinstance(sketches, SignStore):
-        sketches = list(sketches)
-        kinds = {KIND_SIGN if isinstance(s, SignSketch) else KIND_FULL
-                 for s in sketches}
-        if len(kinds) > 1:
-            raise ShapeError("cannot mix sign and full sketches in one file")
-        if kinds and kind is not None and kind not in kinds:
-            raise ShapeError("explicit kind contradicts sketch types")
-        kind = kinds.pop() if kinds else (KIND_SIGN if kind is None else kind)
-        if kind not in (KIND_SIGN, KIND_FULL):
-            raise SketchFormatError(f"unknown sketch kind {kind:#x}")
-        if len({s.k for s in sketches}) > 1:
-            raise ShapeError("all sketches in a file must share k")
-        if kind == KIND_SIGN:
-            sketches = SignStore.stack(sketches)
-    elif kind not in (None, KIND_SIGN):
-        raise ShapeError("explicit kind contradicts sketch types")
+    sign = isinstance(store, SignStore)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        if isinstance(sketches, SignStore):
-            fh.write(struct.pack("<BBIQ", _VERSION, KIND_SIGN, sketches.k, len(sketches)))
-            fh.write(sketches.bits.tobytes())
-        else:
-            k = sketches[0].k if sketches else 0
-            fh.write(struct.pack("<BBIQ", _VERSION, KIND_FULL, k, len(sketches)))
-            for s in sketches:
-                fh.write(s.values.astype("<f8").tobytes())
-            fh.write(np.array([s.sumsq for s in sketches], dtype="<f8").tobytes())
+        fh.write(_MAGIC + struct.pack("<BBIQ", _VERSION, KIND_SIGN if sign else KIND_FULL,
+                                      store.k, len(store)))
+        for part in [store.bits] if sign else [store.values, store.sumsq]:
+            fh.write(part.astype(part.dtype.newbyteorder("<")).tobytes())
 
 
 def load_sketches(path) -> SignStore | FullStore:

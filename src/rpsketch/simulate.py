@@ -90,8 +90,10 @@ def _block_estimates(estimators, x: np.ndarray,
 
 
 def _simulate_raw(cfg: SimConfig, threads: int = 1) -> dict[Estimator, np.ndarray]:
-    """Raw estimates for every requested estimator, trial-major order."""
-    block = max(1, _BLOCK_VALUES // cfg.k)
+    """Raw estimates for every requested estimator, trial-major order, from
+    equal blocks of at most _BLOCK_VALUES values, a multiple of `threads`."""
+    blocks = -(-cfg.trials // max(1, _BLOCK_VALUES // cfg.k))
+    block = -(-cfg.trials // (-(-blocks // threads) * threads))
 
     def one_block(start: int) -> dict[Estimator, np.ndarray]:
         x, y = rng.bivariate_block(cfg.rho, cfg.seed, start,

@@ -25,36 +25,37 @@ def axis(i, dim):
 
 class TestGroundTruth:
     def test_exact_duplicate_at_threshold_one(self):
-        train = Corpus((axis(0, 4), axis(1, 4), axis(2, 4)), 4)
-        queries = Corpus((axis(1, 4),), 4)
+        train = Corpus.from_vectors((axis(0, 4), axis(1, 4), axis(2, 4)), 4)
+        queries = Corpus.from_vectors((axis(1, 4),), 4)
         (rel,) = ground_truth(train, queries, 1.0)
         assert rel.tolist() == [1]
 
     def test_threshold_above_everything(self):
         rng_ = np.random.default_rng(1)
-        train = Corpus(tuple(normalize(vec(rng_.standard_normal(16)))
-                             for _ in range(5)), 16)
-        queries = Corpus((normalize(vec(rng_.standard_normal(16))),), 16)
-        sims = [cosine(queries.vectors[0], t) for t in train]
+        train = Corpus.from_vectors([normalize(vec(rng_.standard_normal(16)))
+                                     for _ in range(5)], 16)
+        queries = Corpus.from_vectors((normalize(vec(rng_.standard_normal(16))),), 16)
+        sims = [cosine(queries[0], t) for t in train]
         rho0 = max(sims) + 1e-9
         (rel,) = ground_truth(train, queries, rho0)
         assert rel.size == 0
 
     def test_hand_enumerated_sets(self):
-        train = Corpus((vec([1.0, 0.0]), normalize(vec([1.0, 1.0])),
-                        vec([0.0, 1.0])), 2)
-        queries = Corpus((vec([1.0, 0.0]),), 2)
+        train = Corpus.from_vectors((vec([1.0, 0.0]), normalize(vec([1.0, 1.0])),
+                                     vec([0.0, 1.0])), 2)
+        queries = Corpus.from_vectors((vec([1.0, 0.0]),), 2)
         # cosines: 1.0, 0.7071, 0.0
         (rel,) = ground_truth(train, queries, 0.5)
         assert rel.tolist() == [0, 1]
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            ground_truth(Corpus((axis(0, 3),), 3), Corpus((axis(0, 4),), 4), 0.5)
+            ground_truth(Corpus.from_vectors((axis(0, 3),), 3),
+                         Corpus.from_vectors((axis(0, 4),), 4), 0.5)
 
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
-            ground_truth(Corpus((), 3), Corpus((axis(0, 3),), 3), 0.5)
+            ground_truth(Corpus.from_vectors((), 3), Corpus.from_vectors((axis(0, 3),), 3), 0.5)
 
 
 class TestRankQueries:
@@ -63,8 +64,8 @@ class TestRankQueries:
         dim = 32
         vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(20)]
         cfg = ProjectionConfig(k=256, seed=9)
-        store = [sign_quantize(s) for s in project_corpus(vecs, cfg)]
-        (query,) = project_corpus([vecs[7]], cfg)
+        store = [sign_quantize(s) for s in project_corpus(Corpus.from_vectors(vecs, dim), cfg)]
+        (query,) = project_corpus(Corpus.from_vectors([vecs[7]], dim), cfg)
         from rpsketch import estimate_batch
 
         scores = estimate_batch(store, query, Estimator.S_NORM)
@@ -85,8 +86,8 @@ class TestRankQueries:
         vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(50)]
         query_vec = normalize(vec(rng_.standard_normal(dim)))
         cfg = ProjectionConfig(k=10_000, seed=13)
-        store = [sign_quantize(s) for s in project_corpus(vecs, cfg)]
-        (query,) = project_corpus([query_vec], cfg)
+        store = [sign_quantize(s) for s in project_corpus(Corpus.from_vectors(vecs, dim), cfg)]
+        (query,) = project_corpus(Corpus.from_vectors([query_vec], dim), cfg)
         (ranking,) = rank_queries(store, [query], Estimator.S_NORM)
         truth = np.array([cosine(query_vec, t) for t in vecs])
         est_rank_of = np.empty(50)
@@ -216,14 +217,14 @@ class TestClusteredCorpus:
             assert np.array_equal(u.values, w.values)
         c, _ = make_clustered_corpus(12, dim=32, n_clusters=2, n_train=8,
                                      n_queries=2)
-        assert not np.array_equal(a.vectors[0].values, c.vectors[0].values)
+        assert not np.array_equal(a[0].values, c[0].values)
 
     def test_same_cluster_pairs_sit_in_high_band(self):
         train, _ = make_clustered_corpus(13, dim=512, n_clusters=5,
                                          n_train=50, n_queries=0,
                                          spread_levels=((0.05, 1),))
         # members 0 and 5 share cluster 0 at the tight level: cos ~ 1/1.05
-        same = cosine(train.vectors[0], train.vectors[5])
-        other = cosine(train.vectors[0], train.vectors[1])
+        same = cosine(train[0], train[5])
+        other = cosine(train[0], train[1])
         assert same > 0.9
         assert abs(other) < 0.4

@@ -1,11 +1,12 @@
 import csv
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rpsketch import (ProjectionConfig, SignFullPair, load_sketches,
+from rpsketch import (ProjectionConfig, load_sketches,
                       load_sparse_text, mle_full, mle_sign_full, project_corpus)
 from rpsketch.cli import main
 
@@ -32,6 +33,26 @@ class TestExitCodes:
     def test_bad_grid(self, capsys):
         assert run(["variance-table", "--estimators", "g",
                     "--rho-grid", "1:0:0.1"]) == 1
+
+    @pytest.mark.parametrize("grid", ["0:1:nan", "nan:1:0.5", "0:inf:0.5", "-inf:inf:1",
+                                      "inf:inf:1", "0:1:1e-300", "-1e308:1e308:1e-3"])
+    def test_unbounded_grid_rejected_before_allocating(self, grid, capsys):
+        tracemalloc.start()
+        try:
+            code = run(["variance-table", "--estimators", "g", f"--rho-grid={grid}"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: rho grid")
+        assert peak < 2**20
+
+    def test_grid_at_the_point_cap(self, capsys):
+        from rpsketch.cli import MAX_GRID_POINTS, _parse_rho_grid
+
+        assert len(_parse_rho_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        assert run(["variance-table", "--estimators", "g", "--rho-grid",
+                    f"0:{MAX_GRID_POINTS}:1"]) == 1
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_count_below_one(self, threads, capsys):
@@ -199,7 +220,7 @@ class TestPipelines:
             for r in rows:
                 q, x = queries[int(r["query"])], loaded[int(r["train"])]
                 if kind == "sign":
-                    res, clamped = mle_sign_full(SignFullPair(x, q)), False
+                    res, clamped = mle_sign_full(x, q), False
                 else:
                     res = mle_full(x, q)
                     clamped = res.at_boundary

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpsketch import (DomainError, EstimateReport, Estimator, FullSketch,
-                      FullStore, ShapeError, SignFullPair, mle_sign_full, estimate_batch, estimate_full,
+                      FullStore, ShapeError, mle_sign_full, estimate_batch, estimate_full,
                       estimate_full_batch, estimate_full_norm, estimate_g,
                       estimate_g_norm, estimate_pair, estimate_s,
                       estimate_s_norm, estimate_sign_sign, quantize_store,
@@ -22,9 +22,9 @@ def signs_of(values) -> "SignSketch":
     return sign_quantize(FullSketch(np.asarray(values, dtype=np.float64)))
 
 
-def pair(sign_values, query_values) -> SignFullPair:
-    return SignFullPair(signs_of(sign_values),
-                        FullSketch(np.asarray(query_values, dtype=np.float64)))
+def pair(sign_values, query_values) -> "tuple[SignSketch, FullSketch]":
+    return (signs_of(sign_values),
+            FullSketch(np.asarray(query_values, dtype=np.float64)))
 
 
 class TestSignSign:
@@ -108,55 +108,55 @@ class TestFullNorm:
 class TestG:
     def test_inverts_first_moment_at_one(self):
         s = math.sqrt(2 / math.pi)
-        rep = estimate_g(pair([1.0, 1.0], [s, s]))
+        rep = estimate_g(*pair([1.0, 1.0], [s, s]))
         assert rep.rho_hat == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_query(self):
-        rep = estimate_g(pair([1.0, -1.0], [0.0, 0.0]))
+        rep = estimate_g(*pair([1.0, -1.0], [0.0, 0.0]))
         assert rep.rho_hat == 0.0
 
     def test_hand_arithmetic(self):
-        rep = estimate_g(pair([1.0, -1.0], [1.0, 0.5]))
+        rep = estimate_g(*pair([1.0, -1.0], [1.0, 0.5]))
         assert rep.rho_hat == pytest.approx(0.31332853432887506, abs=1e-15)
 
 
 class TestGNorm:
     def test_query_aligned_with_signs_clamps(self):
         # y = c * (+1/-1 pattern): raw sqrt(pi/2) ~ 1.2533, clamped
-        rep = estimate_g_norm(pair([1.0, -1.0, 1.0], [0.7, -0.7, 0.7]))
+        rep = estimate_g_norm(*pair([1.0, -1.0, 1.0], [0.7, -0.7, 0.7]))
         assert rep.raw == pytest.approx(SQRT_HALF_PI, abs=1e-15)
         assert rep.clamped and rep.rho_hat == 1.0
 
     def test_anti_aligned_clamps_low(self):
-        rep = estimate_g_norm(pair([1.0, -1.0, 1.0], [-0.7, 0.7, -0.7]))
+        rep = estimate_g_norm(*pair([1.0, -1.0, 1.0], [-0.7, 0.7, -0.7]))
         assert rep.raw == pytest.approx(-SQRT_HALF_PI, abs=1e-15)
         assert rep.clamped and rep.rho_hat == -1.0
 
     def test_single_pair(self):
-        rep = estimate_g_norm(pair([1.0], [2.0]))
+        rep = estimate_g_norm(*pair([1.0], [2.0]))
         assert rep.raw == pytest.approx(SQRT_HALF_PI, abs=1e-15)
         assert rep.rho_hat == 1.0 and rep.clamped
 
     def test_zero_query_rejected(self):
         with pytest.raises(DomainError):
-            estimate_g_norm(pair([1.0], [0.0]))
+            estimate_g_norm(*pair([1.0], [0.0]))
 
 
 class TestS:
     def test_perfect_agreement(self):
-        rep = estimate_s(pair([1.0, -1.0, 1.0], [0.2, -0.3, 0.9]))
+        rep = estimate_s(*pair([1.0, -1.0, 1.0], [0.2, -0.3, 0.9]))
         assert rep.rho_hat == 1.0 and not rep.clamped
 
     def test_single_mismatch_hand(self):
-        rep = estimate_s(pair([1.0], [-0.5]))
+        rep = estimate_s(*pair([1.0], [-0.5]))
         assert rep.rho_hat == pytest.approx(-0.25331413731550025, abs=1e-15)
 
     def test_two_coordinate_hand(self):
-        rep = estimate_s(pair([1.0, 1.0], [0.3, -0.1]))
+        rep = estimate_s(*pair([1.0, 1.0], [0.3, -0.1]))
         assert rep.rho_hat == pytest.approx(0.87466858626845, abs=1e-14)
 
     def test_clamps_below_only(self):
-        rep = estimate_s(pair([1.0], [-2.0]))
+        rep = estimate_s(*pair([1.0], [-2.0]))
         assert rep.clamped and rep.rho_hat == -1.0
         assert rep.raw == pytest.approx(1 - SQRT_TAU * 2.0, abs=1e-14)
 
@@ -166,8 +166,8 @@ class TestS:
         rng_ = np.random.default_rng(seed)
         k = int(rng_.integers(1, 40))
         p = pair(rng_.standard_normal(k), rng_.standard_normal(k))
-        assert estimate_s(p).raw <= 1.0
-        assert estimate_s_norm(p).raw <= 1.0
+        assert estimate_s(*p).raw <= 1.0
+        assert estimate_s_norm(*p).raw <= 1.0
 
 
 class TestMismatchDefinition:
@@ -185,21 +185,21 @@ class TestMismatchDefinition:
 
 class TestSNorm:
     def test_perfect_agreement(self):
-        rep = estimate_s_norm(pair([1.0, -1.0], [0.4, -0.8]))
+        rep = estimate_s_norm(*pair([1.0, -1.0], [0.4, -0.8]))
         assert rep.rho_hat == 1.0
 
     def test_single_total_mismatch(self):
-        rep = estimate_s_norm(pair([1.0], [-1.0]))
+        rep = estimate_s_norm(*pair([1.0], [-1.0]))
         assert rep.raw == pytest.approx(-1.5066282746310005, abs=1e-14)
         assert rep.clamped and rep.rho_hat == -1.0
 
     def test_consistent_signs(self):
-        rep = estimate_s_norm(pair([1.0, -1.0], [1.0, -1.0]))
+        rep = estimate_s_norm(*pair([1.0, -1.0], [1.0, -1.0]))
         assert rep.rho_hat == 1.0
 
     def test_zero_query_rejected(self):
         with pytest.raises(DomainError):
-            estimate_s_norm(pair([1.0], [0.0]))
+            estimate_s_norm(*pair([1.0], [0.0]))
 
 
 class TestScaleBehavior:
@@ -209,10 +209,10 @@ class TestScaleBehavior:
         rng_ = np.random.default_rng(seed)
         signs = rng_.standard_normal(24)
         y = rng_.standard_normal(24)
-        base_gn = estimate_g_norm(pair(signs, y)).raw
-        base_sn = estimate_s_norm(pair(signs, y)).raw
-        scaled_gn = estimate_g_norm(pair(signs, alpha * y)).raw
-        scaled_sn = estimate_s_norm(pair(signs, alpha * y)).raw
+        base_gn = estimate_g_norm(*pair(signs, y)).raw
+        base_sn = estimate_s_norm(*pair(signs, y)).raw
+        scaled_gn = estimate_g_norm(*pair(signs, alpha * y)).raw
+        scaled_sn = estimate_s_norm(*pair(signs, alpha * y)).raw
         assert scaled_gn == pytest.approx(base_gn, abs=1e-12)
         # s-norm raw is 1 - mismatch term: the term is scale invariant
         assert scaled_sn == pytest.approx(base_sn, abs=1e-12)
@@ -220,8 +220,8 @@ class TestScaleBehavior:
     def test_plain_g_scales_with_query(self):
         signs = [1.0, -1.0, 1.0]
         y = [0.2, 0.4, -0.3]
-        base = estimate_g(pair(signs, y)).raw
-        scaled = estimate_g(pair(signs, [3.0 * v for v in y])).raw
+        base = estimate_g(*pair(signs, y)).raw
+        scaled = estimate_g(*pair(signs, [3.0 * v for v in y])).raw
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -251,7 +251,7 @@ class TestBatch:
         rep = EstimateReport(batch.estimator, batch.k, float(batch.rho_hat[0]),
                              bool(batch.clamped[0]), float(batch.raw[0]))
         assert batch.raw.shape == (1,)
-        assert rep == estimate_s_norm(SignFullPair(store[0], query))
+        assert rep == estimate_s_norm(store[0], query)
 
     def test_identical_sketches_identical_reports(self):
         sk = signs_of(np.random.default_rng(7).standard_normal(32))
@@ -286,7 +286,8 @@ _SIGN_STORE_CLOSED = (Estimator.SIGN_SIGN, Estimator.G, Estimator.G_NORM,
 
 def _random_store(seed, n, k):
     rng_ = np.random.default_rng(seed)
-    store = quantize_store([FullSketch(rng_.standard_normal(k)) for _ in range(n)])
+    store = quantize_store(FullStore.stack([FullSketch(rng_.standard_normal(k))
+                                            for _ in range(n)]))
     query = rng_.standard_normal(k)
     query[rng_.random(k) < 0.1] = 0.0  # sgn(0) maps to +, |0| weighs nothing
     query[0] = query[0] or 1.0  # nonzero, for the normalized estimators
@@ -330,7 +331,7 @@ class TestKernelContracts:
     @settings(max_examples=25, deadline=None)
     def test_mismatch_estimators_exact_when_signs_agree(self, seed, n, k):
         _, query = _random_store(seed, n, k)
-        store = quantize_store([query] * n)
+        store = quantize_store(FullStore.stack([query] * n))
         for est in (Estimator.S, Estimator.S_NORM):
             batch = estimate_batch(store, query, est)
             assert np.all(batch.raw == 1.0) and np.all(batch.rho_hat == 1.0)
@@ -362,7 +363,7 @@ class TestKernelContracts:
         rows = range(n) if n < 400 else sorted({0, 1, 57, 199, 398, 399})
         for i in rows:
             rep = estimate_pair(Estimator.MLE_SIGN_FULL, store[i], query)
-            res = mle_sign_full(SignFullPair(store[i], query))
+            res = mle_sign_full(store[i], query)
             assert (many.raw[0, i], many.rho_hat[0, i], many.clamped[0, i]) == (
                 rep.raw, rep.rho_hat, rep.clamped) == (res.rho_hat, res.rho_hat, False)
 

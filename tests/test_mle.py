@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from rpsketch import (DomainError, FullSketch, FullStore, MleResult,
-                      SignFullPair, SolverConfig, inv_mills, mle_full,
+                      SignSketch, SolverConfig, inv_mills, mle_full,
                       mle_sign_full, norm_cdf, norm_pdf, quantize_store, score,
                       sign_quantize)
 from rpsketch import mle, rng
@@ -20,8 +20,8 @@ from rpsketch.mle import (solve_full_batch, solve_full_from_moments,
 mp.mp.dps = 30
 
 
-def pair_from(x_values, y_values) -> SignFullPair:
-    return SignFullPair(sign_quantize(FullSketch(np.asarray(x_values, dtype=np.float64))),
+def pair_from(x_values, y_values) -> tuple[SignSketch, FullSketch]:
+    return (sign_quantize(FullSketch(np.asarray(x_values, dtype=np.float64))),
                         FullSketch(np.asarray(y_values, dtype=np.float64)))
 
 
@@ -83,54 +83,54 @@ class TestScore:
     def test_rho_zero_collapses_to_constant_ratio(self):
         p = pair_from([1.0, 1.0, -1.0], [0.5, -0.2, 0.3])
         s_sum = 0.5 - 0.2 - 0.3
-        assert score(0.0, p) == pytest.approx(inv_mills(0.0) * s_sum, abs=1e-15)
+        assert score(0.0, *p) == pytest.approx(inv_mills(0.0) * s_sum, abs=1e-15)
         balanced = pair_from([1.0, 1.0], [0.7, -0.7])
-        assert score(0.0, balanced) == pytest.approx(0.0, abs=1e-15)
+        assert score(0.0, *balanced) == pytest.approx(0.0, abs=1e-15)
 
     def test_positive_products_give_positive_score(self):
         rng_ = np.random.default_rng(13)
         y = np.abs(rng_.standard_normal(20)) + 0.01
         p = pair_from(np.ones(20), y)
         for rho in np.linspace(-0.999, 0.999, 41):
-            assert score(float(rho), p) > 0.0
+            assert score(float(rho), *p) > 0.0
 
     def test_single_pair_value(self):
         # inv_mills(0.5/sqrt(0.75)) via 30-digit arithmetic
         p = pair_from([1.0], [1.0])
-        assert score(0.5, p) == pytest.approx(0.4702332694669627, abs=1e-14)
+        assert score(0.5, *p) == pytest.approx(0.4702332694669627, abs=1e-14)
 
     def test_domain(self):
         p = pair_from([1.0], [1.0])
         with pytest.raises(DomainError):
-            score(1.0, p)
+            score(1.0, *p)
 
 
 class TestSignFullMle:
     def test_balanced_products_give_zero(self):
-        res = mle_sign_full(pair_from([1.0, 1.0], [0.7, -0.7]))
+        res = mle_sign_full(*pair_from([1.0, 1.0], [0.7, -0.7]))
         assert abs(res.rho_hat) <= 1e-9
         assert not res.at_boundary
 
     def test_all_positive_products_hit_boundary(self):
-        res = mle_sign_full(pair_from([1.0, 1.0, 1.0], [0.5, 0.1, 0.9]))
+        res = mle_sign_full(*pair_from([1.0, 1.0, 1.0], [0.5, 0.1, 0.9]))
         assert res.at_boundary
         assert res.rho_hat == pytest.approx(1.0, abs=1e-8)
 
     def test_all_negative_products_hit_lower_boundary(self):
-        res = mle_sign_full(pair_from([1.0, 1.0], [-0.5, -0.1]))
+        res = mle_sign_full(*pair_from([1.0, 1.0], [-0.5, -0.1]))
         assert res.at_boundary
         assert res.rho_hat == pytest.approx(-1.0, abs=1e-8)
 
     def test_all_zero_query_rejected(self):
         with pytest.raises(DegenerateInputError):
-            mle_sign_full(pair_from([1.0, -1.0], [0.0, 0.0]))
+            mle_sign_full(*pair_from([1.0, -1.0], [0.0, 0.0]))
 
     def test_flip_symmetry(self):
         rng_ = np.random.default_rng(14)
         x = rng_.standard_normal(200)
         y = 0.4 * x + rng_.standard_normal(200)
-        res = mle_sign_full(pair_from(x, y))
-        flipped = mle_sign_full(pair_from(x, -y))
+        res = mle_sign_full(*pair_from(x, y))
+        flipped = mle_sign_full(*pair_from(x, -y))
         assert flipped.rho_hat == pytest.approx(-res.rho_hat, abs=1e-8)
 
     def test_root_is_bracketed(self):
@@ -138,11 +138,11 @@ class TestSignFullMle:
         x = rng_.standard_normal(500)
         y = 0.6 * x + 0.8 * rng_.standard_normal(500)
         p = pair_from(x, y)
-        res = mle_sign_full(p)
+        res = mle_sign_full(*p)
         assert not res.at_boundary
         assert res.iterations <= SolverConfig().max_iter
         delta = 1e-6
-        assert score(res.rho_hat - delta, p) > 0 > score(res.rho_hat + delta, p)
+        assert score(res.rho_hat - delta, *p) > 0 > score(res.rho_hat + delta, *p)
 
     def test_monte_carlo_consistency(self):
         # rho=0.5, k=1e4: estimate within 4*sqrt(V_m/k) with V_m(0.5)~0.93
@@ -167,8 +167,8 @@ class TestSignFullMle:
     def test_tolerance_config_respected(self):
         p = pair_from(np.random.default_rng(16).standard_normal(50),
                       np.random.default_rng(17).standard_normal(50))
-        loose = mle_sign_full(p, SolverConfig(tolerance=1e-4))
-        tight = mle_sign_full(p, SolverConfig(tolerance=1e-12))
+        loose = mle_sign_full(*p, SolverConfig(tolerance=1e-4))
+        tight = mle_sign_full(*p, SolverConfig(tolerance=1e-12))
         assert abs(loose.rho_hat - tight.rho_hat) < 1e-3
 
 
@@ -406,19 +406,20 @@ class TestBatchContracts:
     @settings(max_examples=10, deadline=None)
     def test_zero_query_rejected(self, seed, n, k):
         rng_ = np.random.default_rng(seed)
-        store = quantize_store([FullSketch(rng_.standard_normal(k)) for _ in range(n)])
+        store = quantize_store(FullStore.stack([FullSketch(rng_.standard_normal(k))
+                                                for _ in range(n)]))
         with pytest.raises(DegenerateInputError):
             mle.mle_sign_full_store(store, FullSketch(np.zeros(k)))
         with pytest.raises(DegenerateInputError):
-            mle_sign_full(SignFullPair(store[0], FullSketch(np.zeros(k))))
+            mle_sign_full(store[0], FullSketch(np.zeros(k)))
 
     def test_store_rows_equal_pairwise_calls(self):
         rng_ = np.random.default_rng(30)
         full = [FullSketch(rng_.standard_normal(45)) for _ in range(9)]
         query = FullSketch(rng_.standard_normal(45))
-        signs = mle.mle_sign_full_store(quantize_store(full), query)
+        signs = mle.mle_sign_full_store(quantize_store(FullStore.stack(full)), query)
         moments = mle.mle_full_store(FullStore.stack(full + [query]), query)
         for i, x in enumerate(full):
-            assert signs[i] == mle_sign_full(SignFullPair(sign_quantize(x), query))
+            assert signs[i] == mle_sign_full(sign_quantize(x), query)
             assert moments[i] == mle_full(x, query)
         assert moments[9].at_boundary

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (DataVector, DomainError, FullSketch, FullStore, ProjectionConfig,
+from rpsketch import (Corpus, DataVector, DomainError, FullSketch, FullStore, ProjectionConfig,
                       ShapeError, SignSketch, SignStore, SketchFormatError, cosine,
                       gaussian_entry, load_sketches, matching_bits, normalize,
                       project, project_corpus, quantize_store, save_sketches,
                       sign_array, sign_quantize)
 from rpsketch import rng
 from rpsketch.errors import ConfigError
-from rpsketch.projection import KIND_FULL
 
 
 def vec(dense, dim=None):
@@ -99,9 +98,40 @@ class TestProject:
         rng_ = np.random.default_rng(2)
         vs = [normalize(vec(rng_.standard_normal(40))) for _ in range(25)]
         cfg = ProjectionConfig(k=33, seed=77)
-        batch = project_corpus(vs, cfg)
+        batch = project_corpus(Corpus.from_vectors(vs, 40), cfg)
         for v, sk in zip(vs, batch):
             assert np.array_equal(sk.values, project(v, cfg).values)
+
+    @pytest.mark.parametrize("k", [1, 7, 33, 64, 256])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_project_corpus_rows_match_project(self, k, threads, cached, monkeypatch):
+        # union {0, 2, 3, 5, 8, 9, ...}: dense rows, runs of the union that are
+        # not runs of indices, rows that skip union entries, single entries
+        from rpsketch import projection
+
+        if not cached:  # every vector draws its own rows
+            monkeypatch.setattr(projection, "_ROW_CACHE_LIMIT", 0)
+        rng_ = np.random.default_rng(k)
+        dim = 12
+        supports = [range(dim), [2, 3], [3, 5], [0, 9], [0, 3, 8], [5], [11],
+                    [2, 3, 5, 8, 9], [0, 2, 11], range(3, 10)]
+        vs = [DataVector(np.array(sorted(sup)), rng_.standard_normal(len(sup)), dim)
+              for sup in supports]
+        store = project_corpus(Corpus.from_vectors(vs, dim), ProjectionConfig(k, 5),
+                               threads=threads)
+        assert isinstance(store, FullStore) and store.values.shape == (len(vs), k)
+        for i, v in enumerate(vs):
+            one = project(v, ProjectionConfig(k, 5))
+            assert store.values[i].tobytes() == one.values.tobytes()
+            assert store.sumsq[i] == one.sumsq
+
+    def test_project_corpus_empty(self):
+        store = project_corpus(Corpus.from_vectors([], 4), ProjectionConfig(8, 1))
+        assert isinstance(store, FullStore) and len(store) == 0 and store.k == 0
+        with pytest.raises(DomainError):
+            project_corpus(Corpus.from_vectors([vec([1.0, 0.0]), vec([0.0, 0.0])], 2),
+                           ProjectionConfig(8, 1))
 
 
 class TestSignQuantize:
@@ -138,7 +168,7 @@ class TestSketchFiles:
         sketches = [sign_quantize(FullSketch(rng_.standard_normal(64)))
                     for _ in range(100)]
         path = tmp_path / "s.sfrp"
-        save_sketches(path, sketches)
+        save_sketches(path, SignStore.stack(sketches))
         loaded = load_sketches(path)
         assert len(loaded) == 100
         for a, b in zip(sketches, loaded):
@@ -149,7 +179,7 @@ class TestSketchFiles:
         rng_ = np.random.default_rng(6)
         sketches = [FullSketch(rng_.standard_normal(17)) for _ in range(9)]
         path = tmp_path / "f.sfrp"
-        save_sketches(path, sketches)
+        save_sketches(path, FullStore.stack(sketches))
         loaded = load_sketches(path)
         for a, b in zip(sketches, loaded):
             assert np.array_equal(a.values, b.values)
@@ -159,18 +189,18 @@ class TestSketchFiles:
         rng_ = np.random.default_rng(7)
         sketches = [FullSketch(rng_.standard_normal(17)) for _ in range(9)]
         path = tmp_path / "f.sfrp"
-        save_sketches(path, sketches)
+        save_sketches(path, FullStore.stack(sketches))
         loaded = load_sketches(path)
         assert isinstance(loaded, FullStore)
         assert loaded.values.shape == (9, 17) and loaded.k == 17
         assert np.array_equal(loaded.values, np.stack([s.values for s in sketches]))
         assert loaded.sumsq.tolist() == [s.sumsq for s in sketches]
-        save_sketches(path, sketches[:0], kind=KIND_FULL)
+        save_sketches(path, FullStore.stack(sketches[:0]))
         assert len(load_sketches(path)) == 0
 
     def test_full_file_sumsq_checked(self, tmp_path):
         path = tmp_path / "f.sfrp"
-        save_sketches(path, [FullSketch(np.ones(4)), FullSketch(np.full(4, 2.0))])
+        save_sketches(path, FullStore.stack([FullSketch(np.ones(4)), FullSketch(np.full(4, 2.0))]))
         blob = bytearray(path.read_bytes())
         blob[-8:] = struct.pack("<d", 99.0)  # second row's sumsq
         path.write_bytes(bytes(blob))
@@ -179,14 +209,14 @@ class TestSketchFiles:
 
     def test_empty_collection(self, tmp_path):
         path = tmp_path / "e.sfrp"
-        save_sketches(path, [])
+        save_sketches(path, SignStore.stack([]))
         loaded = load_sketches(path)
         assert isinstance(loaded, SignStore)
         assert len(loaded) == 0 and loaded.k == 0
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "bad.sfrp"
-        save_sketches(path, [sign_quantize(FullSketch(np.ones(8)))])
+        save_sketches(path, SignStore.stack([sign_quantize(FullSketch(np.ones(8)))]))
         blob = bytearray(path.read_bytes())
         blob[0] = ord("X")
         path.write_bytes(bytes(blob))
@@ -195,8 +225,8 @@ class TestSketchFiles:
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "t.sfrp"
-        save_sketches(path, [sign_quantize(FullSketch(np.ones(64)))
-                             for _ in range(4)])
+        save_sketches(path, SignStore.stack([sign_quantize(FullSketch(np.ones(64)))
+                                             for _ in range(4)]))
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
         with pytest.raises(SketchFormatError):
@@ -206,8 +236,8 @@ class TestSketchFiles:
         rng_ = np.random.default_rng(5)
         full = [FullSketch(rng_.standard_normal(61)) for _ in range(30)]
         rows, stored = tmp_path / "rows.sfrp", tmp_path / "store.sfrp"
-        save_sketches(rows, [sign_quantize(s) for s in full])
-        save_sketches(stored, quantize_store(full))
+        save_sketches(rows, SignStore.stack([sign_quantize(s) for s in full]))
+        save_sketches(stored, quantize_store(FullStore.stack(full)))
         assert rows.read_bytes() == stored.read_bytes()
         loaded = load_sketches(stored)
         assert loaded.bits.shape == (30, 8) and loaded.k == 61
@@ -216,7 +246,7 @@ class TestSketchFiles:
 
     def test_store_pad_bits_validated(self, tmp_path):
         path = tmp_path / "pad.sfrp"
-        save_sketches(path, [sign_quantize(FullSketch(-np.ones(3)))] * 2)
+        save_sketches(path, SignStore.stack([sign_quantize(FullSketch(-np.ones(3)))] * 2))
         blob = bytearray(path.read_bytes())
         blob[-1] |= 0x80
         path.write_bytes(bytes(blob))
@@ -240,16 +270,10 @@ class TestSketchFiles:
         with pytest.raises(SketchFormatError):
             load_sketches(path)
 
-    def test_mixed_kinds_rejected(self, tmp_path):
-        with pytest.raises(ShapeError):
-            save_sketches(tmp_path / "m.sfrp",
-                          [FullSketch(np.ones(4)),
-                           sign_quantize(FullSketch(np.ones(4)))])
-
     def test_heterogeneous_k_rejected(self, tmp_path):
         with pytest.raises(ShapeError):
             save_sketches(tmp_path / "k.sfrp",
-                          [FullSketch(np.ones(4)), FullSketch(np.ones(5))])
+                          FullStore.stack([FullSketch(np.ones(4)), FullSketch(np.ones(5))]))
 
 
 class TestConfig:

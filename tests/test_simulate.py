@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (Estimator, FullSketch, SignFullPair, SimConfig,
+from rpsketch import (Estimator, FullSketch, SimConfig,
                       estimate_g, estimate_g_norm, estimate_s, estimate_s_norm,
                       run_histogram, run_mse, run_mse_ratio, sample_pair,
                       sign_quantize, v_factor)
@@ -60,9 +60,7 @@ class TestRawEstimates:
         for est, fn in scalar_fns.items():
             vec = raw_estimates(est, x, y)
             for t in range(40):
-                pair = SignFullPair(sign_quantize(FullSketch(x[t])),
-                                    FullSketch(y[t]))
-                assert vec[t] == fn(pair).raw
+                assert vec[t] == fn(sign_quantize(FullSketch(x[t])), FullSketch(y[t])).raw
 
     def test_consistent_with_scalar_full_estimators(self):
         from rpsketch import estimate_full, estimate_full_norm
@@ -111,6 +109,18 @@ class TestRunMse:
                 assert (got.frac_above_one, got.frac_below_neg_one) == (
                     hist.frac_above_one, hist.frac_below_neg_one)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("k, trials, threads, sizes", [
+        (100, 3000, 1, [1000] * 3), (100, 3000, 2, [750] * 4), (100, 3000, 3, [1000] * 3),
+        (1000, 6000, 2, [131] * 45 + [105]), (64, 5, 2, [3, 2]), (1, 1, 3, [1])])
+    def test_blocks_balance_over_threads(self, monkeypatch, k, trials, threads, sizes):
+        # as many blocks as a multiple of threads, each within 2^17 values
+        seen = []
+        real = rng.bivariate_block
+        monkeypatch.setattr(rng, "bivariate_block",
+                            lambda rho, seed, start, n, k: seen.append(n) or real(rho, seed, start, n, k))
+        run_mse(SimConfig(0.5, k, trials, 3, (Estimator.G,)), threads=threads)
+        assert sorted(seen, reverse=True) == sizes
 
     def test_mse_identity_exact(self):
         for rep in run_mse(SimConfig(0.3, 32, 3_000, 13, FIVE)):
