@@ -9,10 +9,7 @@ from .projection import (FullSketch, FullStore, ProjectionConfig, SignSketch, Si
                          project, project_corpus, quantize_store,
                          save_sketches, sign_array, sign_quantize)
 from .estimators import (BatchEstimate, EstimateReport, Estimator,
-                         estimate_batch, estimate_full, estimate_full_batch,
-                         estimate_full_norm, estimate_g, estimate_g_norm,
-                         estimate_pair, estimate_s, estimate_s_norm,
-                         estimate_sign_sign)
+                         estimate_batch, estimate_pair, estimate_sign_sign)
 from .mle import (MleBatch, MleResult, SolverConfig, inv_mills, mle_full,
                   mle_sign_full, norm_cdf, norm_pdf, score)
 from .variance import (FisherConfig, VarianceFactor,

@@ -14,6 +14,8 @@ low-similarity regimes.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -24,8 +26,8 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, ShapeError
 from .estimators import Estimator, estimate_batch
-from .projection import (FullSketch, FullStore, ProjectionConfig, SignSketch,
-                         SignStore, project_corpus, quantize_store)
+from .projection import (FullStore, ProjectionConfig, SignStore, project_corpus,
+                         quantize_store)
 from .vectors import Corpus, DataVector
 
 log = logging.getLogger(__name__)
@@ -70,18 +72,22 @@ def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
     return np.asarray((queries.to_csr() @ train.to_csr().T).todense())
 
 
-def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
-    """Per query, the training indices whose exact cosine is >= rho0."""
-    sims = exact_cosines(train, queries)
+def _relevant(sims: np.ndarray, rho0: float) -> list[np.ndarray]:
+    """Per row of a cosine matrix, the column indices whose cosine is >= rho0."""
     return [np.nonzero(row >= rho0)[0] for row in sims]
 
 
-def rank_queries(sign_store: SignStore | Sequence[SignSketch],
-                 queries: FullStore | Sequence[FullSketch],
-                 estimator: Estimator) -> list[np.ndarray]:
-    """Training indices sorted by descending estimate, ties by lower index."""
-    scores = estimate_batch(sign_store, queries, estimator).rho_hat
-    return list(np.argsort(-scores, axis=1, kind="stable"))
+def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
+    """Per query, the training indices whose exact cosine is >= rho0."""
+    return _relevant(exact_cosines(train, queries), rho0)
+
+
+def rank_queries(store: SignStore | FullStore, queries: FullStore,
+                 estimator: Estimator) -> np.ndarray:
+    """(n_query, n_store) training indices by descending estimate, ties by
+    lower index."""
+    return np.argsort(-estimate_batch(store, queries, estimator).rho_hat,
+                      axis=1, kind="stable")
 
 
 def pr_curve(rankings: Sequence[np.ndarray],
@@ -94,7 +100,7 @@ def pr_curve(rankings: Sequence[np.ndarray],
     """
     if len(rankings) != len(relevance):
         raise ShapeError("need one relevance set per ranking")
-    if not rankings:
+    if not len(rankings):
         return []
     n = len(rankings[0])
     ls = np.arange(1, n + 1) if l_grid is None else np.asarray(sorted(l_grid))
@@ -144,7 +150,7 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     so both are computed once and reused across the grid.
     """
     sims = exact_cosines(train, queries)
-    relevance = {r0: [np.nonzero(row >= r0)[0] for row in sims] for r0 in rho0s}
+    relevance = {r0: _relevant(sims, r0) for r0 in rho0s}
     rows: list[tuple[Estimator, float, int, PrPoint]] = []
     for k in ks:
         pcfg = ProjectionConfig(k=int(k), seed=seed)
@@ -168,17 +174,19 @@ def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
     Cluster centers are drawn uniformly on the unit sphere; each member is a
     normalized center plus Gaussian noise of per-member scale sigma with
     sigma^2 * dim drawn from ``spread_levels`` (value, slots) in a fixed
-    rotation.  Two members with noise energies a and b have expected cosine
-    1/sqrt((1+a)(1+b)), so the level mix controls the similarity histogram.
+    rotation: slot p goes to the first level whose cumulative slot count
+    exceeds p, so no list of slots is built.  Two members with noise
+    energies a and b have expected cosine 1/sqrt((1+a)(1+b)), so the level
+    mix controls the similarity histogram.
     Members are assigned to clusters round-robin; queries are extra members
     generated the same way.  Everything is a pure function of the seed.
     """
     if n_clusters < 1 or n_train < 1 or n_queries < 0:
         raise ConfigError("need at least one cluster and one training vector")
-    level_seq: list[float] = []
-    for value, slots in spread_levels:
-        level_seq.extend([value] * int(slots))
-    if not level_seq:
+    if any(int(slots) < 0 for _, slots in spread_levels):
+        raise ConfigError("spread_levels slots must be >= 0")
+    ends = list(itertools.accumulate(int(slots) for _, slots in spread_levels))
+    if not ends or not ends[-1]:
         raise ConfigError("spread_levels must provide at least one slot")
 
     def unit(vec: np.ndarray) -> np.ndarray:
@@ -189,7 +197,7 @@ def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
 
     def member(major: int, ordinal: int) -> DataVector:
         cluster = ordinal % n_clusters
-        s2d = level_seq[(ordinal // n_clusters) % len(level_seq)]
+        s2d = spread_levels[bisect.bisect_right(ends, (ordinal // n_clusters) % ends[-1])][0]
         sigma = math.sqrt(s2d / dim)
         noise = rng.normal_grid(seed, [major], dim)[0]
         return DataVector.from_dense(unit(centers[cluster] + sigma * noise), dim)

@@ -20,16 +20,14 @@ from contextlib import nullcontext
 from . import bench as bench_mod
 from . import simulate as sim_mod
 from . import variance as var_mod
-from .errors import ContractError, RpsketchError
-from .estimators import (SIGN_STORE_ESTIMATORS, Estimator, estimate_batch,
-                         estimate_full_batch)
-from .mle import mle_full_store
-from .projection import (ProjectionConfig, SignStore, load_sketches, project_corpus,
+from .errors import RpsketchError
+from .estimators import Estimator, estimate_batch
+from .projection import (FullStore, ProjectionConfig, load_sketches, project_corpus,
                          quantize_store, save_sketches)
 from .vectors import load_sparse_text, save_sparse_text
 
 
-#: the most points a --rho-grid may ask for
+#: the most points a --rho-grid, or bins a --bins, may ask for
 MAX_GRID_POINTS = 10**6
 
 
@@ -52,11 +50,11 @@ def _parse_estimators(spec: str) -> tuple[Estimator, ...]:
     names = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not names:
         raise UsageError("no estimators given")
-    try:
-        return tuple(Estimator.from_cli_name(n) for n in names)
-    except KeyError as exc:
-        known = ", ".join(e.cli_name for e in Estimator)
-        raise UsageError(f"unknown estimator {exc.args[0]!r} (known: {known})") from None
+    known = [e.cli_name for e in Estimator]
+    for name in names:
+        if name not in known:
+            raise UsageError(f"unknown estimator {name!r} (known: {', '.join(known)})")
+    return tuple(map(Estimator, names))
 
 
 def _parse_rho_grid(spec: str) -> list[float]:
@@ -131,30 +129,23 @@ def _cmd_estimate(args) -> int:
     if not len(store):
         _emit(args.out, header, [])
         return 0
-    sign_store = isinstance(store, SignStore)
-    allowed = (SIGN_STORE_ESTIMATORS if sign_store
-               else {Estimator.FULL, Estimator.FULL_NORM, Estimator.MLE_FULL})
-    if estimator not in allowed:  # before any output is written
-        raise ContractError(f"estimator {estimator.cli_name!r} cannot score a "
-                            f"{'sign' if sign_store else 'full'} store")
-    query_sketches = project_corpus(queries, ProjectionConfig(store.k, args.seed),
-                                    threads=args.threads)
+    qs = project_corpus(queries, ProjectionConfig(store.k, args.seed), threads=args.threads)
     # rows as csv.writer writes them: no field needs quoting, floats by repr,
     # flags as True/False
     mids = [f",{ti},{estimator.cli_name}," for ti in range(len(store))]
-    score = estimate_batch if sign_store else estimate_full_batch
+
+    def rows(qi: int) -> str:  # one query per call, so memory stays one row wide
+        res = estimate_batch(store, FullStore(qs.values[qi:qi + 1], qs.sumsq[qi:qi + 1]),
+                             estimator)
+        head, flat = str(qi), (res.rho_hat.ravel().tolist(), res.clamped.ravel().tolist())
+        return "".join([head + mid + repr(r) + (",True\n" if c else ",False\n")
+                        for mid, r, c in zip(mids, *flat)])
+
+    first = rows(0)  # a store of the wrong kind raises here, before --out is opened
     with _csv_sink(args.out) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for qi, q in enumerate(query_sketches):
-            if estimator is Estimator.MLE_FULL:  # clamped: the boundary flag
-                res = mle_full_store(store, q)
-                scores = zip(res.rho_hat.tolist(), res.at_boundary.tolist())
-            else:
-                res = score(store, q, estimator)
-                scores = zip(res.rho_hat.tolist(), res.clamped.tolist())
-            head = str(qi)
-            fh.write("".join([head + mid + repr(r) + (",True\n" if c else ",False\n")
-                              for mid, (r, c) in zip(mids, scores)]))
+        fh.write(first)
+        fh.writelines(map(rows, range(1, len(qs))))
     return 0
 
 
@@ -199,6 +190,8 @@ def _cmd_mse_ratio(args) -> int:
 
 def _cmd_histogram(args) -> int:
     estimator = _parse_estimators(args.estimator)[0]
+    if args.bins > MAX_GRID_POINTS:
+        raise UsageError(f"--bins must be at most {MAX_GRID_POINTS}")
     hist = sim_mod.run_histogram(args.rho, args.k, args.trials, args.seed,
                                  estimator, args.bins, threads=args.threads)
     rows = [[estimator.cli_name, args.rho, args.k, lo, hi, int(c),

@@ -26,7 +26,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,15 +53,8 @@ class Estimator(enum.Enum):
     def cli_name(self) -> str:
         return self.value
 
-    @classmethod
-    def from_cli_name(cls, name: str) -> "Estimator":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise KeyError(name)
 
-
-#: estimators that score a bit-packed store against a full-precision query
+#: estimators that score a bit-packed SignStore; the others score a FullStore
 SIGN_STORE_ESTIMATORS = frozenset({
     Estimator.SIGN_SIGN, Estimator.G, Estimator.G_NORM,
     Estimator.S, Estimator.S_NORM, Estimator.MLE_SIGN_FULL,
@@ -82,8 +74,8 @@ class EstimateReport:
 
 @dataclass(frozen=True, eq=False)
 class BatchEstimate:
-    """Scores of a store against one query (arrays over the store) or a
-    sequence of queries ((n_query, n_store) arrays); len() counts the pairs."""
+    """Scores of queries against a store as (n_query, n_store) arrays;
+    len() counts the pairs."""
 
     estimator: Estimator
     k: int
@@ -201,9 +193,9 @@ class StoreStats:
     query: mis is one lookup per byte of row XOR query signs in the query's
     mismatch table, summed along the byte axis as SampleStats sums."""
 
-    def __init__(self, store: SignStore, query: FullSketch):
-        self.k, self.yy, self.query = store.k, query.sumsq, query
-        self.diff = np.bitwise_xor(store.bits, pack_signs(query.values))
+    def __init__(self, store: SignStore, y: np.ndarray, yy: float):
+        self.k, self.y, self.yy = store.k, y, yy
+        self.diff = np.bitwise_xor(store.bits, pack_signs(y))
 
     @functools.cached_property
     def matches(self) -> np.ndarray:
@@ -211,7 +203,7 @@ class StoreStats:
 
     @functools.cached_property
     def table(self) -> np.ndarray:
-        return _mismatch_table(self.query.values)
+        return _mismatch_table(self.y)
 
     @functools.cached_property
     def mis(self) -> np.ndarray:
@@ -222,100 +214,53 @@ class StoreStats:
         return self.table[:, 255].sum()
 
 
-def _finish(estimator: Estimator, k: int, raw: np.ndarray) -> BatchEstimate:
-    """Clip raw values to [-1, 1] and flag where the clip moved them."""
-    return BatchEstimate(estimator, k, raw, np.clip(raw, -1.0, 1.0),
-                         (raw > 1.0) | (raw < -1.0))
-
-
-def _score_queries(estimator: Estimator, k: int, n: int, query, score) -> BatchEstimate:
-    """score(q) -> raw values over a store of n sketches, for one query or
-    for each of a sequence of queries, one at a time."""
-    queries = [query] if isinstance(query, FullSketch) else list(query)
-    raw = np.empty((len(queries), n))
-    for i, q in enumerate(queries if n else ()):
-        if q.k != k:
-            raise ShapeError(f"query {i}: k mismatch ({q.k} vs store {k})")
-        raw[i] = score(q)
-    return _finish(estimator, k, raw[0] if isinstance(query, FullSketch) else raw)
-
-
-def estimate_batch(signs: SignStore | Sequence[SignSketch],
-                   query: FullSketch | Sequence[FullSketch],
+def estimate_batch(store: SignStore | FullStore, queries: FullStore,
                    estimator: Estimator) -> BatchEstimate:
-    """Score one query sketch, or a sequence of them, against a sign store.
+    """Score every query row against every stored row: (n_query, n_store) arrays.
 
-    Every query is scored alone, so a row of a multi-query result equals the
-    one-query result, and a one-row store gives the scalar value, bit for bit.
+    A SignStore takes the SIGN_STORE_ESTIMATORS, a FullStore the others; any
+    other pairing raises ContractError before scoring.  Every query is scored
+    alone, so a row of the result equals the one-query result, and a one-row
+    store gives the scalar value, bit for bit.  For mle-full, clamped is the
+    solver's boundary flag.
     """
-    if estimator not in SIGN_STORE_ESTIMATORS:
-        raise ContractError(
-            f"estimator {estimator.cli_name!r} cannot score a sign store")
-    store = signs if isinstance(signs, SignStore) else SignStore.stack(signs)
-    if estimator is Estimator.MLE_SIGN_FULL:
-        return _score_queries(estimator, store.k, len(store), query,
-                              lambda q: mle.mle_sign_full_store(store, q).rho_hat)
-    return _score_queries(estimator, store.k, len(store), query,
-                          lambda q: raw_values(estimator, StoreStats(store, q)))
+    sign = isinstance(store, SignStore)
+    if (estimator in SIGN_STORE_ESTIMATORS) != sign:
+        raise ContractError(f"estimator {estimator.cli_name!r} cannot score a "
+                            f"{'sign' if sign else 'full'} store")
+    n = len(store)
+    if n and len(queries) and queries.k != store.k:
+        raise ShapeError(f"k mismatch: queries {queries.k} vs store {store.k}")
+    raw = np.empty((len(queries), n))
+    flags = np.zeros(raw.shape, dtype=bool)
+    for i, (y, yy) in enumerate(zip(queries.values, queries.sumsq) if n else ()):
+        if estimator is Estimator.MLE_FULL:
+            res = mle.mle_full_store(store, y, yy)
+            raw[i], flags[i] = res.rho_hat, res.at_boundary
+        elif estimator is Estimator.MLE_SIGN_FULL:
+            raw[i] = mle.mle_sign_full_store(store, y).rho_hat
+        elif sign:
+            raw[i] = raw_values(estimator, StoreStats(store, y, yy))
+        else:
+            raw[i] = raw_values(estimator, SampleStats(store.values, y[None, :],
+                                                       xx=store.sumsq, yy=yy))
+    return BatchEstimate(estimator, store.k, raw, np.clip(raw, -1.0, 1.0),
+                         flags | (raw > 1.0) | (raw < -1.0))
 
 
-def estimate_full_batch(store: FullStore | Sequence[FullSketch],
-                        query: FullSketch | Sequence[FullSketch],
-                        estimator: Estimator) -> BatchEstimate:
-    """Score full-precision queries against full sketches with ``full`` or
-    ``full-norm``; rows equal the scalar calls bit for bit."""
-    if estimator not in (Estimator.FULL, Estimator.FULL_NORM):
-        raise ContractError(
-            f"estimator {estimator.cli_name!r} cannot score a full store")
-    store = store if isinstance(store, FullStore) else FullStore.stack(store)
-    return _score_queries(estimator, store.k, len(store), query, lambda q: raw_values(
-        estimator, SampleStats(store.values, q.values[None, :], xx=store.sumsq, yy=q.sumsq)))
-
-
-def _report(res: BatchEstimate) -> EstimateReport:
-    """The report of a batch of one."""
-    return EstimateReport(res.estimator, res.k, float(res.rho_hat[0]),
-                          bool(res.clamped[0]), float(res.raw[0]))
-
-
-def estimate_pair(estimator: Estimator, signs: SignSketch,
+def estimate_pair(estimator: Estimator, stored: SignSketch | FullSketch,
                   query: FullSketch) -> EstimateReport:
-    """Scalar sign-store scoring for any supported estimator."""
-    return _report(estimate_batch([signs], query, estimator))
+    """Scalar scoring for any estimator: a batch of one stored sketch, of the
+    kind the estimator scores, against one query."""
+    store = (SignStore if isinstance(stored, SignSketch) else FullStore).stack([stored])
+    res = estimate_batch(store, FullStore.stack([query]), estimator)
+    return EstimateReport(estimator, res.k, float(res.rho_hat[0, 0]),
+                          bool(res.clamped[0, 0]), float(res.raw[0, 0]))
 
 
 def estimate_sign_sign(a: SignSketch, b: SignSketch) -> EstimateReport:
     """cos(pi * (1 - matches/k)); in [-1, 1] by construction."""
     if a.k < 1:
         raise ShapeError("need k >= 1")
-    return _report(_finish(Estimator.SIGN_SIGN, a.k, _cos_table(a.k)[[matching_bits(a, b)]]))
-
-
-def estimate_full(x: FullSketch, y: FullSketch) -> EstimateReport:
-    """Mean coordinate product (1/k) sum x_j y_j."""
-    return _report(estimate_full_batch([x], y, Estimator.FULL))
-
-
-def estimate_full_norm(x: FullSketch, y: FullSketch) -> EstimateReport:
-    """Empirical cosine of the two sketches; bounded by Cauchy-Schwarz."""
-    return _report(estimate_full_batch([x], y, Estimator.FULL_NORM))
-
-
-def estimate_g(signs: SignSketch, query: FullSketch) -> EstimateReport:
-    """sqrt(pi/2) * mean(s), inverting E(s) = sqrt(2/pi) * rho."""
-    return estimate_pair(Estimator.G, signs, query)
-
-
-def estimate_g_norm(signs: SignSketch, query: FullSketch) -> EstimateReport:
-    """Moment estimator with the query norm divided out."""
-    return estimate_pair(Estimator.G_NORM, signs, query)
-
-
-def estimate_s(signs: SignSketch, query: FullSketch) -> EstimateReport:
-    """1 - sqrt(2*pi)/k * sum of mismatch magnitudes max(-s_j, 0)."""
-    return estimate_pair(Estimator.S, signs, query)
-
-
-def estimate_s_norm(signs: SignSketch, query: FullSketch) -> EstimateReport:
-    """Mismatch estimator with the query norm divided out; still <= 1."""
-    return estimate_pair(Estimator.S_NORM, signs, query)
+    raw = float(_cos_table(a.k)[matching_bits(a, b)])
+    return EstimateReport(Estimator.SIGN_SIGN, a.k, raw, False, raw)

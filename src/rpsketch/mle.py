@@ -148,19 +148,19 @@ def mle_sign_full(signs: SignSketch, query: FullSketch,
     monotone there (all nonzero s_j share a sign) and the boundary the score
     points at is returned with ``at_boundary`` set.
     """
-    return mle_sign_full_store(SignStore(signs.bits[None, :], signs.k), query, cfg)[0]
+    return mle_sign_full_store(SignStore(signs.bits[None, :], signs.k), query.values, cfg)[0]
 
 
-def mle_sign_full_store(store: SignStore, query: FullSketch,
+def mle_sign_full_store(store: SignStore, y: np.ndarray,
                         cfg: SolverConfig = SolverConfig()) -> MleBatch:
-    """Sign-full MLE of every row of a sign store against one query, with
-    s_j = sgn(x_j) * y_j unpacked from the stored bits one chunk at a time."""
-    if store.k != query.k:
-        raise ShapeError(f"k mismatch: {store.k} vs {query.k}")
-    if not np.any(query.values != 0.0):
+    """Sign-full MLE of every row of a sign store against one query row y,
+    with s_j = sgn(x_j) * y_j unpacked from the stored bits one chunk at a time."""
+    if store.k != y.size:
+        raise ShapeError(f"k mismatch: {store.k} vs {y.size}")
+    if not np.any(y != 0.0):
         raise DegenerateInputError("all query coordinates are zero")
     return _chunked(lambda bits: _sign_full_rows(
-        sign_array(SignStore(bits, store.k)) * query.values, cfg), store.k, store.bits)
+        sign_array(SignStore(bits, store.k)) * y, cfg), store.k, store.bits)
 
 
 def solve_sign_full(s: np.ndarray, cfg: SolverConfig = SolverConfig()) -> MleResult:
@@ -231,19 +231,20 @@ def mle_full(x: FullSketch, y: FullSketch,
     normal log-likelihood picks the winner.  A root at or beyond +/-1 is
     clamped and flagged as a boundary solution.
     """
-    return mle_full_store(FullStore.stack([x]), y, cfg)[0]
+    return mle_full_store(FullStore.stack([x]), y.values, y.sumsq, cfg)[0]
 
 
-def mle_full_store(store: FullStore, query: FullSketch,
+def mle_full_store(store: FullStore, y: np.ndarray, yy: float,
                    cfg: SolverConfig = SolverConfig()) -> MleBatch:
-    """mle_full of every row of a full store against one query."""
-    if store.k != query.k:
-        raise ShapeError(f"k mismatch: {store.k} vs {query.k}")
+    """mle_full of every row of a full store against one query row y with
+    sum of squares yy."""
+    if store.k != y.size:
+        raise ShapeError(f"k mismatch: {store.k} vs {y.size}")
     k = store.k
-    if k < 1 or np.any(store.sumsq == 0.0) or query.sumsq == 0.0:
+    if k < 1 or np.any(store.sumsq == 0.0) or yy == 0.0:
         raise DomainError("degenerate sketches")
-    return solve_full_batch(sum_product(store.values, query.values) / k,
-                            (store.sumsq + query.sumsq) / k, k, cfg)
+    return solve_full_batch(sum_product(store.values, y) / k,
+                            (store.sumsq + yy) / k, k, cfg)
 
 
 def solve_full_from_moments(b: float, m: float, k: int,

@@ -130,8 +130,14 @@ def _parse_lines(path, dim: int | None):
     """The reference parse, token by token: CSR arrays of the nonempty rows
     and the skipped-line count, or the typed error of the first bad line."""
     indptr, indices, values, skipped = [0], [], [], 0
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which strict UTF-8 never
+    # yields, so each line can be checked with the numbering of good lines
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SparseTextError(line_no, "not UTF-8 text") from None
             tokens = line.split()
             if tokens and ":" not in tokens[0]:
                 tokens = tokens[1:]  # leading label, discarded
@@ -146,6 +152,8 @@ def _parse_lines(path, dim: int | None):
                     raise SparseTextError(line_no, f"non-numeric pair {tok!r}") from None
                 if i < 1:
                     raise SparseTextError(line_no, f"index {i} is not 1-based positive")
+                if i >= 1 << 63:
+                    raise SparseTextError(line_no, f"index {i} is beyond the int64 range")
                 if i <= prev:
                     raise SparseTextError(
                         line_no, f"index {i} not strictly increasing (after {prev})")

@@ -1,15 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from rpsketch import (BenchConfig, Corpus, DataVector, Estimator, FullSketch,
-                      PrPoint, ProjectionConfig, benchmark_grid, cosine,
-                      ground_truth, interpolated_precision,
-                      make_clustered_corpus, normalize, pr_curve,
-                      project_corpus, rank_queries, run_benchmark,
-                      sign_quantize)
+                      FullStore, PrPoint, ProjectionConfig, SignStore, benchmark_grid,
+                      cosine, ground_truth, interpolated_precision,
+                      make_clustered_corpus, normalize, pr_curve, project_corpus,
+                      quantize_store, rank_queries, run_benchmark, sign_quantize)
 from rpsketch.errors import ConfigError, ContractError, ShapeError
 
 
@@ -64,20 +64,20 @@ class TestRankQueries:
         dim = 32
         vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(20)]
         cfg = ProjectionConfig(k=256, seed=9)
-        store = [sign_quantize(s) for s in project_corpus(Corpus.from_vectors(vecs, dim), cfg)]
-        (query,) = project_corpus(Corpus.from_vectors([vecs[7]], dim), cfg)
+        store = quantize_store(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
+        query = project_corpus(Corpus.from_vectors([vecs[7]], dim), cfg)
         from rpsketch import estimate_batch
 
         scores = estimate_batch(store, query, Estimator.S_NORM)
-        assert scores.rho_hat[7] == 1.0
-        (ranking,) = rank_queries(store, [query], Estimator.S_NORM)
+        assert scores.rho_hat[0, 7] == 1.0
+        (ranking,) = rank_queries(store, query, Estimator.S_NORM)
         assert ranking[0] == 7
 
     def test_tie_broken_by_lower_index(self):
         sk = sign_quantize(FullSketch(np.array([1.0, -1.0, 1.0, 1.0])))
-        store = [sk, sk, sk]
-        query = FullSketch(np.array([0.5, -0.5, 0.5, 0.5]))
-        (ranking,) = rank_queries(store, [query], Estimator.G_NORM)
+        store = SignStore.stack([sk, sk, sk])
+        query = FullStore.stack([FullSketch(np.array([0.5, -0.5, 0.5, 0.5]))])
+        (ranking,) = rank_queries(store, query, Estimator.G_NORM)
         assert ranking.tolist() == [0, 1, 2]
 
     def test_large_k_ranking_tracks_truth(self):
@@ -86,9 +86,9 @@ class TestRankQueries:
         vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(50)]
         query_vec = normalize(vec(rng_.standard_normal(dim)))
         cfg = ProjectionConfig(k=10_000, seed=13)
-        store = [sign_quantize(s) for s in project_corpus(Corpus.from_vectors(vecs, dim), cfg)]
-        (query,) = project_corpus(Corpus.from_vectors([query_vec], dim), cfg)
-        (ranking,) = rank_queries(store, [query], Estimator.S_NORM)
+        store = quantize_store(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
+        query = project_corpus(Corpus.from_vectors([query_vec], dim), cfg)
+        (ranking,) = rank_queries(store, query, Estimator.S_NORM)
         truth = np.array([cosine(query_vec, t) for t in vecs])
         est_rank_of = np.empty(50)
         est_rank_of[ranking] = np.arange(50)
@@ -99,9 +99,9 @@ class TestRankQueries:
         assert corr >= 0.95
 
     def test_full_estimator_rejected(self):
-        store = [sign_quantize(FullSketch(np.ones(8)))]
+        store = SignStore.stack([sign_quantize(FullSketch(np.ones(8)))])
         with pytest.raises(ContractError):
-            rank_queries(store, [FullSketch(np.ones(8))], Estimator.FULL_NORM)
+            rank_queries(store, FullStore.stack([FullSketch(np.ones(8))]), Estimator.FULL_NORM)
 
 
 class TestPrCurve:
@@ -228,3 +228,32 @@ class TestClusteredCorpus:
         other = cosine(train[0], train[1])
         assert same > 0.9
         assert abs(other) < 0.4
+
+    def test_member_levels_follow_the_slot_rotation(self):
+        # the rotation of ((0.1, 2), (0.5, 0), (2.0, 3)) is 0.1, 0.1, 2.0, 2.0, 2.0;
+        # member m takes slot (m // n_clusters) mod 5, as a one-level corpus would
+        args = dict(dim=16, n_clusters=2, n_train=14, n_queries=3)
+        mixed = make_clustered_corpus(14, **args, spread_levels=((0.1, 2), (0.5, 0), (2.0, 3)))
+        single = {v: make_clustered_corpus(14, **args, spread_levels=((v, 1),))
+                  for v in (0.1, 2.0)}
+        rotation = [0.1, 0.1, 2.0, 2.0, 2.0]
+        for side in (0, 1):
+            for m, row in enumerate(mixed[side]):
+                level = rotation[(m // 2) % 5]
+                assert np.array_equal(row.values, single[level][side][m].values)
+
+    def test_bad_slot_counts_rejected(self):
+        for levels in (((0.1, -1), (0.5, 2)), ((0.1, 0),), ()):
+            with pytest.raises(ConfigError):
+                make_clustered_corpus(1, dim=8, n_clusters=1, n_train=1,
+                                      n_queries=0, spread_levels=levels)
+
+    def test_huge_slot_count_builds_no_slot_list(self):
+        tracemalloc.start()
+        try:
+            train, _ = make_clustered_corpus(1, dim=8, n_clusters=1, n_train=3, n_queries=1,
+                                             spread_levels=((0.1, 10**12), (2.0, 1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(train) == 3 and peak < 2**20

@@ -1,12 +1,15 @@
 import csv
+import importlib.util
 import math
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rpsketch import (ProjectionConfig, load_sketches,
+from rpsketch import (ProjectionConfig, cli, estimators, load_sketches,
                       load_sparse_text, mle_full, mle_sign_full, project_corpus)
 from rpsketch.cli import main
 
@@ -94,6 +97,88 @@ class TestExitCodes:
         code = run(["estimate", "--store", str(store), "--queries",
                     str(corpus), "--estimator", "full", "--seed", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize("kind,estimator", [("sign", "full"), ("full", "s-norm"),
+                                                ("full", "mle"), ("sign", "mle-full")])
+    def test_store_of_wrong_kind_writes_nothing(self, kind, estimator, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("1:1\n2:1\n")
+        store, out = tmp_path / "store.bin", tmp_path / "scores.csv"
+        assert run(["sketch", "--input", str(corpus), "--k", "16", "--kind", kind,
+                    "--seed", "3", "--out", str(store)]) == 0
+        code = run(["estimate", "--store", str(store), "--queries", str(corpus),
+                    "--estimator", estimator, "--seed", "3", "--out", str(out)])
+        assert code == 2
+        assert f"cannot score a {kind} store" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        (b"1:1 2:0.5\n99999999999999999999:1\n", "error: line 2: index 99999999999999999999"),
+        (b"1:1\n1:1 2:\xff\n", "error: line 2: not UTF-8 text"),
+    ])
+    def test_sparse_text_faults_are_data_errors(self, text, message, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(text)
+        assert run(["sketch", "--input", str(corpus), "--k", "8", "--seed", "1",
+                    "--out", str(tmp_path / "o.bin")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_bins_above_the_cap_rejected_before_binning(self, capsys):
+        from rpsketch.cli import MAX_GRID_POINTS
+
+        tracemalloc.start()
+        try:
+            code = run(["histogram", "--rho", "0.5", "--k", "8", "--trials", "10",
+                        "--seed", "1", "--estimator", "g", "--bins", str(MAX_GRID_POINTS + 1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --bins")
+        assert peak < 2**20
+
+    def test_synth_levels(self, tmp_path, capsys):
+        args = ["synth", "--dim", "8", "--clusters", "1", "--train", "3", "--query", "1",
+                "--seed", "1", "--out-train", str(tmp_path / "t.txt"),
+                "--out-query", str(tmp_path / "q.txt")]
+        assert run(args + ["--levels", "0.1:2,0.5:-1"]) == 2
+        assert "slots" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            code = run(args + ["--levels", "0.1:1000000000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 2**20
+
+
+class TestTraceHooks:
+    """The benchmark's span tracer wraps rpsketch functions by name; a rename
+    or deletion of a traced name fails here rather than in the benchmark."""
+
+    def test_install_run_uninstall(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+        spec = importlib.util.spec_from_file_location("spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "spans", spans)  # its dataclasses look it up
+        spec.loader.exec_module(spans)
+        corpus, store, out = tmp_path / "c.txt", tmp_path / "s.sfrp", tmp_path / "o.csv"
+        corpus.write_text("1:1\n2:1\n1:0.6 2:0.8\n")
+        assert run(["sketch", "--input", str(corpus), "--k", "16", "--seed", "2",
+                    "--out", str(store)]) == 0
+        original = estimators.estimate_batch
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            assert estimators.estimate_batch is not original
+            assert cli.main(["estimate", "--store", str(store), "--queries", str(corpus),
+                             "--estimator", "s-norm", "--seed", "2", "--out", str(out)]) == 0
+        finally:
+            tracer.uninstall()
+        assert estimators.estimate_batch is original and cli.estimate_batch is original
+        batches = [sp for sp in tracer.spans if sp.name == "estimators.estimate_batch.s-norm"]
+        assert len(batches) == 3 and all(sp.counts["pairs"] == 3 for sp in batches)
+        assert spans.layer_metrics(tracer, 1, 0.0)["cli.estimate.csv_bytes"] > 0
 
 
 class TestVarianceTable:

@@ -409,7 +409,7 @@ class TestBatchContracts:
         store = quantize_store(FullStore.stack([FullSketch(rng_.standard_normal(k))
                                                 for _ in range(n)]))
         with pytest.raises(DegenerateInputError):
-            mle.mle_sign_full_store(store, FullSketch(np.zeros(k)))
+            mle.mle_sign_full_store(store, np.zeros(k))
         with pytest.raises(DegenerateInputError):
             mle_sign_full(store[0], FullSketch(np.zeros(k)))
 
@@ -417,8 +417,9 @@ class TestBatchContracts:
         rng_ = np.random.default_rng(30)
         full = [FullSketch(rng_.standard_normal(45)) for _ in range(9)]
         query = FullSketch(rng_.standard_normal(45))
-        signs = mle.mle_sign_full_store(quantize_store(FullStore.stack(full)), query)
-        moments = mle.mle_full_store(FullStore.stack(full + [query]), query)
+        signs = mle.mle_sign_full_store(quantize_store(FullStore.stack(full)), query.values)
+        moments = mle.mle_full_store(FullStore.stack(full + [query]), query.values,
+                                      query.sumsq)
         for i, x in enumerate(full):
             assert signs[i] == mle_sign_full(sign_quantize(x), query)
             assert moments[i] == mle_full(x, query)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (Estimator, FullSketch, SimConfig,
-                      estimate_g, estimate_g_norm, estimate_s, estimate_s_norm,
+from rpsketch import (Estimator, FullSketch, SimConfig, estimate_pair,
                       run_histogram, run_mse, run_mse_ratio, sample_pair,
                       sign_quantize, v_factor)
 from rpsketch import rng, simulate
@@ -55,23 +54,20 @@ class TestSamplePair:
 class TestRawEstimates:
     def test_consistent_with_scalar_estimators(self):
         x, y = rng.bivariate_block(0.6, seed=23, major_start=0, n_major=40, k=37)
-        scalar_fns = {Estimator.G: estimate_g, Estimator.G_NORM: estimate_g_norm,
-                      Estimator.S: estimate_s, Estimator.S_NORM: estimate_s_norm}
-        for est, fn in scalar_fns.items():
+        for est in (Estimator.G, Estimator.G_NORM, Estimator.S, Estimator.S_NORM):
             vec = raw_estimates(est, x, y)
             for t in range(40):
-                assert vec[t] == fn(sign_quantize(FullSketch(x[t])), FullSketch(y[t])).raw
+                assert vec[t] == estimate_pair(
+                    est, sign_quantize(FullSketch(x[t])), FullSketch(y[t])).raw
 
     def test_consistent_with_scalar_full_estimators(self):
-        from rpsketch import estimate_full, estimate_full_norm
-
         x, y = rng.bivariate_block(0.3, seed=27, major_start=0, n_major=25, k=19)
         plain = raw_estimates(Estimator.FULL, x, y)
         normed = raw_estimates(Estimator.FULL_NORM, x, y)
         for t in range(25):
             xs, ys = FullSketch(x[t]), FullSketch(y[t])
-            assert plain[t] == estimate_full(xs, ys).raw
-            assert normed[t] == estimate_full_norm(xs, ys).raw
+            assert plain[t] == estimate_pair(Estimator.FULL, xs, ys).raw
+            assert normed[t] == estimate_pair(Estimator.FULL_NORM, xs, ys).raw
 
     def test_sign_sign_consistent(self):
         x, y = rng.bivariate_block(0.2, seed=29, major_start=0, n_major=20, k=64)
