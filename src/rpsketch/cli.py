@@ -29,6 +29,12 @@ from .vectors import load_sparse_text, save_sparse_text
 
 #: the most points a --rho-grid, or bins a --bins, may ask for
 MAX_GRID_POINTS = 10**6
+#: the largest --k, or entry of a --k or --k-grid list, a command accepts
+MAX_K = 2**16
+#: the most --trials a lab command may ask for
+MAX_TRIALS = 10**7
+#: the most --mle-samples a variance-table may ask for
+MAX_MLE_SAMPLES = 10**9
 
 
 class UsageError(Exception):
@@ -44,6 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # exit code 1, not argparse's 2
         raise UsageError(message)
+
+
+def _at_most(flag: str, limit: int, *values: int) -> None:
+    """Reject a size argument above its limit before anything is sized by it."""
+    if any(v > limit for v in values):
+        raise UsageError(f"{flag} must be at most {limit}")
 
 
 def _parse_estimators(spec: str) -> tuple[Estimator, ...]:
@@ -114,6 +126,7 @@ def _emit(path, header, rows):
 def _cmd_sketch(args) -> int:
     if not args.out:
         raise UsageError("sketch writes binary data; --out is required")
+    _at_most("--k", MAX_K, args.k)
     sketches = project_corpus(load_sparse_text(args.input, args.dim),
                               ProjectionConfig(args.k, args.seed), threads=args.threads)
     save_sketches(args.out, quantize_store(sketches) if args.kind == "sign" else sketches)
@@ -127,6 +140,7 @@ def _cmd_estimate(args) -> int:
     queries = load_sparse_text(args.queries, args.dim)
     header = ["query", "train", "estimator", "rho_hat", "clamped"]
     if not len(store):
+        estimate_batch(store, FullStore.stack([]), estimator)  # the store-kind check
         _emit(args.out, header, [])
         return 0
     qs = project_corpus(queries, ProjectionConfig(store.k, args.seed), threads=args.threads)
@@ -152,12 +166,14 @@ def _cmd_estimate(args) -> int:
 def _cmd_variance_table(args) -> int:
     estimators = _parse_estimators(args.estimators)
     grid = _parse_rho_grid(args.rho_grid)
+    _at_most("--mle-samples", MAX_MLE_SAMPLES, args.mle_samples)
     rows = []
     for rho in grid:
         for est in estimators:
             if est is Estimator.MLE_SIGN_FULL:
                 vf = var_mod.mle_variance_factor(
-                    rho, var_mod.FisherConfig(args.mle_samples, args.seed))
+                    rho, var_mod.FisherConfig(args.mle_samples, args.seed),
+                    threads=args.threads)
             else:
                 vf = var_mod.v_factor(est, rho)
             rows.append([rho, est.cli_name, vf.value])
@@ -166,6 +182,8 @@ def _cmd_variance_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _at_most("--k", MAX_K, args.k)
+    _at_most("--trials", MAX_TRIALS, args.trials)
     cfg = sim_mod.SimConfig(args.rho, args.k, args.trials, args.seed,
                             _parse_estimators(args.estimators))
     reports = sim_mod.run_mse(cfg, threads=args.threads)
@@ -177,8 +195,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mse_ratio(args) -> int:
-    points = sim_mod.run_mse_ratio(args.rho, _parse_list(args.k_grid, "k"),
-                                   args.trials, args.seed, threads=args.threads)
+    ks = _parse_list(args.k_grid, "k")
+    _at_most("--k-grid", MAX_K, *ks)
+    _at_most("--trials", MAX_TRIALS, args.trials)
+    points = sim_mod.run_mse_ratio(args.rho, ks, args.trials, args.seed,
+                                   threads=args.threads)
     rows = [[p.k, p.mse_sign_sign, p.mse_s_norm, p.mse_g_norm, p.ratio_s_norm,
              p.ratio_g_norm, p.theory_ratio_s_norm, p.theory_ratio_g_norm]
             for p in points]
@@ -190,8 +211,9 @@ def _cmd_mse_ratio(args) -> int:
 
 def _cmd_histogram(args) -> int:
     estimator = _parse_estimators(args.estimator)[0]
-    if args.bins > MAX_GRID_POINTS:
-        raise UsageError(f"--bins must be at most {MAX_GRID_POINTS}")
+    _at_most("--k", MAX_K, args.k)
+    _at_most("--trials", MAX_TRIALS, args.trials)
+    _at_most("--bins", MAX_GRID_POINTS, args.bins)
     hist = sim_mod.run_histogram(args.rho, args.k, args.trials, args.seed,
                                  estimator, args.bins, threads=args.threads)
     rows = [[estimator.cli_name, args.rho, args.k, lo, hi, int(c),
@@ -203,12 +225,13 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    train = load_sparse_text(args.train, args.dim)
-    queries = load_sparse_text(args.query, args.dim)
     estimators = _parse_estimators(args.estimators)
     ks = _parse_list(args.k, "k")
+    _at_most("--k", MAX_K, *ks)
     rho0s = _parse_list(args.rho0, "rho0", float)
     l_grid = _parse_list(args.l_grid, "L") if args.l_grid else None
+    train = load_sparse_text(args.train, args.dim)
+    queries = load_sparse_text(args.query, args.dim)
     rows = [[est.cli_name, rho0, k, p.L, p.precision, p.recall]
             for est, rho0, k, p in bench_mod.benchmark_grid(
                 train, queries, ks, rho0s, estimators, args.seed, l_grid,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr
 
 from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
 from .projection import (FullSketch, FullStore, SignSketch, SignStore, sign_array,
@@ -39,6 +38,10 @@ def norm_pdf(t):
 
 def norm_cdf(t):
     """Standard normal CDF Phi(t); accepts scalars or arrays."""
+    # scipy is imported where it is called, so a process that solves no
+    # likelihood never loads it
+    from scipy.special import ndtr
+
     t = np.asarray(t, dtype=np.float64)
     out = ndtr(t)
     return float(out) if out.ndim == 0 else out
@@ -54,6 +57,8 @@ def inv_mills(t):
     of the large negative argument would overflow), so the density alone is
     returned there; it degrades gracefully through the subnormal range.
     """
+    from scipy.special import erfcx
+
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(over="ignore"):
         left = _SQRT_2_OVER_PI / erfcx(-np.minimum(t, 8.0) / _SQRT_2)
@@ -136,6 +141,8 @@ def score(rho: float, signs: SignSketch, query: FullSketch) -> float:
 
 
 def _log_likelihood(rho: float, s: np.ndarray) -> np.ndarray:
+    from scipy.special import log_ndtr
+
     c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
     return np.sum(log_ndtr(c * s), axis=1)
 

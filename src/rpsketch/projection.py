@@ -194,13 +194,14 @@ def project(u: DataVector, cfg: ProjectionConfig) -> FullSketch:
 def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *,
                    threads: int = 1) -> FullStore:
     """Project every row of a corpus, bit-identical to project(corpus[i], cfg);
-    an empty corpus gives k = 0.  The rows of the union of supports are drawn
-    once, on up to `threads` workers, when they fit the row cache, and each
-    row reduces over a slice of them where its support is a run of the union."""
+    an empty corpus gives a store of shape (0, cfg.k).  The rows of the union
+    of supports are drawn once, on up to `threads` workers, when they fit the
+    row cache, and each row reduces over a slice of them where its support is
+    a run of the union."""
     n, k, indptr = len(corpus), cfg.k, corpus.indptr
     if np.any(np.diff(indptr) == 0):
         raise DomainError("cannot project an empty vector")
-    out = np.empty((n, k if n else 0))
+    out = np.empty((n, k))
     union = np.unique(corpus.indices)
     cached = union.size * k <= _ROW_CACHE_LIMIT
     if cached:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtri
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -72,6 +71,10 @@ def uniforms(seed, major, minor) -> np.ndarray:
 
 def normals(seed, major, minor) -> np.ndarray:
     """Standard normal deviates, broadcast over (seed, major, minor)."""
+    # scipy is imported where it is called, so a process that draws no
+    # normals never loads it
+    from scipy.special import ndtri
+
     return ndtri(uniforms(seed, major, minor))
 
 
@@ -86,6 +89,8 @@ def _pieces(rows: int, cols: int) -> list[tuple[slice, slice]]:
 def _fill(out: np.ndarray, keys: np.ndarray, piece, offset: int = 0,
           stride: int = 1) -> np.ndarray:
     """Normals of (row key, offset + stride * column), written into out[piece]."""
+    from scipy.special import ndtri
+
     rows, cols = piece
     h = _GAMMA_MINOR * np.arange(offset + stride * cols.start, offset + stride * cols.stop,
                                  stride, dtype=np.uint64)

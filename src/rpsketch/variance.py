@@ -134,13 +134,15 @@ def v_factor(estimator: Estimator, rho: float) -> VarianceFactor:
     return VarianceFactor(estimator, rho, fn(rho))
 
 
-def mle_variance_factor(rho: float, cfg: FisherConfig = FisherConfig()) -> VarianceFactor:
+def mle_variance_factor(rho: float, cfg: FisherConfig = FisherConfig(), *,
+                        threads: int = 1) -> VarianceFactor:
     """Sign-full MLE variance factor via Monte Carlo Fisher information.
 
     Averages the three information terms (cubic, squared-ratio, linear in
     s = sgn(x) y) over deterministic counter-based draws and inverts the
-    mean.  Samples are consumed in fixed blocks, so the result depends only
-    on (rho, samples, seed).
+    mean.  Samples are consumed in fixed blocks, drawn on up to `threads`
+    workers, and the block sums are added in block order, so the result
+    depends only on (rho, samples, seed).
     """
     if not -0.999 <= rho <= 0.999:
         raise DomainError("Fisher integrand is ill-conditioned beyond |rho| = 0.999")
@@ -149,21 +151,22 @@ def mle_variance_factor(rho: float, cfg: FisherConfig = FisherConfig()) -> Varia
     a3 = rho / omr2**3.5
     a2 = 1.0 / omr2**3
     a1 = 3.0 * rho / omr2**2.5
-    total = 0.0
-    total_sq = 0.0
     n = cfg.samples
-    done = 0
-    block_id = 0
-    while done < n:
-        take = min(_FISHER_BLOCK, n - done)
+
+    def block_sums(block_id: int) -> tuple[float, float]:
+        take = min(_FISHER_BLOCK, n - block_id * _FISHER_BLOCK)
         x, y = rng.bivariate_block(rho, cfg.seed, block_id, 1, take)
         s = np.where(x[0] >= 0.0, 1.0, -1.0) * y[0]
         h = inv_mills(c * s)
         g = a3 * h * s**3 + a2 * h * h * s * s - a1 * h * s
-        total += float(g.sum())
-        total_sq += float(np.dot(g, g))
-        done += take
-        block_id += 1
+        return float(g.sum()), float(np.dot(g, g))
+
+    total = 0.0
+    total_sq = 0.0
+    for part, part_sq in rng.ordered_map(block_sums, range(-(-n // _FISHER_BLOCK)),
+                                         threads):
+        total += part
+        total_sq += part_sq
     info = total / n
     var_info = max(total_sq / n - info * info, 0.0) / n
     value = 1.0 / info

@@ -14,6 +14,7 @@ minutes on a desktop machine.
 """
 
 import math
+import os
 
 import numpy as np
 import scipy.integrate
@@ -33,6 +34,8 @@ from rpsketch.vectors import DataVector
 
 PI = math.pi
 SEED = 20260809
+# lab outputs do not depend on the thread count, so the slow criteria use the machine's cores
+THREADS = min(os.cpu_count() or 1, 4)
 
 
 def _criterion(num: int, name: str, failures: list[str]) -> None:
@@ -137,7 +140,7 @@ def test_criterion_04_mse_matches_variance_factors():
                   Estimator.S: 0.05, Estimator.G_NORM: 0.08,
                   Estimator.S_NORM: 0.08}
     for rho in [0.99, 0.95, 0.75, 0.0, -0.95]:
-        for rep in run_mse(SimConfig(rho, k, trials, SEED, estimators)):
+        for rep in run_mse(SimConfig(rho, k, trials, SEED, estimators), threads=THREADS):
             expected = v_factor(rep.estimator, rho).value
             rel = abs(rep.mse * k / expected - 1.0)
             _check(failures, rel <= tolerances[rep.estimator],
@@ -149,7 +152,8 @@ def test_criterion_04_mse_matches_variance_factors():
 
 def test_criterion_05_high_similarity_mse_ratios():
     failures = []
-    points = {p.k: p for p in run_mse_ratio(0.99, [10, 2000], 100_000, SEED)}
+    points = {p.k: p for p in run_mse_ratio(0.99, [10, 2000], 100_000, SEED,
+                                            threads=THREADS)}
     _check(failures, points[10].ratio_s_norm >= 5.0,
            f"k=10 ratio {points[10].ratio_s_norm:.2f} < 5")
     target = 3 * PI / 4

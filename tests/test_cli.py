@@ -112,6 +112,67 @@ class TestExitCodes:
         assert f"cannot score a {kind} store" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_corpus_sketch_records_k(self, tmp_path, capsys):
+        corpus, store = tmp_path / "empty.txt", tmp_path / "store.bin"
+        corpus.write_text("")
+        assert run(["sketch", "--input", str(corpus), "--k", "8", "--seed", "1",
+                    "--out", str(store)]) == 0
+        assert store.read_bytes() == b"SFRP" + struct.pack("<BBIQ", 1, 0, 8, 0)
+        loaded = load_sketches(store)
+        assert len(loaded) == 0 and loaded.k == 8
+
+    @pytest.mark.parametrize("kind,estimator", [("sign", "full"), ("full", "s-norm")])
+    def test_empty_store_of_wrong_kind_rejected(self, kind, estimator, tmp_path, capsys):
+        corpus, queries = tmp_path / "empty.txt", tmp_path / "q.txt"
+        store, out = tmp_path / "store.bin", tmp_path / "scores.csv"
+        corpus.write_text("")
+        queries.write_text("1:1\n")
+        assert run(["sketch", "--input", str(corpus), "--k", "8", "--kind", kind,
+                    "--seed", "1", "--out", str(store)]) == 0
+        code = run(["estimate", "--store", str(store), "--queries", str(queries),
+                    "--estimator", estimator, "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert f"cannot score a {kind} store" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["estimate", "--store", str(store), "--queries", str(queries),
+                    "--estimator", "s-norm" if kind == "sign" else "full", "--seed", "1",
+                    "--out", str(out)]) == 0
+        assert out.read_text() == "query,train,estimator,rho_hat,clamped\n"
+
+    @pytest.mark.parametrize("args,flag", [
+        (["sketch", "--input", "absent.txt", "--out", "o.bin", "--k", "65537"], "--k"),
+        (["simulate", "--rho", "0.5", "--estimators", "g", "--trials", "10",
+          "--k", "65537"], "--k"),
+        (["simulate", "--rho", "0.5", "--estimators", "g", "--k", "8",
+          "--trials", "10000001"], "--trials"),
+        (["mse-ratio", "--rho", "0.5", "--k-grid", "10,65537"], "--k-grid"),
+        (["mse-ratio", "--rho", "0.5", "--k-grid", "10", "--trials", "10000001"],
+         "--trials"),
+        (["histogram", "--rho", "0.5", "--estimator", "g", "--trials", "10",
+          "--k", "65537"], "--k"),
+        (["histogram", "--rho", "0.5", "--estimator", "g", "--k", "8",
+          "--trials", "10000001"], "--trials"),
+        (["bench", "--train", "absent.txt", "--query", "absent.txt", "--rho0", "0.5",
+          "--k", "16,65537"], "--k"),
+        (["variance-table", "--estimators", "mle", "--rho-grid", "0:0:1",
+          "--mle-samples", "1000000001"], "--mle-samples"),
+    ])
+    def test_size_above_its_limit_rejected_before_allocating(self, args, flag, tmp_path,
+                                                              monkeypatch, capsys):
+        limits = {"--k": cli.MAX_K, "--k-grid": cli.MAX_K, "--trials": cli.MAX_TRIALS,
+                  "--mle-samples": cli.MAX_MLE_SAMPLES}
+        assert str(limits[flag] + 1) in " ".join(args)  # one above the limit
+        monkeypatch.chdir(tmp_path)  # the input files are absent: the bound comes first
+        tracemalloc.start()
+        try:
+            code = run(args + ["--seed", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at most {limits[flag]}\n"
+        assert peak < 2**20
+
     @pytest.mark.parametrize("text,message", [
         (b"1:1 2:0.5\n99999999999999999999:1\n", "error: line 2: index 99999999999999999999"),
         (b"1:1\n1:1 2:\xff\n", "error: line 2: not UTF-8 text"),
@@ -354,6 +415,11 @@ class TestDeterminism:
         self._stable(tmp_path, "ratio", lambda out: [
             "mse-ratio", "--rho", "0.9", "--k-grid", "10,20", "--trials",
             "2000", "--seed", "10", "--out", out])
+
+    def test_variance_table_mle(self, tmp_path):
+        self._stable(tmp_path, "factor", lambda out: [
+            "variance-table", "--estimators", "mle,s-norm", "--rho-grid", "0.5:0.5:1",
+            "--mle-samples", "1100000", "--seed", "14", "--out", out])
 
     def test_histogram(self, tmp_path):
         self._stable(tmp_path, "hist", lambda out: [

@@ -128,7 +128,7 @@ class TestProject:
 
     def test_project_corpus_empty(self):
         store = project_corpus(Corpus.from_vectors([], 4), ProjectionConfig(8, 1))
-        assert isinstance(store, FullStore) and len(store) == 0 and store.k == 0
+        assert isinstance(store, FullStore) and len(store) == 0 and store.k == 8
         with pytest.raises(DomainError):
             project_corpus(Corpus.from_vectors([vec([1.0, 0.0]), vec([0.0, 0.0])], 2),
                            ProjectionConfig(8, 1))

@@ -9,7 +9,9 @@ from rpsketch import (DomainError, Estimator, FisherConfig,
                       half_gaussian_cdf_integrals, mle_variance_factor,
                       sign_sign_variance_asymptote, v_factor,
                       variance_ratio_constants)
+from rpsketch import rng, variance
 from rpsketch.errors import ConfigError, ContractError
+from rpsketch.mle import inv_mills
 
 PI = math.pi
 SIGN_FULL_CLOSED = [Estimator.G, Estimator.G_NORM, Estimator.S, Estimator.S_NORM]
@@ -224,6 +226,29 @@ class TestFisherInformation:
         a = mle_variance_factor(0.3, cfg)
         b = mle_variance_factor(0.3, cfg)
         assert a.value == b.value
+
+    def test_any_thread_count_equals_the_serial_loop(self, monkeypatch):
+        block = 1 << 14
+        monkeypatch.setattr(variance, "_FISHER_BLOCK", block)  # 7 blocks, the last short
+        # at this seed both sums change when the blocks are added in another order
+        rho, cfg = 0.3, FisherConfig(100_000, seed=1)
+        omr2 = (1.0 - rho) * (1.0 + rho)
+        c, a3 = rho / math.sqrt(omr2), rho / omr2**3.5
+        a2, a1 = 1.0 / omr2**3, 3.0 * rho / omr2**2.5
+        total = total_sq = 0.0
+        for block_id, start in enumerate(range(0, cfg.samples, block)):
+            x, y = rng.bivariate_block(rho, cfg.seed, block_id, 1,
+                                       min(block, cfg.samples - start))
+            s = np.where(x[0] >= 0.0, 1.0, -1.0) * y[0]
+            h = inv_mills(c * s)
+            g = a3 * h * s**3 + a2 * h * h * s * s - a1 * h * s
+            total += float(g.sum())
+            total_sq += float(np.dot(g, g))
+        info = total / cfg.samples
+        stderr = math.sqrt(max(total_sq / cfg.samples - info * info, 0.0) / cfg.samples)
+        for threads in (1, 2, 3):
+            vf = mle_variance_factor(rho, cfg, threads=threads)
+            assert (vf.value, vf.mc_stderr) == (1.0 / info, stderr / info**2)
 
     def test_domain_limited(self):
         with pytest.raises(DomainError):
