@@ -185,8 +185,10 @@ def test_criterion_06_fisher_information():
 
 
 def test_criterion_07_mle_consistency():
+    # the standard error of an n-sample variance ratio is sqrt(2/(n-1)), so
+    # n = 3,201 makes the 10% band 4 standard errors wide
     failures = []
-    rho, k, seeds = 0.5, 10_000, 200
+    rho, k, seeds = 0.5, 1000, 3201
     vm = mle_variance_factor(rho, FisherConfig(1_000_000, SEED)).value
     s = np.empty((seeds, k))
     for i in range(seeds):
@@ -200,7 +202,7 @@ def test_criterion_07_mle_consistency():
     var_ratio = estimates.var() * k / vm
     _check(failures, abs(var_ratio - 1.0) <= 0.10,
            f"variance*k/V_m = {var_ratio:.4f} outside 10%")
-    _criterion(7, "sign-full MLE consistency over 200 seeds", failures)
+    _criterion(7, "sign-full MLE consistency over 3,201 seeds", failures)
 
 
 def _bisect(fn, lo, hi, iters=80):
