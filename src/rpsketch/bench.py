@@ -64,12 +64,25 @@ class PrPoint:
 
 
 def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
-    """(n_queries, n_train) matrix of exact cosines (vectors are unit norm)."""
+    """(n_queries, n_train) matrix of exact cosines (vectors are unit norm).
+
+    Each query is scattered into a dense vector, and every training row sums
+    its products with it in index order, as a sparse product would.
+    """
     if train.dim != queries.dim:
         raise ShapeError(f"dim mismatch: {train.dim} vs {queries.dim}")
     if len(train) == 0:
         raise ConfigError("empty training corpus")
-    return np.asarray((queries.to_csr() @ train.to_csr().T).todense())
+    row_of_nnz = np.repeat(np.arange(len(train)), np.diff(train.indptr))
+    dense = np.zeros(train.dim)
+    out = np.empty((len(queries), len(train)))
+    for i in range(len(queries)):
+        support = slice(queries.indptr[i], queries.indptr[i + 1])
+        dense[queries.indices[support]] = queries.values[support]
+        out[i] = np.bincount(row_of_nnz, weights=train.values * dense[train.indices],
+                             minlength=len(train))
+        dense[queries.indices[support]] = 0.0
+    return out
 
 
 def _relevant(sims: np.ndarray, rho0: float) -> list[np.ndarray]:
@@ -181,8 +194,8 @@ def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
     Members are assigned to clusters round-robin; queries are extra members
     generated the same way.  Everything is a pure function of the seed.
     """
-    if n_clusters < 1 or n_train < 1 or n_queries < 0:
-        raise ConfigError("need at least one cluster and one training vector")
+    if dim < 1 or n_clusters < 1 or n_train < 1 or n_queries < 0:
+        raise ConfigError("need dim >= 1, at least one cluster and one training vector")
     if any(int(slots) < 0 for _, slots in spread_levels):
         raise ConfigError("spread_levels slots must be >= 0")
     ends = list(itertools.accumulate(int(slots) for _, slots in spread_levels))

@@ -20,7 +20,9 @@ from .errors import ConfigError, DomainError, ShapeError, SketchFormatError
 from .vectors import Corpus, DataVector
 
 _MAGIC = b"SFRP"
-_VERSION = 1
+# 2: projections are Box–Muller normals; version 1 stores were drawn by the
+# inverse normal CDF, so their signs do not match today's query projections
+_VERSION = 2
 KIND_SIGN = 0x00
 KIND_FULL = 0x01
 
@@ -256,7 +258,7 @@ def matching_bits(a: SignSketch, b: SignSketch) -> int:
 def save_sketches(path, store: SignStore | FullStore) -> None:
     """Serialize a sign or full store.
 
-    Layout: magic ``SFRP``, version byte, kind byte (0x00 sign / 0x01 full),
+    Layout: magic ``SFRP``, version byte (2), kind byte (0x00 sign / 0x01 full),
     uint32-LE k, uint64-LE count, then the payload: packed sign bytes per
     sketch, or all k-vectors as float64-LE followed by the sumsq values.
     """
@@ -279,6 +281,9 @@ def load_sketches(path) -> SignStore | FullStore:
     if len(blob) < 18 or blob[:4] != _MAGIC:
         raise SketchFormatError("bad magic or truncated header")
     version, kind, k, count = struct.unpack("<BBIQ", blob[4:18])
+    if version == 1:
+        raise SketchFormatError("this store was drawn with the version 1 normal transform, "
+                                "which today's query projections do not match; sketch it again")
     if version != _VERSION:
         raise SketchFormatError(f"unsupported version {version}")
     if k == 0 and count > 0:

@@ -5,13 +5,18 @@ conceptually infinite table of standard normals can be materialized
 independently, in any order, on any number of workers, with identical results.
 The construction is a SplitMix64-style hash chain: the seed and the major
 counter are folded into a 64-bit key, the minor counter is folded into that,
-and the mixed word is mapped to a normal deviate through the inverse CDF of a
-53-bit uniform in (0, 1).  Grids are filled in place, piece by piece, so a
-grid costs its output plus a few piece-sized buffers per worker.
+and the top 53 bits of the mixed word become a uniform U in (0, 1].  Minors
+2p and 2p+1 of a row form one Box–Muller pair: with r = sqrt(-2 ln U(2p))
+and theta = 2 pi U(2p+1), the normal at 2p is r cos(theta) and the one at
+2p+1 is r sin(theta).  Only numpy's log, sqrt, cos and sin are used, always
+on contiguous buffers, so the grid kernels and the broadcasting reference
+take the same loops.  Grids are filled in place, piece by piece, so a grid
+costs its output plus a few piece-sized buffers per worker.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,7 +26,11 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA_MAJOR = np.uint64(0x9E3779B97F4A7C15)
 _GAMMA_MINOR = np.uint64(0xC2B2AE3D27D4EB4F)
 _U53_SCALE = 2.0**-53
-_CHUNK_VALUES = 1 << 16  # values per grid piece: a row range, or part of one row
+_TWO_PI = 2.0 * math.pi
+# per quarter turn n mod 4: 2 pi, negated for odd n, and the sign of half a turn
+_PHASE = _TWO_PI * np.array([1.0, -1.0, 1.0, -1.0])
+_HALF_TURN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+_CHUNK_VALUES = 1 << 14  # values per grid piece: a row range, or part of one row
 
 
 def ordered_map(fn, tasks, threads: int = 1) -> list:
@@ -59,53 +68,102 @@ def _keys(seed, major) -> np.ndarray:
 
 
 def uniforms(seed, major, minor) -> np.ndarray:
-    """Uniform deviates in the open interval (0, 1), broadcast over inputs.
+    """Uniform deviates in (0, 1], broadcast over inputs.
 
-    Each output is ((h >> 11) + 0.5) * 2**-53 for the mixed word h, which can
-    never be exactly 0 or 1, keeping the inverse normal CDF finite.
+    Each output is ((h >> 11) + 0.5) * 2**-53 for the mixed word h.  It is
+    never 0, so its logarithm is finite; only the top word rounds to 1.
     """
     with np.errstate(over="ignore"):
         h = _mix64(_keys(seed, major) + _GAMMA_MINOR * np.asarray(minor, dtype=np.uint64))
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U53_SCALE
 
 
+def _box_muller(radius: np.ndarray, angle: np.ndarray, out_cos: np.ndarray,
+                out_sin: np.ndarray) -> None:
+    """r cos(theta) into out_cos and r sin(theta) into out_sin, where
+    r = sqrt(-2 ln U(2p)) and theta = 2 pi U(2p+1), from contiguous buffers of
+    those uniforms, which it overwrites.  out_sin may be one column narrower,
+    for a grid of odd width; either output may be its own buffer.
+
+    theta is split exactly into n quarter turns and phi = 2 pi (U - n/4) in
+    [-pi/4, pi/4], where libm's sin is fast and cos(phi) = sqrt(1 - sin^2 phi)
+    loses nothing; numpy's sin and cos over [0, 2 pi) cost twice as much.
+    Half a turn flips both signs (folded into r), and an odd quarter swaps
+    cos and sin, which negating phi turns into a plain exchange.
+    """
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    turns = np.rint(angle * 4.0)
+    angle -= 0.25 * turns
+    quadrant = turns.astype(np.intp)
+    quadrant &= 3
+    angle *= _PHASE[quadrant]
+    radius *= _HALF_TURN_SIGN[quadrant]
+    sin = np.sin(angle, out=angle)
+    cos = np.multiply(sin, sin, out=turns)
+    np.subtract(1.0, cos, out=cos)
+    np.sqrt(cos, out=cos)
+    # exchange the bits of cos and sin where the quadrant is odd
+    swap = (quadrant & 1).astype(np.uint64)
+    np.negative(swap, out=swap)
+    cos_bits, sin_bits = cos.view(np.uint64), sin.view(np.uint64)
+    swap &= cos_bits ^ sin_bits
+    cos_bits ^= swap
+    sin_bits ^= swap
+    width = out_sin.shape[-1]
+    np.multiply(radius[..., :width], sin[..., :width], out=out_sin)
+    np.multiply(radius, cos, out=out_cos)
+
+
 def normals(seed, major, minor) -> np.ndarray:
     """Standard normal deviates, broadcast over (seed, major, minor)."""
-    # scipy is imported where it is called, so a process that draws no
-    # normals never loads it
-    from scipy.special import ndtri
+    minor = np.asarray(minor, dtype=np.uint64)
+    radius = uniforms(seed, major, minor & ~np.uint64(1))
+    angle = uniforms(seed, major, minor | np.uint64(1))
+    shape = radius.shape
+    radius, angle = radius.reshape(-1), angle.reshape(-1)  # contiguous buffers
+    _box_muller(radius, angle, radius, angle)
+    return np.where(minor & np.uint64(1), angle.reshape(shape), radius.reshape(shape))
 
-    return ndtri(uniforms(seed, major, minor))
 
-
-def _pieces(rows: int, cols: int) -> list[tuple[slice, slice]]:
-    """Runs of whole rows, or parts of one row, of at most _CHUNK_VALUES values."""
+def _pieces(rows: int, cols: int, align: int = 1) -> list[tuple[slice, slice]]:
+    """Runs of whole rows, or parts of one row, of at most _CHUNK_VALUES values.
+    Parts of a row start on multiples of align, so they hold at least align."""
     rstep = max(1, _CHUNK_VALUES // max(cols, 1))
-    cstep = max(1, min(cols, _CHUNK_VALUES))
+    cstep = cols if cols <= _CHUNK_VALUES else max(align, _CHUNK_VALUES // align * align)
     return [(slice(r, min(r + rstep, rows)), slice(c, min(c + cstep, cols)))
-            for r in range(0, rows, rstep) for c in range(0, cols, cstep)]
+            for r in range(0, rows, rstep) for c in range(0, cols, max(cstep, 1))]
 
 
-def _fill(out: np.ndarray, keys: np.ndarray, piece, offset: int = 0,
-          stride: int = 1) -> np.ndarray:
-    """Normals of (row key, offset + stride * column), written into out[piece]."""
-    from scipy.special import ndtri
-
-    rows, cols = piece
-    h = _GAMMA_MINOR * np.arange(offset + stride * cols.start, offset + stride * cols.stop,
-                                 stride, dtype=np.uint64)
-    h = _mix64(keys[rows, None] + h)
+def _fill_pairs(keys: np.ndarray, rows: slice, first: int, n_pairs: int,
+                out_cos: np.ndarray, out_sin: np.ndarray) -> None:
+    """The Box–Muller pairs at minors (first + 2p, first + 2p + 1), p < n_pairs,
+    of each row key in keys[rows], written into out_cos and out_sin."""
+    minors = np.arange(first, first + 2 * n_pairs, dtype=np.uint64)
+    minors *= _GAMMA_MINOR
+    h = keys[rows, None] + minors
+    del minors
+    _mix64(h)
     h >>= np.uint64(11)
-    view = np.add(h, 0.5, out=out[piece])
-    view *= _U53_SCALE
-    return ndtri(view, out=view)
+    radius, angle = np.add(h[:, 0::2], 0.5), np.add(h[:, 1::2], 0.5)
+    del h
+    radius *= _U53_SCALE
+    angle *= _U53_SCALE
+    _box_muller(radius, angle, out_cos, out_sin)
 
 
 def normal_grid(seed: int, majors, k: int, *, threads: int = 1) -> np.ndarray:
     """normals(seed, majors[:, None], arange(k)[None, :]): one row per major counter."""
     keys = _keys(seed, majors)
     out = np.empty((keys.shape[0], k))
-    ordered_map(lambda piece: _fill(out, keys, piece), _pieces(*out.shape), threads)
+
+    def fill(piece):
+        rows, cols = piece
+        _fill_pairs(keys, rows, cols.start, (cols.stop - cols.start + 1) // 2,
+                    out[rows, cols.start:cols.stop:2], out[rows, cols.start + 1:cols.stop:2])
+
+    ordered_map(fill, _pieces(*out.shape, align=2), threads)
     return out
 
 
@@ -115,14 +173,15 @@ def bivariate_block(rho: float, seed: int, major_start: int, n_major: int,
 
     x is standard normal and y = rho*x + sqrt(1 - rho^2)*z for an independent
     standard normal z, so E(x*y) = rho and both margins are N(0, 1).  Pair
-    (major, j) always consumes minor counters 2j and 2j+1, independent of
-    block boundaries.
+    (major, j) is the Box–Muller pair at minors 2j (x) and 2j+1 (z),
+    independent of block boundaries.
     """
     keys = _keys(seed, np.arange(major_start, major_start + n_major, dtype=np.uint64))
     x, y = np.empty((n_major, k)), np.empty((n_major, k))
     c = np.sqrt((1.0 - rho) * (1.0 + rho))
-    for piece in _pieces(n_major, k):
-        z = _fill(y, keys, piece, 1, 2)
-        z *= c
-        z += rho * _fill(x, keys, piece, 0, 2)
+    for rows, cols in _pieces(n_major, 2 * k, align=2):  # columns 2j and 2j+1 of pair j
+        xs, ys = x[rows, cols.start // 2:cols.stop // 2], y[rows, cols.start // 2:cols.stop // 2]
+        _fill_pairs(keys, rows, cols.start, xs.shape[1], xs, ys)
+        ys *= c
+        ys += rho * xs
     return x, y

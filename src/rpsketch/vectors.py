@@ -13,14 +13,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import DomainError, ShapeError, SparseTextError
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 log = logging.getLogger(__name__)
 
@@ -123,12 +118,6 @@ class Corpus:
         i = range(len(self))[i]
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return DataVector(self.indices[lo:hi], self.values[lo:hi], self.dim)
-
-    def to_csr(self) -> scipy.sparse.csr_matrix:
-        import scipy.sparse  # only exact cosines need it, so other steps skip its import
-
-        return scipy.sparse.csr_matrix((self.values, self.indices, self.indptr),
-                                       shape=(len(self), self.dim))
 
 
 def _parse_lines(path, dim: int | None):

@@ -10,6 +10,7 @@ from rpsketch import (BenchConfig, Corpus, DataVector, Estimator, FullSketch,
                       cosine, ground_truth, interpolated_precision,
                       make_clustered_corpus, normalize, pr_curve, project_corpus,
                       quantize_store, rank_queries, run_benchmark, sign_quantize)
+from rpsketch.bench import exact_cosines
 from rpsketch.errors import ConfigError, ContractError, ShapeError
 
 
@@ -56,6 +57,42 @@ class TestGroundTruth:
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
             ground_truth(Corpus.from_vectors((), 3), Corpus.from_vectors((axis(0, 3),), 3), 0.5)
+
+
+class TestExactCosines:
+    @staticmethod
+    def corpus(gen, n, dim, density):
+        rows = []
+        for _ in range(n):
+            dense = gen.standard_normal(dim) * (gen.random(dim) < density)
+            dense[gen.integers(dim)] = 1.0  # no empty row
+            rows.append(normalize(vec(dense, dim)))
+        return Corpus.from_vectors(rows, dim)
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+    def test_equals_dense_product(self, density):
+        gen = np.random.default_rng(17)
+        train, queries = (self.corpus(gen, n, 60, density) for n in (41, 9))
+
+        def dense(c):
+            return np.stack([v.to_dense() for v in c])
+
+        sims = exact_cosines(train, queries)
+        assert sims.shape == (9, 41)
+        np.testing.assert_allclose(sims, dense(queries) @ dense(train).T, rtol=0, atol=1e-12)
+
+    def test_no_queries_gives_no_rows(self):
+        train = Corpus.from_vectors((axis(0, 3), axis(2, 3)), 3)
+        assert exact_cosines(train, Corpus.from_vectors((), 3)).shape == (0, 2)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ShapeError):
+            exact_cosines(Corpus.from_vectors((axis(0, 3),), 3),
+                          Corpus.from_vectors((axis(0, 4),), 4))
+
+    def test_empty_training_corpus(self):
+        with pytest.raises(ConfigError):
+            exact_cosines(Corpus.from_vectors((), 3), Corpus.from_vectors((axis(0, 3),), 3))
 
 
 class TestRankQueries:

@@ -12,6 +12,7 @@ import pytest
 from rpsketch import (ProjectionConfig, cli, estimators, load_sketches,
                       load_sparse_text, mle_full, mle_sign_full, project_corpus)
 from rpsketch.cli import main
+from rpsketch.projection import _VERSION
 
 
 def run(args):
@@ -80,13 +81,28 @@ class TestExitCodes:
 
     def test_zero_k_header_with_huge_count(self, tmp_path, capsys):
         store = tmp_path / "store.bin"
-        store.write_bytes(b"SFRP" + struct.pack("<BBIQ", 1, 0, 0, 2**64 - 1))
+        store.write_bytes(b"SFRP" + struct.pack("<BBIQ", _VERSION, 0, 0, 2**64 - 1))
         queries = tmp_path / "q.txt"
         queries.write_text("1:1\n")
         code = run(["estimate", "--store", str(store), "--queries",
                     str(queries), "--estimator", "s-norm", "--seed", "1"])
         assert code == 2
         assert "k = 0" in capsys.readouterr().err
+
+    def test_version_1_store_must_be_sketched_again(self, tmp_path, capsys):
+        corpus, store = tmp_path / "c.txt", tmp_path / "store.bin"
+        corpus.write_text("1:1\n2:1\n")
+        assert run(["sketch", "--input", str(corpus), "--k", "16", "--seed", "3",
+                    "--out", str(store)]) == 0
+        blob = bytearray(store.read_bytes())
+        assert blob[4] == _VERSION == 2
+        blob[4] = 1  # the same store as the inverse-CDF transform wrote it
+        store.write_bytes(bytes(blob))
+        code = run(["estimate", "--store", str(store), "--queries", str(corpus),
+                    "--estimator", "s-norm", "--seed", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "version 1 normal transform" in err and "sketch it again" in err
 
     def test_full_estimator_on_sign_store(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -117,7 +133,7 @@ class TestExitCodes:
         corpus.write_text("")
         assert run(["sketch", "--input", str(corpus), "--k", "8", "--seed", "1",
                     "--out", str(store)]) == 0
-        assert store.read_bytes() == b"SFRP" + struct.pack("<BBIQ", 1, 0, 8, 0)
+        assert store.read_bytes() == b"SFRP" + struct.pack("<BBIQ", _VERSION, 0, 8, 0)
         loaded = load_sketches(store)
         assert len(loaded) == 0 and loaded.k == 8
 
@@ -197,6 +213,34 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --bins")
         assert peak < 2**20
+
+    @pytest.mark.parametrize("sizes", [
+        ["--dim", "1000000000000000"],
+        ["--train", "10000000"],
+        ["--clusters", "100000", "--dim", "101"],
+        ["--query", "5000000", "--dim", "2"],
+    ])
+    def test_synth_sizes_rejected_before_drawing(self, sizes, tmp_path, capsys):
+        out_train, out_query = tmp_path / "t.txt", tmp_path / "q.txt"
+        tracemalloc.start()
+        try:
+            code = run(["synth", "--seed", "1", "--out-train", str(out_train),
+                        "--out-query", str(out_query), *sizes])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: (--clusters + --train + --query) * --dim must be at most "
+            f"{cli.MAX_SYNTH_VALUES}\n")
+        assert peak < 2**20
+        assert not out_train.exists() and not out_query.exists()
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_synth_dim_below_one_is_a_data_error(self, dim, tmp_path, capsys):
+        assert run(["synth", "--seed", "1", "--dim", dim, "--out-train", str(tmp_path / "t"),
+                    "--out-query", str(tmp_path / "q")]) == 2
+        assert "need dim >= 1" in capsys.readouterr().err
 
     def test_synth_levels(self, tmp_path, capsys):
         args = ["synth", "--dim", "8", "--clusters", "1", "--train", "3", "--query", "1",

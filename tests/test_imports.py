@@ -1,9 +1,12 @@
-"""Start-up cost: scipy is imported where it is called, not with the package.
+"""Start-up cost: only sign-full MLE imports scipy.
 
 Importing scipy.special and scipy.sparse costs a cold CLI step more than
-its closed-form work, so `import rpsketch` loads only numpy and the stdlib.
-Each check runs in a fresh interpreter, because this test process has long
-since imported scipy.
+its closed-form work.  Normals are drawn with numpy alone and exact cosines
+are a numpy product, so sketching, closed-form scoring, the ranking
+benchmark and closed-form simulation load no scipy module; an `mle`
+simulation loads scipy.special, and never scipy.sparse.  Each check runs in
+a fresh interpreter, because this test process has long since imported
+scipy.
 """
 
 import os
@@ -43,12 +46,31 @@ def test_package_and_closed_form_steps_load_no_scipy(tmp_path):
     assert len((tmp_path / "factors.csv").read_text().splitlines()) == 1 + 4 * 3
 
 
-def test_sketch_step_loads_special_but_not_sparse(tmp_path):
-    (tmp_path / "c.txt").write_text("1:1 3:2\n2:1\n")
+def test_serving_steps_and_closed_form_simulate_load_no_scipy(tmp_path):
+    (tmp_path / "c.txt").write_text("1:1 3:2\n2:1\n1:0.5 2:2 3:1\n")
     out = fresh("""
         from rpsketch.cli import main
-        code = main(["sketch", "--input", "c.txt", "--k", "16", "--seed", "3",
-                     "--out", "store.sfrp"])
+        steps = [
+            ["sketch", "--input", "c.txt", "--k", "16", "--seed", "3", "--out", "store.sfrp"],
+            ["estimate", "--store", "store.sfrp", "--queries", "c.txt",
+             "--estimator", "s-norm", "--seed", "3", "--out", "scores.csv"],
+            ["bench", "--train", "c.txt", "--query", "c.txt", "--k", "8", "--rho0", "0.5",
+             "--seed", "3", "--threads", "2", "--out", "curves.csv"],
+            ["simulate", "--rho", "0.5", "--k", "32", "--trials", "200",
+             "--estimators", "sign-sign,g,g-norm,s,s-norm", "--seed", "3",
+             "--threads", "2", "--out", "mse.csv"],
+        ]
+        for argv in steps:
+            print(argv[0], main(argv), scipy_modules())
+    """, tmp_path)
+    assert out.splitlines() == ["sketch 0 []", "estimate 0 []", "bench 0 []", "simulate 0 []"]
+
+
+def test_mle_simulate_loads_special_but_not_sparse(tmp_path):
+    out = fresh("""
+        from rpsketch.cli import main
+        code = main(["simulate", "--rho", "0.5", "--k", "16", "--trials", "50",
+                     "--estimators", "mle", "--seed", "3", "--out", "mle.csv"])
         print(code, "scipy.special" in sys.modules,
               any(m.startswith("scipy.sparse") for m in sys.modules))
     """, tmp_path)
@@ -56,15 +78,14 @@ def test_sketch_step_loads_special_but_not_sparse(tmp_path):
 
 
 def test_first_draw_in_worker_threads_matches_one_thread(tmp_path):
-    # two grid pieces, so the first normal draw, and with it the import of
-    # scipy.special, happens in two worker threads at once
+    # two grid pieces, so the first normal draw, with its first calls into
+    # numpy's log, sin and sqrt loops, happens in two worker threads at once
     out = fresh("""
         import numpy as np
         from rpsketch import rng
-        assert not scipy_modules()
-        majors = np.arange(64, dtype=np.uint64)
+        majors = np.arange(2 * rng._CHUNK_VALUES // 2048, dtype=np.uint64)
         two = rng.normal_grid(5, majors, 2048, threads=2)
         one = rng.normal_grid(5, majors, 2048, threads=1)
-        print(len(rng._pieces(*two.shape)), two.tobytes() == one.tobytes())
+        print(len(rng._pieces(*two.shape)), two.tobytes() == one.tobytes(), scipy_modules())
     """, tmp_path)
-    assert out == "2 True"
+    assert out == "2 True []"

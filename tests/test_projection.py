@@ -14,6 +14,7 @@ from rpsketch import (Corpus, DataVector, DomainError, FullSketch, FullStore, Pr
                       sign_array, sign_quantize)
 from rpsketch import rng
 from rpsketch.errors import ConfigError
+from rpsketch.projection import _VERSION
 
 
 def vec(dense, dim=None):
@@ -257,7 +258,7 @@ class TestSketchFiles:
     @pytest.mark.parametrize("kind", [0x00, 0x01])
     def test_zero_k_with_count_fails_fast(self, tmp_path, kind, count):
         path = tmp_path / "zero-k.sfrp"
-        path.write_bytes(b"SFRP" + struct.pack("<BBIQ", 1, kind, 0, count))
+        path.write_bytes(b"SFRP" + struct.pack("<BBIQ", _VERSION, kind, 0, count))
         start = time.perf_counter()
         with pytest.raises(SketchFormatError):
             load_sketches(path)
@@ -266,7 +267,7 @@ class TestSketchFiles:
     @pytest.mark.parametrize("k, count", [(64, 2**61), (1, 2**64 - 1)])
     def test_count_bounded_by_payload(self, tmp_path, k, count):
         path = tmp_path / "big.sfrp"
-        path.write_bytes(b"SFRP" + struct.pack("<BBIQ", 1, 0, k, count) + b"\x00" * 8)
+        path.write_bytes(b"SFRP" + struct.pack("<BBIQ", _VERSION, 0, k, count) + b"\x00" * 8)
         with pytest.raises(SketchFormatError):
             load_sketches(path)
 

@@ -1,5 +1,6 @@
 """The grid kernel against the broadcasting reference rng.normals."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -100,6 +101,54 @@ class TestBivariateBlock:
             tracemalloc.stop()
         assert x.nbytes + y.nbytes == 16 * n
         assert peak <= 16 * n + 6 * 8 * rng._CHUNK_VALUES
+
+
+def assert_within_4se(name, estimate, expected, se):
+    assert abs(estimate - expected) <= 4 * se, (
+        f"{name}: {estimate:.6f} vs {expected:.6f} (4 se = {4 * se:.2e})")
+
+
+class TestDistribution:
+    """Box–Muller normals against standard-normal moments, in 4-SE bands."""
+
+    def test_pairs_are_r_cos_and_r_sin_of_their_uniforms(self):
+        minors = np.arange(0, 200_000, 2, dtype=np.uint64)
+        r = np.sqrt(-2.0 * np.log(rng.uniforms(4, 9, minors)))
+        theta = 2.0 * math.pi * rng.uniforms(4, 9, minors + np.uint64(1))
+        z = rng.normal_grid(4, [9], 200_000)[0]
+        np.testing.assert_allclose(z[0::2], r * np.cos(theta), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(z[1::2], r * np.sin(theta), rtol=0, atol=1e-14)
+
+    def test_grid_moments_and_tail(self):
+        z = rng.normal_grid(20261018, np.arange(1000, dtype=np.uint64), 1001).ravel()
+        n = z.size
+        z2 = z * z
+        assert_within_4se("mean", z.mean(), 0.0, math.sqrt(1 / n))
+        assert_within_4se("E z^2", z2.mean(), 1.0, math.sqrt(2 / n))
+        assert_within_4se("E z^4", (z2 * z2).mean(), 3.0, math.sqrt(96 / n))
+        tail = math.erfc(3 / math.sqrt(2))  # P(|z| > 3)
+        assert_within_4se("P(|z| > 3)", np.mean(np.abs(z) > 3.0), tail,
+                          math.sqrt(tail * (1 - tail) / n))
+
+    def test_pair_partners_and_adjacent_pairs_uncorrelated(self):
+        z = rng.normal_grid(20261019, np.arange(1000, dtype=np.uint64), 1000)
+        cos, sin = z[:, 0::2].ravel(), z[:, 1::2].ravel()
+        m = cos.size
+        assert_within_4se("E z(2p) z(2p+1)", np.mean(cos * sin), 0.0, math.sqrt(1 / m))
+        # shared radius: independence also means E z(2p)^2 z(2p+1)^2 = 1
+        assert_within_4se("E z(2p)^2 z(2p+1)^2", np.mean(cos * cos * sin * sin), 1.0,
+                          math.sqrt(8 / m))
+        after = z[:, 2::2].ravel()  # the first member of the next pair in the row
+        before = z[:, 1:-1:2].ravel()
+        assert_within_4se("E z(2p+1) z(2p+2)", np.mean(before * after), 0.0,
+                          math.sqrt(1 / before.size))
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.95])
+    def test_bivariate_correlation_is_rho(self, rho):
+        x, y = rng.bivariate_block(rho, 20261020, 0, 1000, 1000)
+        n = x.size
+        assert_within_4se("E x y", np.mean(x * y), rho, math.sqrt((1 + rho * rho) / n))
+        assert_within_4se("E y^2", np.mean(y * y), 1.0, math.sqrt(2 / n))
 
 
 class TestOrderedMap:
