@@ -64,24 +64,19 @@ class PrPoint:
 
 
 def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
-    """(n_queries, n_train) matrix of exact cosines (vectors are unit norm).
-
-    Each query is scattered into a dense vector, and every training row sums
-    its products with it in index order, as a sparse product would.
-    """
+    """(n_queries, n_train) matrix of exact cosines (vectors are unit norm):
+    each query is scattered into a dense vector, and each training row sums
+    its products with it in index order, as a sparse product does."""
     if train.dim != queries.dim:
         raise ShapeError(f"dim mismatch: {train.dim} vs {queries.dim}")
     if len(train) == 0:
         raise ConfigError("empty training corpus")
     row_of_nnz = np.repeat(np.arange(len(train)), np.diff(train.indptr))
-    dense = np.zeros(train.dim)
-    out = np.empty((len(queries), len(train)))
-    for i in range(len(queries)):
-        support = slice(queries.indptr[i], queries.indptr[i + 1])
-        dense[queries.indices[support]] = queries.values[support]
-        out[i] = np.bincount(row_of_nnz, weights=train.values * dense[train.indices],
-                             minlength=len(train))
-        dense[queries.indices[support]] = 0.0
+    dense, out = np.zeros(train.dim), np.empty((len(queries), len(train)))
+    for i, query in enumerate(queries):
+        dense[query.indices] = query.values
+        out[i] = np.bincount(row_of_nnz, train.values * dense[train.indices], len(train))
+        dense[query.indices] = 0.0
     return out
 
 

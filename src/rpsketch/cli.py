@@ -35,8 +35,7 @@ MAX_K = 2**16
 MAX_TRIALS = 10**7
 #: the most --mle-samples a variance-table may ask for
 MAX_MLE_SAMPLES = 10**9
-#: the most values a synth run draws, (--clusters + --train + --query) * --dim;
-#: each value costs about 32 bytes until the corpus is written
+#: the most values synth draws, (--clusters + --train + --query) * --dim
 MAX_SYNTH_VALUES = 10**7
 
 
@@ -244,7 +243,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    # a negative size passes here and fails in make_clustered_corpus, also before any draw
     _at_most("(--clusters + --train + --query) * --dim", MAX_SYNTH_VALUES,
              (args.clusters + args.train + args.query) * args.dim)
     levels = _parse_levels(args.levels) if args.levels else ((0.05, 4), (0.30, 3),

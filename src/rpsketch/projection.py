@@ -20,9 +20,7 @@ from .errors import ConfigError, DomainError, ShapeError, SketchFormatError
 from .vectors import Corpus, DataVector
 
 _MAGIC = b"SFRP"
-# 2: projections are Box–Muller normals; version 1 stores were drawn by the
-# inverse normal CDF, so their signs do not match today's query projections
-_VERSION = 2
+_VERSION = 2  # Box–Muller normals; version 1 drew them by the inverse normal CDF
 KIND_SIGN = 0x00
 KIND_FULL = 0x01
 
@@ -281,9 +279,8 @@ def load_sketches(path) -> SignStore | FullStore:
     if len(blob) < 18 or blob[:4] != _MAGIC:
         raise SketchFormatError("bad magic or truncated header")
     version, kind, k, count = struct.unpack("<BBIQ", blob[4:18])
-    if version == 1:
-        raise SketchFormatError("this store was drawn with the version 1 normal transform, "
-                                "which today's query projections do not match; sketch it again")
+    if version == 1:  # its signs would be scored against differently drawn queries
+        raise SketchFormatError("store drawn with the version 1 normal transform; sketch it again")
     if version != _VERSION:
         raise SketchFormatError(f"unsupported version {version}")
     if k == 0 and count > 0:

@@ -1,17 +1,11 @@
 """Counter-based deterministic random number generation.
 
-Every deviate is a pure function of (seed, major, minor), so any subset of a
-conceptually infinite table of standard normals can be materialized
-independently, in any order, on any number of workers, with identical results.
-The construction is a SplitMix64-style hash chain: the seed and the major
-counter are folded into a 64-bit key, the minor counter is folded into that,
-and the top 53 bits of the mixed word become a uniform U in (0, 1].  Minors
-2p and 2p+1 of a row form one Box–Muller pair: with r = sqrt(-2 ln U(2p))
-and theta = 2 pi U(2p+1), the normal at 2p is r cos(theta) and the one at
-2p+1 is r sin(theta).  Only numpy's log, sqrt, cos and sin are used, always
-on contiguous buffers, so the grid kernels and the broadcasting reference
-take the same loops.  Grids are filled in place, piece by piece, so a grid
-costs its output plus a few piece-sized buffers per worker.
+Every deviate is a pure function of (seed, major, minor), so any part of a
+conceptually infinite table of standard normals can be drawn in any order,
+on any number of workers, with identical results.  A SplitMix64-style hash
+chain folds the seed, major and minor counters into a 64-bit word whose top
+53 bits give a uniform U, and minors 2p and 2p+1 form one Box–Muller pair.
+Grids are filled in place, in pieces, for a few piece-sized buffers each.
 """
 
 from __future__ import annotations
@@ -26,11 +20,10 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA_MAJOR = np.uint64(0x9E3779B97F4A7C15)
 _GAMMA_MINOR = np.uint64(0xC2B2AE3D27D4EB4F)
 _U53_SCALE = 2.0**-53
-_TWO_PI = 2.0 * math.pi
-# per quarter turn n mod 4: 2 pi, negated for odd n, and the sign of half a turn
-_PHASE = _TWO_PI * np.array([1.0, -1.0, 1.0, -1.0])
-_HALF_TURN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-_CHUNK_VALUES = 1 << 14  # values per grid piece: a row range, or part of one row
+# cos(n pi/2) and sin(n pi/2) for the n = 0..4 quarter turns nearest 2 pi U
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+_QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+_CHUNK_VALUES = 1 << 16  # values per grid piece: a row range, or part of one row
 
 
 def ordered_map(fn, tasks, threads: int = 1) -> list:
@@ -80,76 +73,52 @@ def uniforms(seed, major, minor) -> np.ndarray:
 
 def _box_muller(radius: np.ndarray, angle: np.ndarray, out_cos: np.ndarray,
                 out_sin: np.ndarray) -> None:
-    """r cos(theta) into out_cos and r sin(theta) into out_sin, where
-    r = sqrt(-2 ln U(2p)) and theta = 2 pi U(2p+1), from contiguous buffers of
-    those uniforms, which it overwrites.  out_sin may be one column narrower,
-    for a grid of odd width; either output may be its own buffer.
-
-    theta is split exactly into n quarter turns and phi = 2 pi (U - n/4) in
-    [-pi/4, pi/4], where libm's sin is fast and cos(phi) = sqrt(1 - sin^2 phi)
-    loses nothing; numpy's sin and cos over [0, 2 pi) cost twice as much.
-    Half a turn flips both signs (folded into r), and an odd quarter swaps
-    cos and sin, which negating phi turns into a plain exchange.
-    """
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    turns = np.rint(angle * 4.0)
-    angle -= 0.25 * turns
-    quadrant = turns.astype(np.intp)
-    quadrant &= 3
-    angle *= _PHASE[quadrant]
-    radius *= _HALF_TURN_SIGN[quadrant]
-    sin = np.sin(angle, out=angle)
-    cos = np.multiply(sin, sin, out=turns)
-    np.subtract(1.0, cos, out=cos)
-    np.sqrt(cos, out=cos)
-    # exchange the bits of cos and sin where the quadrant is odd
-    swap = (quadrant & 1).astype(np.uint64)
-    np.negative(swap, out=swap)
-    cos_bits, sin_bits = cos.view(np.uint64), sin.view(np.uint64)
-    swap &= cos_bits ^ sin_bits
-    cos_bits ^= swap
-    sin_bits ^= swap
+    """r cos(theta) into out_cos and r sin(theta) into out_sin (which may be a
+    column narrower) from contiguous buffers of U(2p) and U(2p+1), which it
+    overwrites.  theta is n quarter turns plus phi in [-pi/4, pi/4], where
+    numpy's sin is twice as fast and cos = sqrt(1 - sin^2) is exact, and
+    turning by n quarters multiplies by 0 and +-1, so each output rounds once."""
+    r = np.sqrt(np.multiply(np.log(radius, out=radius), -2.0, out=radius), out=radius)
+    turns = np.rint(np.multiply(angle, 4.0, out=angle))
+    phi = np.multiply(np.subtract(angle, turns, out=angle), 0.5 * math.pi, out=angle)
+    n = turns.astype(np.intp)
+    r_sin = r * _QUARTER_SIN[n]  # r sin(n pi/2)
+    r *= _QUARTER_COS[n]  # r cos(n pi/2)
+    sin = np.sin(phi, out=phi)
+    cos = np.sqrt(np.subtract(1.0, np.multiply(sin, sin, out=turns), out=turns), out=turns)
     width = out_sin.shape[-1]
-    np.multiply(radius[..., :width], sin[..., :width], out=out_sin)
-    np.multiply(radius, cos, out=out_cos)
+    np.add(r[..., :width] * sin[..., :width], (r_sin * cos)[..., :width], out=out_sin)
+    np.subtract(r * cos, r_sin * sin, out=out_cos)
 
 
 def normals(seed, major, minor) -> np.ndarray:
     """Standard normal deviates, broadcast over (seed, major, minor)."""
     minor = np.asarray(minor, dtype=np.uint64)
-    radius = uniforms(seed, major, minor & ~np.uint64(1))
-    angle = uniforms(seed, major, minor | np.uint64(1))
-    shape = radius.shape
-    radius, angle = radius.reshape(-1), angle.reshape(-1)  # contiguous buffers
-    _box_muller(radius, angle, radius, angle)
-    return np.where(minor & np.uint64(1), angle.reshape(shape), radius.reshape(shape))
+    radius, angle = (uniforms(seed, major, minor & ~np.uint64(1) | np.uint64(b)) for b in (0, 1))
+    cos, sin = np.empty(radius.shape), np.empty(radius.shape)
+    _box_muller(radius.reshape(-1), angle.reshape(-1), cos.reshape(-1), sin.reshape(-1))
+    return np.where(minor & np.uint64(1), sin, cos)
 
 
 def _pieces(rows: int, cols: int, align: int = 1) -> list[tuple[slice, slice]]:
-    """Runs of whole rows, or parts of one row, of at most _CHUNK_VALUES values.
-    Parts of a row start on multiples of align, so they hold at least align."""
+    """Runs of whole rows, or parts of one row starting on multiples of align,
+    of at most max(align, _CHUNK_VALUES) values."""
     rstep = max(1, _CHUNK_VALUES // max(cols, 1))
     cstep = cols if cols <= _CHUNK_VALUES else max(align, _CHUNK_VALUES // align * align)
     return [(slice(r, min(r + rstep, rows)), slice(c, min(c + cstep, cols)))
             for r in range(0, rows, rstep) for c in range(0, cols, max(cstep, 1))]
 
 
-def _fill_pairs(keys: np.ndarray, rows: slice, first: int, n_pairs: int,
-                out_cos: np.ndarray, out_sin: np.ndarray) -> None:
-    """The Box–Muller pairs at minors (first + 2p, first + 2p + 1), p < n_pairs,
-    of each row key in keys[rows], written into out_cos and out_sin."""
-    minors = np.arange(first, first + 2 * n_pairs, dtype=np.uint64)
-    minors *= _GAMMA_MINOR
-    h = keys[rows, None] + minors
-    del minors
+def _fill_pairs(keys: np.ndarray, rows: slice, first: int, out_cos: np.ndarray,
+                out_sin: np.ndarray) -> None:
+    """The Box–Muller pairs at minors first + 2p and first + 2p + 1 of each row
+    key in keys[rows], written into column p of out_cos and out_sin."""
+    h = keys[rows, None] + _GAMMA_MINOR * np.arange(first, first + 2 * out_cos.shape[-1],
+                                                    dtype=np.uint64)
     _mix64(h)
     h >>= np.uint64(11)
-    radius, angle = np.add(h[:, 0::2], 0.5), np.add(h[:, 1::2], 0.5)
-    del h
-    radius *= _U53_SCALE
-    angle *= _U53_SCALE
+    radius, angle = (np.add(h[:, i::2], 0.5) * _U53_SCALE for i in (0, 1))
+    del h  # the pair's buffers replace the words before the transform starts
     _box_muller(radius, angle, out_cos, out_sin)
 
 
@@ -160,8 +129,8 @@ def normal_grid(seed: int, majors, k: int, *, threads: int = 1) -> np.ndarray:
 
     def fill(piece):
         rows, cols = piece
-        _fill_pairs(keys, rows, cols.start, (cols.stop - cols.start + 1) // 2,
-                    out[rows, cols.start:cols.stop:2], out[rows, cols.start + 1:cols.stop:2])
+        _fill_pairs(keys, rows, cols.start, out[rows, cols.start:cols.stop:2],
+                    out[rows, cols.start + 1:cols.stop:2])
 
     ordered_map(fill, _pieces(*out.shape, align=2), threads)
     return out
@@ -181,7 +150,6 @@ def bivariate_block(rho: float, seed: int, major_start: int, n_major: int,
     c = np.sqrt((1.0 - rho) * (1.0 + rho))
     for rows, cols in _pieces(n_major, 2 * k, align=2):  # columns 2j and 2j+1 of pair j
         xs, ys = x[rows, cols.start // 2:cols.stop // 2], y[rows, cols.start // 2:cols.stop // 2]
-        _fill_pairs(keys, rows, cols.start, xs.shape[1], xs, ys)
-        ys *= c
-        ys += rho * xs
+        _fill_pairs(keys, rows, cols.start, xs, ys)
+        np.add(rho * xs, c * ys, out=ys)
     return x, y

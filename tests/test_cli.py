@@ -102,7 +102,7 @@ class TestExitCodes:
                     "--estimator", "s-norm", "--seed", "3"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "version 1 normal transform" in err and "sketch it again" in err
+        assert "version 1 normal transform; sketch it again" in err
 
     def test_full_estimator_on_sign_store(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
