@@ -78,14 +78,14 @@ def _box_muller(radius: np.ndarray, angle: np.ndarray, out_cos: np.ndarray,
     overwrites.  theta is n quarter turns plus phi in [-pi/4, pi/4], where
     numpy's sin is twice as fast and cos = sqrt(1 - sin^2) is exact, and
     turning by n quarters multiplies by 0 and +-1, so each output rounds once."""
-    r = np.sqrt(np.multiply(np.log(radius, out=radius), -2.0, out=radius), out=radius)
+    r = np.sqrt(-2.0 * np.log(radius, out=radius), out=radius)
     turns = np.rint(np.multiply(angle, 4.0, out=angle))
     phi = np.multiply(np.subtract(angle, turns, out=angle), 0.5 * math.pi, out=angle)
     n = turns.astype(np.intp)
     r_sin = r * _QUARTER_SIN[n]  # r sin(n pi/2)
     r *= _QUARTER_COS[n]  # r cos(n pi/2)
     sin = np.sin(phi, out=phi)
-    cos = np.sqrt(np.subtract(1.0, np.multiply(sin, sin, out=turns), out=turns), out=turns)
+    cos = np.sqrt(np.subtract(1.0, sin * sin, out=turns), out=turns)
     width = out_sin.shape[-1]
     np.add(r[..., :width] * sin[..., :width], (r_sin * cos)[..., :width], out=out_sin)
     np.subtract(r * cos, r_sin * sin, out=out_cos)
@@ -101,8 +101,7 @@ def normals(seed, major, minor) -> np.ndarray:
 
 
 def _pieces(rows: int, cols: int, align: int = 1) -> list[tuple[slice, slice]]:
-    """Runs of whole rows, or parts of one row starting on multiples of align,
-    of at most max(align, _CHUNK_VALUES) values."""
+    """Whole-row runs, or parts of a row from multiples of align, of <= _CHUNK_VALUES values."""
     rstep = max(1, _CHUNK_VALUES // max(cols, 1))
     cstep = cols if cols <= _CHUNK_VALUES else max(align, _CHUNK_VALUES // align * align)
     return [(slice(r, min(r + rstep, rows)), slice(c, min(c + cstep, cols)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DomainError, ShapeError, SparseTextError
