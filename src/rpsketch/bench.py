@@ -33,6 +33,12 @@ from .vectors import Corpus, DataVector
 log = logging.getLogger(__name__)
 
 
+def check_rho0(*rho0s: float) -> None:
+    """Relevance thresholds lie in (0, 1], not NaN."""
+    for bad in (r0 for r0 in rho0s if not 0.0 < r0 <= 1.0):
+        raise ConfigError(f"rho0 must lie in (0, 1], got {bad}")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     k: int
@@ -44,8 +50,7 @@ class BenchConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if not 0.0 < self.rho0 <= 1.0:
-            raise ConfigError("rho0 must lie in (0, 1]")
+        check_rho0(self.rho0)
         if not self.estimators:
             raise ConfigError("need at least one estimator")
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -157,6 +162,7 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     Ground truth depends only on rho0 and rankings only on (k, estimator),
     so both are computed once and reused across the grid.
     """
+    check_rho0(*rho0s)
     sims = exact_cosines(train, queries)
     relevance = {r0: _relevant(sims, r0) for r0 in rho0s}
     rows: list[tuple[Estimator, float, int, PrPoint]] = []

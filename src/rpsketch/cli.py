@@ -231,6 +231,7 @@ def _cmd_bench(args) -> int:
     ks = _parse_list(args.k, "k")
     _at_most("--k", MAX_K, *ks)
     rho0s = _parse_list(args.rho0, "rho0", float)
+    bench_mod.check_rho0(*rho0s)
     l_grid = _parse_list(args.l_grid, "L") if args.l_grid else None
     train = load_sparse_text(args.train, args.dim)
     queries = load_sparse_text(args.query, args.dim)

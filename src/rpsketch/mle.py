@@ -36,34 +36,83 @@ def norm_pdf(t):
     return float(out) if out.ndim == 0 else out
 
 
-def norm_cdf(t):
-    """Standard normal CDF Phi(t); accepts scalars or arrays."""
-    # scipy is imported where it is called, so a process that solves no
-    # likelihood never loads it
-    from scipy.special import ndtr
+# Cody's rational Chebyshev approximations (Math. Comp. 23, 1969; netlib CALERF),
+# N and D leading term first, D's leading 1 implied: erfcx(x) is exp(x^2) (1 - x N/D(x^2))
+# to x = 0.46875, N/D(x) to 4, then (1/sqrt(pi) - z N/D(z)) / x with z = 1/x^2.
+_ERF = ((0.185777706184603153, 3.16112374387056560, 113.864154151050156, 377.485237685302021,
+         3209.37758913846947),
+        (23.6012909523441209, 244.024637934444173, 1282.61652607737228, 2844.23683343917062))
+_ERFCX = ((2.15311535474403846e-8, 0.564188496988670089, 8.88314979438837594, 66.1191906371416295,
+           298.635138197400131, 881.952221241769090, 1712.04761263407058, 2051.07837782607147,
+           1230.33935479799725),
+          (15.7449261107098347, 117.693950891312499, 537.181101862009858, 1621.38957456669019,
+           3290.79923573345963, 4362.61909014324716, 3439.36767414372164, 1230.33935480374942))
+_ASYMPTOTIC = ((1.63153871373020978e-2, 0.305326634961232344, 0.360344899949804439,
+                0.125781726111229246, 1.60837851487422766e-2, 6.58749161529837803e-4),
+               (2.56852019228982242, 1.87295284992346725, 0.527905102951428412,
+                6.05183413124413191e-2, 2.33520497626869185e-3))
+_SQRPI = 1.0 / math.sqrt(math.pi)  # CALERF's name for it
+# exp(-(m/16)^2 / 2), m = 0..640, 0 from 618 on, without numpy's slow underflowing exp
+_GAUSS_16THS = np.exp(-0.5 * (np.arange(641) / 16.0) ** 2)
+_PIECE = 1 << 14  # kernel piece: this many values, so its temporaries stay in cache
 
+
+def _ratio(coef, z: np.ndarray) -> np.ndarray:
+    """N(z)/D(z) by Horner in Cody's order of operations, in place."""
+    (n0, n1, *num), (d1, *den) = coef
+    p, q = n0 * z + n1, z + d1
+    for a, b in zip(num, den):
+        np.add(np.multiply(p, z, out=p), a, out=p)
+        np.add(np.multiply(q, z, out=q), b, out=q)
+    return np.divide(p, q, out=p)
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """exp(x^2) erfc(x), x >= 0: the fullest branch on all of x, the others on their own."""
+    small, large = x <= 0.46875, x > 4.0
+    branches = [(small, lambda v: np.exp(v * v) * (1.0 - v * _ratio(_ERF, v * v))),
+                (~(small | large), lambda v: _ratio(_ERFCX, v)),
+                (large, lambda v: (_SQRPI - (z := 1.0 / (v * v)) * _ratio(_ASYMPTOTIC, z)) / v)]
+    branches.sort(key=lambda mb: -np.count_nonzero(mb[0]))  # stable: ties keep this order
+    with np.errstate(all="ignore"):  # the first branch meets the others' values
+        out = branches[0][1](x)
+        for mask, branch in branches[1:]:
+            if (idx := np.flatnonzero(mask)).size:
+                out[idx] = branch(x[idx])
+    return out
+
+
+def _by_piece(combine, t):
+    """combine(t, erfcx(|t|/sqrt2), exp(-t^2/2)) by cache-sized pieces; the exp splits
+    |t| at trunc(16|t|)/16 (exact square), keeping the accuracy t/sqrt2 would lose."""
     t = np.asarray(t, dtype=np.float64)
-    out = ndtr(t)
-    return float(out) if out.ndim == 0 else out
+    flat, res = t.reshape(-1), np.empty(t.size)
+    for i in range(0, flat.size, _PIECE):
+        v = flat[i:i + _PIECE]
+        e = _erfcx(np.abs(v) / _SQRT_2)
+        a = np.fmin(np.abs(v), 40.0)  # NaN: 40, and its e is NaN
+        m = (a * 16.0).astype(np.intp)
+        g = np.exp(-0.5 * (a - m / 16.0) * (a + m / 16.0))
+        res[i:i + _PIECE] = combine(v, e, g * _GAUSS_16THS.take(m))
+    return float(res[0]) if t.ndim == 0 else res.reshape(t.shape)
+
+
+def norm_cdf(t):
+    """Standard normal CDF: q = Phi(-|t|) = erfcx(|t|/sqrt2) exp(-t^2/2) / 2, or 1 - q."""
+    return _by_piece(lambda t, e, g: np.where(t > 0.0, 1.0 - 0.5 * e * g, 0.5 * e * g), t)
+
+
+def log_norm_cdf(t):
+    """log Phi(t): log(erfcx(-t/sqrt2)/2) - t^2/2, or log1p(-Phi(-t)) for t > 0."""
+    return _by_piece(lambda t, e, g: np.where(
+        t > 0.0, np.log1p(-0.5 * e * g), np.log(0.5 * e) - 0.5 * t * t), t)
 
 
 def inv_mills(t):
-    """phi(t)/Phi(t) without underflow or overflow anywhere on the axis.
-
-    Evaluated as sqrt(2/pi) / erfcx(-t/sqrt(2)): the scaled complementary
-    error function absorbs the exp(-t^2/2) common to numerator and
-    denominator, so the far left tail returns ~|t| + 1/|t| instead of 0/0.
-    Beyond t = 8 the denominator Phi(t) is 1 to double precision (and erfcx
-    of the large negative argument would overflow), so the density alone is
-    returned there; it degrades gracefully through the subnormal range.
-    """
-    from scipy.special import erfcx
-
-    t = np.asarray(t, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        left = _SQRT_2_OVER_PI / erfcx(-np.minimum(t, 8.0) / _SQRT_2)
-    out = np.where(t < 8.0, left, _INV_SQRT_TAU * np.exp(-0.5 * t * t))
-    return float(out) if out.ndim == 0 else out
+    """phi(t)/Phi(t) = sqrt(2/pi) / erfcx(-t/sqrt2): ~|t| + 1/|t| far left, not 0/0, and
+    for t > 0 sqrt(2/pi) g / (2 - erfcx(t/sqrt2) g) with g = exp(-t^2/2), never overflowing."""
+    return _by_piece(lambda t, e, g: np.where(
+        t > 0.0, _SQRT_2_OVER_PI * g / (2.0 - e * g), _SQRT_2_OVER_PI / e), t)
 
 
 @dataclass(frozen=True)
@@ -140,13 +189,6 @@ def score(rho: float, signs: SignSketch, query: FullSketch) -> float:
     return float(_scores(np.array([float(rho)]), (sign_array(signs) * query.values)[None, :])[0])
 
 
-def _log_likelihood(rho: float, s: np.ndarray) -> np.ndarray:
-    from scipy.special import log_ndtr
-
-    c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
-    return np.sum(log_ndtr(c * s), axis=1)
-
-
 def mle_sign_full(signs: SignSketch, query: FullSketch,
                   cfg: SolverConfig = SolverConfig()) -> MleResult:
     """Root of the sign-full likelihood score, by safeguarded Newton.
@@ -201,8 +243,9 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
     inner = (f_lo > 0.0) & (0.0 > f_hi)
     flat = ~(inner | up | down)  # numerically flat or interior minimum
     rho = np.where(up, hi, lo)
-    rho[flat] = np.where(_log_likelihood(hi, s[flat]) >= _log_likelihood(lo, s[flat]),
-                         hi, lo)
+    ll_lo, ll_hi = (np.sum(log_norm_cdf(r / math.sqrt((1.0 - r) * (1.0 + r)) * s[flat]), axis=1)
+                    for r in (lo, hi))
+    rho[flat] = np.where(ll_hi >= ll_lo, hi, lo)
     iterations = np.zeros(n, dtype=np.int64)
 
     idx = np.flatnonzero(inner)

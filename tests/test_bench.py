@@ -235,6 +235,15 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             BenchConfig(k=1, seed=1, rho0=0.5, estimators=())
 
+    @pytest.mark.parametrize("rho0", [-1.0, 0.0, 2.0, math.nan])
+    def test_grid_rejects_rho0_outside_unit_interval(self, rho0):
+        train, queries = make_clustered_corpus(3, dim=8, n_clusters=1, n_train=4,
+                                               n_queries=1)
+        with pytest.raises(ConfigError, match=r"rho0 must lie in \(0, 1\]"):
+            benchmark_grid(train, queries, [8], [0.5, rho0], [Estimator.S], seed=1)
+        with pytest.raises(ConfigError):
+            BenchConfig(k=8, seed=1, rho0=rho0, estimators=(Estimator.S,))
+
 
 class TestClusteredCorpus:
     def test_shapes_and_norms(self):

@@ -189,6 +189,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {flag} must be at most {limits[flag]}\n"
         assert peak < 2**20
 
+    @pytest.mark.parametrize("rho0", ["-1", "0", "2", "nan"])
+    def test_rho0_outside_unit_interval_rejected_before_reading(self, rho0, tmp_path,
+                                                                 monkeypatch, capsys):
+        # at or below 0 every training point would be relevant, above 1 (or
+        # NaN) none; the input files are absent, so the check comes first
+        monkeypatch.chdir(tmp_path)
+        code = run(["bench", "--train", "absent.txt", "--query", "absent.txt",
+                    "--k", "8", "--rho0", f"0.5,{rho0}", "--seed", "1", "--out", "c.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: rho0 must lie in (0, 1], got {float(rho0)}\n"
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("text,message", [
         (b"1:1 2:0.5\n99999999999999999999:1\n", "error: line 2: index 99999999999999999999"),
         (b"1:1\n1:1 2:\xff\n", "error: line 2: not UTF-8 text"),

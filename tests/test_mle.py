@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import log_ndtr
+from scipy.special import erfcx, log_ndtr
 
 from rpsketch import (DomainError, FullSketch, FullStore, MleResult,
                       SignSketch, SolverConfig, inv_mills, mle_full,
@@ -77,6 +77,116 @@ class TestInvMills:
         ts = np.linspace(-700, 700, 1401)
         vals = inv_mills(ts)
         assert np.all(np.isfinite(vals))
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal float64
+
+
+def _erfcx_mp(x):
+    """erfcx at the exact value of x (float or mpf), as an mpf; call it at
+    80 digits, so that x^2 stays exact up to |x| = 1e10."""
+    x = mp.mpf(x)
+    if x > 1e10:  # mpmath's erfc series check overflows far out; 6 terms suffice
+        z = 1 / (2 * x * x)
+        return (1 - z + 3 * z**2 - 15 * z**3 + 105 * z**4 - 945 * z**5) / (x * mp.sqrt(mp.pi))
+    return mp.erfc(x) * mp.exp(x * x)
+
+
+def _erfcx_oracle(x) -> float:
+    with mp.workdps(80):
+        return float(_erfcx_mp(x))
+
+
+def _normal_oracles(t: float) -> tuple[float, float, float]:
+    """(inv_mills, Phi, log Phi) at t, through erfcx at x = -t/sqrt2 where
+    mpmath's own normal functions would lose digits far out."""
+    with mp.workdps(80):
+        t = mp.mpf(t)
+        x = -t / mp.sqrt(2)
+        e = _erfcx_mp(x)
+        cdf = mp.ncdf(t) if t > -40 else mp.mpf(0)  # below the normal range there
+        log_cdf = mp.log(e / 2) - x * x if t <= 0 else mp.log1p(-mp.ncdf(-t))
+        return float(mp.sqrt(2 / mp.pi) / e), float(cdf), float(log_cdf)
+
+
+def _straddling(edge: float) -> np.ndarray:
+    """Arguments t > 0 around edge*sqrt(2) such that t/sqrt(2) rounds to both
+    sides of the branch edge."""
+    ts = [np.float64(edge * math.sqrt(2.0))]
+    for _ in range(4):
+        ts = [np.nextafter(ts[0], 0.0)] + ts + [np.nextafter(ts[-1], np.inf)]
+    ts = np.array(ts)
+    x = ts / math.sqrt(2.0)
+    assert (x <= edge).any() and (x > edge).any()
+    return ts
+
+
+class TestErfcxKernel:
+    """The numpy erfcx (Cody's rational approximations) and the three
+    normal functions built on it, against mpmath at 80 digits."""
+
+    EDGES = (0.46875, 4.0)
+
+    def test_kernel_on_both_sides_of_each_branch_edge(self):
+        for edge in self.EDGES:
+            xs = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 5.0),
+                           edge - 1e-9, edge + 1e-9])
+            got = mle._erfcx(xs)
+            for x, g in zip(xs, got):
+                assert abs(g / _erfcx_oracle(x) - 1.0) <= 2e-15, x
+
+    def test_kernel_over_range_and_large_arguments(self):
+        xs = np.concatenate([np.linspace(0.0, 30.0, 1201), np.logspace(0.5, 150, 300),
+                             [1e-300, 5e-324, 1e150]])
+        got = mle._erfcx(xs)
+        oracle = np.array([_erfcx_oracle(x) for x in xs])
+        assert np.max(np.abs(got / oracle - 1.0)) <= 2e-15
+        assert mle._erfcx(np.array([np.inf]))[0] == 0.0
+        assert np.isnan(mle._erfcx(np.array([np.nan]))[0])
+
+    def test_reflected_kernel_down_to_minus_8_over_sqrt2(self):
+        # erfcx(-t/sqrt2) = sqrt(2/pi) / inv_mills(t) for t > 0, taken at the
+        # exact -t/sqrt2 (the branch edges straddled on the negative side)
+        ts = np.concatenate([np.linspace(0.0, 8.0, 801)] + [_straddling(e) for e in self.EDGES])
+        got = math.sqrt(2.0 / math.pi) / inv_mills(ts)
+        for t, g in zip(ts, got):
+            assert abs(g / _erfcx_oracle(-mp.mpf(t) / mp.sqrt(2)) - 1.0) <= 1e-14, t
+
+    def test_normal_functions_wherever_the_value_is_normal(self):
+        ts = np.concatenate([np.linspace(-60.0, 40.0, 2001), np.linspace(-1.0, 1.0, 201),
+                             -np.logspace(1.5, 150, 60)]
+                            + [s * _straddling(e) for e in self.EDGES for s in (1, -1)])
+        got = np.stack([inv_mills(ts), norm_cdf(ts), mle.log_norm_cdf(ts)], axis=1)
+        for t, values in zip(ts, got):
+            for name, g, oracle in zip(("inv_mills", "norm_cdf", "log_norm_cdf"),
+                                       values, _normal_oracles(t)):
+                if abs(oracle) >= _TINY:
+                    assert abs(g / oracle - 1.0) <= 1e-14, (name, t)
+
+    def test_agrees_with_scipy(self):
+        rng_ = np.random.default_rng(21)
+        x = np.concatenate([np.abs(rng_.normal(0.0, 4.0, 100_000)), rng_.uniform(0, 1e6, 1000)])
+        assert np.max(np.abs(mle._erfcx(x) / erfcx(x) - 1.0)) <= 5e-15
+        # above t = 5 scipy's log_ndtr loses ~t^2 ulps through its rounded
+        # t/sqrt2 (2e-13 at t = 35, against mpmath), so it is no oracle there
+        t = np.minimum(rng_.normal(0.0, 10.0, 100_000), 5.0)
+        assert np.max(np.abs(mle.log_norm_cdf(t) / log_ndtr(t) - 1.0)) <= 5e-14
+
+    def test_pieces_never_change_bits(self):
+        # rows of two kernel pieces each, whose fullest branch (run on the
+        # whole piece) is the asymptotic, the middle and the small one; then
+        # single values and a flat slice whose pieces start 1000 values later
+        rng_ = np.random.default_rng(22)
+        t = np.stack([rng_.uniform(-1e4, -10.0, 1 << 15), rng_.normal(0.0, 4.0, 1 << 15),
+                      rng_.normal(0.0, 0.3, 1 << 15)])
+        t[0, ::50] = rng_.normal(0.0, 4.0, t[0, ::50].size)
+        assert t.shape[1] == 2 * mle._PIECE
+        whole = inv_mills(t)
+        for row, got in zip(t, whole):
+            assert inv_mills(row).tobytes() == got.tobytes()
+        picks = rng_.integers(0, t.size, 300)
+        assert [inv_mills(float(v)) for v in t.ravel()[picks]] == whole.ravel()[picks].tolist()
+        assert inv_mills(t.ravel()[1000:]).tobytes() == whole.ravel()[1000:].tobytes()
 
 
 class TestScore:
@@ -232,7 +342,7 @@ def _reference_sign_full(s, cfg=SolverConfig()):
 
     def loglik(rho):
         c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
-        return float(np.sum(log_ndtr(c * s)))
+        return float(np.sum(mle.log_norm_cdf(c * s)))
 
     lo, hi = -1.0 + cfg.boundary_eps, 1.0 - cfg.boundary_eps
     f_lo, f_hi = score_at(lo), score_at(hi)
