@@ -221,8 +221,8 @@ def estimate_batch(store: SignStore | FullStore, queries: FullStore,
     A SignStore takes the SIGN_STORE_ESTIMATORS, a FullStore the others; any
     other pairing raises ContractError before scoring.  Every query is scored
     alone, so a row of the result equals the one-query result, and a one-row
-    store gives the scalar value, bit for bit.  For mle-full, clamped is the
-    solver's boundary flag.
+    store gives the scalar value, bit for bit.  For mle and mle-full, clamped
+    is the solver's boundary flag.
     """
     sign = isinstance(store, SignStore)
     if (estimator in SIGN_STORE_ESTIMATORS) != sign:
@@ -234,11 +234,10 @@ def estimate_batch(store: SignStore | FullStore, queries: FullStore,
     raw = np.empty((len(queries), n))
     flags = np.zeros(raw.shape, dtype=bool)
     for i, (y, yy) in enumerate(zip(queries.values, queries.sumsq) if n else ()):
-        if estimator is Estimator.MLE_FULL:
-            res = mle.mle_full_store(store, y, yy)
+        if estimator in (Estimator.MLE_FULL, Estimator.MLE_SIGN_FULL):
+            res = (mle.mle_sign_full_store(store, y) if sign
+                   else mle.mle_full_store(store, y, yy))
             raw[i], flags[i] = res.rho_hat, res.at_boundary
-        elif estimator is Estimator.MLE_SIGN_FULL:
-            raw[i] = mle.mle_sign_full_store(store, y).rho_hat
         elif sign:
             raw[i] = raw_values(estimator, StoreStats(store, y, yy))
         else:

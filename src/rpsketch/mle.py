@@ -26,6 +26,8 @@ from .projection import (FullSketch, FullStore, SignSketch, SignStore, sign_arra
 _INV_SQRT_TAU = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_2 = math.sqrt(2.0)
+_SQRT_TAU = math.sqrt(2.0 * math.pi)
+_MAX_T_MILLS = 0.2946  # max over t > 0 of t * inv_mills(t), 0.294528..., rounded up
 _CHUNK_VALUES = 1 << 18  # solver chunk: this many values (rows x row width)
 
 
@@ -122,8 +124,8 @@ class SolverConfig:
     boundary_eps: float = 1e-9
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.boundary_eps <= 0 or self.max_iter < 1:
-            raise ConfigError("tolerance, boundary_eps and max_iter must be positive")
+        if self.tolerance <= 0 or not 0 < self.boundary_eps < 1 or self.max_iter < 1:
+            raise ConfigError("tolerance and max_iter must be positive, boundary_eps in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -227,17 +229,35 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
     """Boundary rules, then safeguarded Newton, for each row of s.
 
     A row whose score does not fall from + to - across [-1+eps, 1-eps] takes
-    the edge its score points at (or, flat, the likelier edge).  Every other
-    row keeps its own bracket a < x < b with f(a) > 0 > f(b), steps by Newton
-    when the step stays inside it and bisects otherwise, and stops when a
-    step moves x by at most the tolerance, the score is exactly 0, or after
-    max_iter steps.  Only the rows still running are evaluated.
+    the edge its score points at (or, flat, the likelier edge).  An edge's
+    score is evaluated only where its sign is not proven.  With |c| =
+    c(1-eps), a product on the side an edge favours adds at least
+    |s| max(sqrt(2/pi), |c||s|) there, and one on the other side takes away
+    at most max_t t invmills(t) / |c|: so f(lo) > 0 when some positive
+    product adds twice what all negative ones can take away, and f(hi) < 0
+    with the signs swapped.  A row of one sign has terms of that sign or 0 at
+    both edges, and a nonzero one at the edge it favours, which it takes.
+    Every other row starts at its s-norm estimate, clipped to 0.999 of the
+    edges, keeps its own bracket a < x < b with f(a) > 0 > f(b), steps by
+    Newton when the step stays inside it or rounds to x itself and bisects
+    otherwise, and stops when a step moves x by at most the tolerance, the
+    score is exactly 0, or after max_iter steps.  Only the rows still running
+    are evaluated.
     """
-    n = s.shape[0]
+    n, k = s.shape
     lo = -1.0 + cfg.boundary_eps
     hi = 1.0 - cfg.boundary_eps
-    f_lo = _scores(np.full(n, lo), s)
-    f_hi = _scores(np.full(n, hi), s)
+    edge = (1.0 - cfg.boundary_eps) / math.sqrt(cfg.boundary_eps * (2.0 - cfg.boundary_eps))
+    top, bot = np.max(s, axis=1, initial=0.0), -np.min(s, axis=1, initial=0.0)
+    n_pos, n_neg = np.count_nonzero(s > 0.0, axis=1), np.count_nonzero(s < 0.0, axis=1)
+    ok = np.isfinite(top + bot)  # no inf or NaN, which could make 0 * inf
+    cap = 2.0 * _MAX_T_MILLS / edge  # twice what one wrong-side product can add
+    sure_lo, sure_hi = (ok & (v * np.maximum(_SQRT_2_OVER_PI, edge * v) > cap * w)
+                        for v, w in ((top, n_neg), (bot, n_pos)))
+    f_lo, f_hi = np.where(sure_lo, 1.0, 0.0), np.where(sure_hi, -1.0, 0.0)
+    for f, r, known in ((f_lo, lo, sure_lo | sure_hi & (n_pos == 0)),
+                        (f_hi, hi, sure_hi | sure_lo & (n_neg == 0))):
+        f[~known] = _scores(np.full(n - np.count_nonzero(known), r), s[~known])
     up = (f_lo > 0.0) & (f_hi >= 0.0)
     down = (f_lo <= 0.0) & (f_hi < 0.0)
     inner = (f_lo > 0.0) & (0.0 > f_hi)
@@ -251,7 +271,9 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
     idx = np.flatnonzero(inner)
     s = s[idx]
     a, b = np.full(idx.size, lo), np.full(idx.size, hi)
-    x = 0.5 * (a + b)
+    x = 1.0 - _SQRT_TAU * np.sum(np.maximum(-s, 0.0), axis=1) / (
+        math.sqrt(k) * np.sqrt(np.sum(s * s, axis=1)))
+    x = np.fmax(np.fmin(x, 0.999 * hi), 0.999 * lo)  # fmin: a NaN (inf/inf) starts high
     for it in range(1, cfg.max_iter + 1):
         if not idx.size:
             break
@@ -262,7 +284,8 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
         root = ~(f > 0.0) & ~(f < 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = x - f / slope
-        step_ok = (slope != 0.0) & np.isfinite(slope) & (a < x_new) & (x_new < b)
+        step_ok = (slope != 0.0) & np.isfinite(slope) & (
+            (a < x_new) & (x_new < b) | (x_new == x))
         x_new = np.where(step_ok, x_new, 0.5 * (a + b))
         going = ~root & ~(np.abs(x_new - x) <= cfg.tolerance)
         x = np.where(root, x, x_new)

@@ -372,7 +372,7 @@ class TestKernelContracts:
             rep = estimate_pair(Estimator.MLE_SIGN_FULL, store[i], query)
             res = mle_sign_full(store[i], query)
             assert (many.raw[0, i], many.rho_hat[0, i], many.clamped[0, i]) == (
-                rep.raw, rep.rho_hat, rep.clamped) == (res.rho_hat, res.rho_hat, False)
+                rep.raw, rep.rho_hat, rep.clamped) == (res.rho_hat, res.rho_hat, res.at_boundary)
 
     @given(*store_shapes)
     @settings(max_examples=10, deadline=None)

@@ -13,7 +13,7 @@ from rpsketch import (DomainError, FullSketch, FullStore, MleResult,
                       mle_sign_full, norm_cdf, norm_pdf, quantize_store, score,
                       sign_quantize)
 from rpsketch import mle, rng
-from rpsketch.errors import DegenerateInputError
+from rpsketch.errors import ConfigError, DegenerateInputError
 from rpsketch.mle import (solve_full_batch, solve_full_from_moments,
                           solve_sign_full, solve_sign_full_batch)
 
@@ -274,6 +274,12 @@ class TestSignFullMle:
         estimates = solve_sign_full_batch(s).rho_hat
         assert abs(estimates.var() * k / (math.pi / 2) - 1.0) < 0.05
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, 1.0, 2.5, math.nan])
+    def test_boundary_eps_outside_unit_interval_rejected(self, eps):
+        # eps >= 1 leaves no bracket (-1 + eps, 1 - eps) to search
+        with pytest.raises(ConfigError):
+            SolverConfig(boundary_eps=eps)
+
     def test_tolerance_config_respected(self):
         p = pair_from(np.random.default_rng(16).standard_normal(50),
                       np.random.default_rng(17).standard_normal(50))
@@ -334,7 +340,9 @@ class TestFullMle:
 
 def _reference_sign_full(s, cfg=SolverConfig()):
     """The per-row safeguarded Newton that the batched core replaced, kept
-    as the oracle: (rho_hat, at_boundary, iterations)."""
+    as the oracle: (rho_hat, at_boundary, iterations).  It evaluates both
+    edge scores of every row, starts at the row's s-norm estimate clipped to
+    0.999 of the edges, and ends a row whose Newton step rounds to x."""
 
     def score_at(rho):
         c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
@@ -353,7 +361,9 @@ def _reference_sign_full(s, cfg=SolverConfig()):
             return lo, True, 0
         return (hi if loglik(hi) >= loglik(lo) else lo), True, 0
     a, b = lo, hi
-    x = 0.5 * (a + b)
+    x = 1.0 - math.sqrt(2.0 * math.pi) * float(np.sum(np.maximum(-s, 0.0))) / (
+        math.sqrt(s.size) * math.sqrt(float(np.sum(s * s))))
+    x = 0.999 * hi if math.isnan(x) else min(max(x, 0.999 * lo), 0.999 * hi)
     iterations = 0
     while iterations < cfg.max_iter:
         omr2 = (1.0 - x) * (1.0 + x)
@@ -371,7 +381,7 @@ def _reference_sign_full(s, cfg=SolverConfig()):
         step_ok = False
         if slope != 0.0 and math.isfinite(slope):
             x_new = x - f / slope
-            step_ok = a < x_new < b
+            step_ok = a < x_new < b or x_new == x
         if not step_ok:
             x_new = 0.5 * (a + b)
         if abs(x_new - x) <= cfg.tolerance:
@@ -409,15 +419,41 @@ def _fields(res: MleResult):
     return res.rho_hat, res.at_boundary, res.iterations
 
 
+def _one_against_99(first, rest, k):
+    """A row of width k: first, then up to 99 copies of rest, then zeros."""
+    row = np.zeros(k)
+    row[0], row[1:100] = first, rest
+    return row
+
+
+#: rows whose edge scores the solver's sign-count bound must leave to the
+#: exact evaluation, or decide as the exact scores do: products so small that
+#: the score is flat at both edges (lower and upper boundary), one product
+#: that outweighs 99 of the other sign (interior near -1; the bound decides
+#: it), one too small for the bound to decide its lower edge (interior),
+#: subnormal products of both signs and of one, and one positive product
+#: among zeros
+_SMALL_ROWS = {
+    "tiny-low": lambda rng_, k: _one_against_99(1e-6, -1e-6, k),
+    "tiny-high": lambda rng_, k: -_one_against_99(1e-6, -1e-6, k),
+    "milli": lambda rng_, k: _one_against_99(1e-3, -1e-3, k),
+    "undecided": lambda rng_, k: _one_against_99(1e-4, -1e-3, k),
+    "subnormal": lambda rng_, k: rng_.standard_normal(k) * 1e-310,
+    "subnormal-pos": lambda rng_, k: np.abs(rng_.standard_normal(k)) * 1e-320,
+    "lone": lambda rng_, k: np.eye(k)[k // 2] * 0.7,
+}
+
+
 def _sign_full_rows(seed, n, k, first):
     """(n, k) products: bivariate rows at a drawn rho, then fixed special
-    rows: all positive, all negative, a quarter zeros, all zero."""
+    rows: all positive, all negative, a quarter zeros, all zero, then the
+    _SMALL_ROWS."""
     rng_ = np.random.default_rng(seed)
     rho = rng_.uniform(-0.99, 0.99)
     x = rng_.standard_normal((n, k))
     y = rho * x + math.sqrt(1.0 - rho * rho) * rng_.standard_normal((n, k))
     s = np.where(x >= 0.0, 1.0, -1.0) * y
-    kinds = [first, "pos", "neg", "zeros", "zero"]
+    kinds = [first, "pos", "neg", "zeros", "zero", *_SMALL_ROWS]
     for i, kind in enumerate(kinds[:n]):
         if kind == "pos":
             s[i] = np.abs(s[i])
@@ -427,6 +463,8 @@ def _sign_full_rows(seed, n, k, first):
             s[i, rng_.random(k) < 0.25] = 0.0
         elif kind == "zero":
             s[i] = 0.0
+        elif kind in _SMALL_ROWS:
+            s[i] = _SMALL_ROWS[kind](rng_, k)
     return s
 
 
@@ -447,10 +485,10 @@ class TestBatchContracts:
 
     @staticmethod
     def _rows(n):
-        return range(n) if n < 400 else sorted({0, 1, 2, 3, 4, 57, 199, 398, 399})
+        return range(n) if n < 400 else sorted({*range(5 + len(_SMALL_ROWS)), 57, 199, 398, 399})
 
     @given(*shapes, configs, chunks,
-           st.sampled_from(["normal", "pos", "neg", "zeros", "zero"]))
+           st.sampled_from(["normal", "pos", "neg", "zeros", "zero", *_SMALL_ROWS]))
     @settings(max_examples=30, deadline=None)
     def test_sign_full_rows_equal_scalar_calls(self, seed, n, k, cfg, chunk, first):
         s = _sign_full_rows(seed, n, k, first)
@@ -534,3 +572,106 @@ class TestBatchContracts:
             assert signs[i] == mle_sign_full(sign_quantize(x), query)
             assert moments[i] == mle_full(x, query)
         assert moments[9].at_boundary
+
+
+def _midpoint_sign_full_rows(s, cfg=SolverConfig()):
+    """The vectorised solver before the s-norm start, kept as a second
+    oracle: both edge scores of every row, every row from the midpoint 0, and
+    a Newton step that rounds to x bisects.  Returns (rho, at_boundary,
+    iterations)."""
+    n = s.shape[0]
+    lo = -1.0 + cfg.boundary_eps
+    hi = 1.0 - cfg.boundary_eps
+    f_lo = mle._scores(np.full(n, lo), s)
+    f_hi = mle._scores(np.full(n, hi), s)
+    up = (f_lo > 0.0) & (f_hi >= 0.0)
+    down = (f_lo <= 0.0) & (f_hi < 0.0)
+    inner = (f_lo > 0.0) & (0.0 > f_hi)
+    flat = ~(inner | up | down)
+    rho = np.where(up, hi, lo)
+    ll_lo, ll_hi = (np.sum(mle.log_norm_cdf(r / math.sqrt((1.0 - r) * (1.0 + r)) * s[flat]),
+                           axis=1) for r in (lo, hi))
+    rho[flat] = np.where(ll_hi >= ll_lo, hi, lo)
+    iterations = np.zeros(n, dtype=np.int64)
+    idx = np.flatnonzero(inner)
+    s = s[idx]
+    a, b = np.full(idx.size, lo), np.full(idx.size, hi)
+    x = 0.5 * (a + b)
+    for it in range(1, cfg.max_iter + 1):
+        if not idx.size:
+            break
+        f, slope = mle._scores(x, s, slope=True)
+        iterations[idx] = it
+        a = np.where(f > 0.0, x, a)
+        b = np.where(f < 0.0, x, b)
+        root = ~(f > 0.0) & ~(f < 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = x - f / slope
+        step_ok = (slope != 0.0) & np.isfinite(slope) & (a < x_new) & (x_new < b)
+        x_new = np.where(step_ok, x_new, 0.5 * (a + b))
+        going = ~root & ~(np.abs(x_new - x) <= cfg.tolerance)
+        x = np.where(root, x, x_new)
+        rho[idx] = x
+        idx, s, a, b, x = idx[going], s[going], a[going], b[going], x[going]
+    return rho, ~inner, iterations
+
+
+def _edge_rows(s) -> int:
+    """Solve the rows of s and count the rows whose edge scores were evaluated
+    (one count per edge); Newton steps pass slope=True and are not counted."""
+    counted, score_rows = [], mle._scores
+
+    def spy(rho, rows, slope=False):
+        counted.append(0 if slope else rows.shape[0])
+        return score_rows(rho, rows, slope)
+
+    with mock.patch.object(mle, "_scores", spy):
+        solve_sign_full_batch(s)
+    return sum(counted)
+
+
+class TestSignFullStart:
+    """The s-norm start, the zero-step stop and the sign-count bound on the
+    edge scores."""
+
+    def test_small_products_keep_the_exact_edges(self):
+        rng_ = np.random.default_rng(31)
+        s = np.stack([row(rng_, 100) for row in _SMALL_ROWS.values()])
+        batch = solve_sign_full_batch(s)
+        for i, row in enumerate(s):
+            assert _bits(*_fields(batch[i])) == _bits(*_reference_sign_full(row))
+        got = dict(zip(_SMALL_ROWS, batch.rho_hat.tolist()))
+        flags = dict(zip(_SMALL_ROWS, batch.at_boundary.tolist()))
+        lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
+        assert (got["tiny-low"], flags["tiny-low"]) == (lo, True)
+        assert (got["tiny-high"], flags["tiny-high"]) == (hi, True)
+        assert (got["lone"], flags["lone"]) == (hi, True)
+        assert (got["subnormal-pos"], flags["subnormal-pos"]) == (hi, True)
+        for name in ("milli", "undecided"):
+            assert not flags[name] and lo < got[name] < -0.99
+        # edge scores evaluated: both for the flat rows and the subnormal
+        # row of both signs, the lower one where the lone positive product is
+        # too small, none where the bound or a single sign decides
+        want = {"tiny-low": 2, "tiny-high": 2, "milli": 0, "undecided": 1,
+                "subnormal": 2, "subnormal-pos": 0, "lone": 0}
+        assert {name: _edge_rows(row[None, :]) for name, row in zip(_SMALL_ROWS, s)} == want
+
+    def test_bivariate_rows_skip_both_edge_scores(self):
+        for rho in (0.0, 0.95):
+            x, y = rng.bivariate_block(rho, seed=12, major_start=0, n_major=500, k=100)
+            assert _edge_rows(np.where(x >= 0.0, 1.0, -1.0) * y) == 0
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95, 0.99])
+    def test_against_midpoint_solver(self, rho):
+        # the same roots within the tolerance, the same boundary rows, and far
+        # fewer steps: the midpoint solver takes 35-44 at most and 4-11 on
+        # average, since it bisects rows Newton has already solved
+        for k in (8, 100, 256):
+            x, y = rng.bivariate_block(rho, seed=11, major_start=0, n_major=1000, k=k)
+            s = np.where(x >= 0.0, 1.0, -1.0) * y
+            batch = solve_sign_full_batch(s)
+            old_rho, old_boundary, _ = _midpoint_sign_full_rows(s)
+            assert np.array_equal(batch.at_boundary, old_boundary)
+            assert np.max(np.abs(batch.rho_hat - old_rho)) <= 2e-10
+            steps = batch.iterations[~batch.at_boundary]
+            assert steps.max() <= 15 and steps.mean() <= 6.0
