@@ -68,20 +68,54 @@ class PrPoint:
     recall: float
 
 
+def _by_column(corpus: Corpus) -> tuple[np.ndarray, ...]:
+    """Nonzeros by column, rows ascending: rows, columns, values, column offsets, lengths."""
+    order = np.argsort(corpus.indices, kind="stable")
+    cols = corpus.indices[order]
+    start = np.flatnonzero(np.diff(cols, prepend=-1))  # np.unique sorts again
+    rows = np.repeat(np.arange(len(corpus)), np.diff(corpus.indptr))[order]
+    return rows, cols, corpus.values[order], start, np.diff(start, append=cols.size)
+
+
 def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
-    """(n_queries, n_train) matrix of exact cosines (vectors are unit norm):
-    each query is scattered into a dense vector, and each training row sums
-    its products with it in index order, as a sparse product does."""
+    """(n_queries, n_train) matrix of exact cosines (vectors are unit norm).
+
+    Each cosine adds its products onto 0.0 in ascending index order, as a
+    sparse product does, but only where both supports hold the index: a
+    skipped product is +-0, which leaves a nonzero or +0 sum unchanged.  An
+    index that every row on both sides holds adds one outer product; the
+    products of each run of other indices between two such are gathered from
+    the column view and added with np.add.at, which applies them in order."""
     if train.dim != queries.dim:
         raise ShapeError(f"dim mismatch: {train.dim} vs {queries.dim}")
-    if len(train) == 0:
+    n_t, n_q = len(train), len(queries)
+    if n_t == 0:
         raise ConfigError("empty training corpus")
-    row_of_nnz = np.repeat(np.arange(len(train)), np.diff(train.indptr))
-    dense, out = np.zeros(train.dim), np.empty((len(queries), len(train)))
-    for i, query in enumerate(queries):
-        dense[query.indices] = query.values
-        out[i] = np.bincount(row_of_nnz, train.values * dense[train.indices], len(train))
-        dense[query.indices] = 0.0
+    out = np.zeros((n_q, n_t))
+    t_rows, t_cols, t_vals, t_start, t_count = _by_column(train)
+    q_rows, q_cols, q_vals, q_start, q_count = _by_column(queries)
+    if not (t_cols.size and q_cols.size):
+        return out
+    at = np.minimum(np.searchsorted(t_cols[t_start], q_cols), t_start.size - 1)
+    lens = np.where(t_cols[t_start[at]] == q_cols, t_count[at], 0)  # products per query nonzero
+    ends = np.cumsum(lens)
+    full = q_start[(q_count == n_q) & (lens[q_start] == n_t)]
+    flat, buf, done = out.reshape(-1), np.empty_like(out), 0
+    for a in [*full, q_cols.size]:
+        while done < a:  # the run [done, a), in pieces of at most nnz(train) products
+            b = np.searchsorted(ends, ends[done] - lens[done] + t_vals.size, "right")
+            b = min(a, max(done + 1, b))
+            n = lens[done:b]
+            idx = (np.repeat(t_start[at[done:b]] - (ends[done:b] - n), n)
+                   + np.arange(ends[done] - n[0], ends[b - 1]))
+            np.add.at(flat, np.repeat(q_rows[done:b] * n_t, n) + t_rows[idx],
+                      t_vals[idx] * np.repeat(q_vals[done:b], n))
+            done = b
+        if a < q_cols.size:  # an index that every row holds, rows in order
+            lo = t_start[at[a]]
+            np.multiply(q_vals[a:a + n_q, None], t_vals[None, lo:lo + n_t], out=buf)
+            out += buf
+            done = a + n_q
     return out
 
 
@@ -108,34 +142,38 @@ def pr_curve(rankings: Sequence[np.ndarray],
              l_grid: Sequence[int] | None = None) -> list[PrPoint]:
     """Precision/recall at each L, averaged over queries with relevant points.
 
-    Queries with empty relevance sets have undefined recall and are excluded
-    from the averages; if every query is empty the curve is empty too.
+    Rankings share one length n, relevance indices lie in 0..n-1.  Queries
+    with empty relevance sets have undefined recall and are excluded from the
+    averages; if every query is empty the curve is empty too.
     """
     if len(rankings) != len(relevance):
         raise ShapeError("need one relevance set per ranking")
     if not len(rankings):
         return []
     n = len(rankings[0])
+    if any(len(ranked) != n for ranked in rankings):
+        raise ShapeError("rankings differ in length")
     ls = np.arange(1, n + 1) if l_grid is None else np.asarray(sorted(l_grid))
     if ls.size == 0 or ls[-1] > n or ls[0] < 1:
         raise ConfigError("L grid must lie within 1..train size")
-    prec_sum = np.zeros(ls.size)
-    rec_sum = np.zeros(ls.size)
-    included = 0
-    for ranked, rel in zip(rankings, relevance):
-        if len(rel) == 0:
-            continue
-        included += 1
-        mask = np.zeros(n, dtype=bool)
-        mask[rel] = True
-        hits = np.cumsum(mask[ranked])[ls - 1]
-        prec_sum += hits / ls
-        rec_sum += hits / len(rel)
-    if included == 0:
+    kept = [q for q, rel in enumerate(relevance) if len(rel)]
+    if not kept:
         log.warning("every query had an empty relevance set; empty curve")
         return []
-    return [PrPoint(int(l), p / included, r / included)
-            for l, p, r in zip(ls, prec_sum, rec_sum)]
+    sizes = np.array([len(relevance[q]) for q in kept])
+    rel = np.concatenate([relevance[q] for q in kept])
+    if rel.min() < 0 or rel.max() >= n:
+        raise ShapeError(f"relevance indices must lie in 0..{n - 1}")
+    mask = np.zeros((len(kept), n), dtype=bool)
+    mask[np.repeat(np.arange(len(kept)), sizes), rel] = True
+    ranked = np.asarray([rankings[q] for q in kept])
+    hits = np.cumsum(np.take_along_axis(mask, ranked, axis=1), axis=1)[:, ls - 1]
+    prec_sum, rec_sum = np.zeros(ls.size), np.zeros(ls.size)
+    for prec, rec in zip(hits / ls, hits / sizes[:, None]):  # in query order
+        prec_sum += prec
+        rec_sum += rec
+    return [PrPoint(*point) for point in zip(
+        ls.tolist(), (prec_sum / len(kept)).tolist(), (rec_sum / len(kept)).tolist())]
 
 
 def interpolated_precision(points: Sequence[PrPoint], recall_level: float) -> float:

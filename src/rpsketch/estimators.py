@@ -207,7 +207,8 @@ class StoreStats:
 
     @functools.cached_property
     def mis(self) -> np.ndarray:
-        return self.table[np.arange(self.diff.shape[1]), self.diff].sum(axis=1)
+        offsets = 256 * np.arange(self.diff.shape[1], dtype=np.intp)
+        return np.take(self.table.ravel(), self.diff + offsets).sum(axis=1)
 
     @functools.cached_property
     def abs_sum(self) -> float:

@@ -196,26 +196,32 @@ def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *,
     """Project every row of a corpus, bit-identical to project(corpus[i], cfg);
     an empty corpus gives a store of shape (0, cfg.k).  The rows of the union
     of supports are drawn once, on up to `threads` workers, when they fit the
-    row cache, and each row reduces over a slice of them where its support is
-    a run of the union."""
-    n, k, indptr = len(corpus), cfg.k, corpus.indptr
-    if np.any(np.diff(indptr) == 0):
+    row cache.  Rows whose supports are one run of the union share one
+    stacked product over that slice of them (a vector-matrix product per
+    row, as project makes); any other row gathers its own."""
+    n, k, indptr, size = len(corpus), cfg.k, corpus.indptr, np.diff(corpus.indptr)
+    if np.any(size == 0):
         raise DomainError("cannot project an empty vector")
     out = np.empty((n, k))
-    union = np.unique(corpus.indices)
+    union = np.sort(corpus.indices)  # np.unique hashes first, ~6x slower here
+    union = union[np.diff(union, prepend=-1) != 0]
     cached = union.size * k <= _ROW_CACHE_LIMIT
-    if cached:
-        table = rng.normal_grid(cfg.seed, union, k, threads=threads)
-        pos = np.searchsorted(union, corpus.indices)
-    for i in range(n):
+    table = rng.normal_grid(cfg.seed, union, k, threads=threads) if cached else None
+    pos = np.searchsorted(union, corpus.indices)
+    start = pos[indptr[:-1]]
+    run = (pos[indptr[1:] - 1] - start == size - 1) & cached
+    for i in np.flatnonzero(~run):
         lo, hi = indptr[i], indptr[i + 1]
-        if not cached:
-            rows = rng.normal_grid(cfg.seed, corpus.indices[lo:hi], k, threads=threads)
-        elif pos[hi - 1] - pos[lo] == hi - lo - 1:
-            rows = table[pos[lo]:pos[hi - 1] + 1]
-        else:
-            rows = table[pos[lo:hi]]
+        rows = (table[pos[lo:hi]] if cached else
+                rng.normal_grid(cfg.seed, corpus.indices[lo:hi], k, threads=threads))
         out[i] = corpus.values[lo:hi] @ rows
+    key = start * (union.size + 1) + size  # one per (run start, length)
+    shared = np.flatnonzero(run)
+    shared = shared[np.argsort(key[shared], kind="stable")]
+    for same in np.split(shared, np.flatnonzero(np.diff(key[shared])) + 1) if shared.size else ():
+        s, u = start[same[0]], size[same[0]]
+        values = corpus.values[indptr[same, None] + np.arange(u)]
+        out[same] = (values[:, None, :] @ table[s:s + u])[:, 0]
     return FullStore(out, sum_product(out, out))
 
 

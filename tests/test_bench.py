@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpsketch import (BenchConfig, Corpus, DataVector, Estimator, FullSketch,
                       FullStore, PrPoint, ProjectionConfig, SignStore, benchmark_grid,
@@ -93,6 +95,101 @@ class TestExactCosines:
     def test_empty_training_corpus(self):
         with pytest.raises(ConfigError):
             exact_cosines(Corpus.from_vectors((), 3), Corpus.from_vectors((axis(0, 3),), 3))
+
+
+def bincount_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
+    """Reference: each query scattered into a dense vector, and every training
+    nonzero's product with it summed per row by bincount, in index order."""
+    row_of_nnz = np.repeat(np.arange(len(train)), np.diff(train.indptr))
+    dense, out = np.zeros(train.dim), np.empty((len(queries), len(train)))
+    for i, query in enumerate(queries):
+        dense[query.indices] = query.values
+        out[i] = np.bincount(row_of_nnz, train.values * dense[train.indices], len(train))
+        dense[query.indices] = 0.0
+    return out
+
+
+def random_corpus(gen, n, dim, density, always=None, never=None):
+    """n unit rows; columns in `always` are on every row, those in `never` on
+    none, the rest each with probability `density` (one forced if empty)."""
+    always = np.zeros(dim, bool) if always is None else always
+    allowed = ~always if never is None else ~(always | never)
+    rows = []
+    for _ in range(n):
+        on = always | (allowed & (gen.random(dim) < density))
+        if not on.any():
+            on[gen.choice(np.flatnonzero(allowed | always))] = True
+        dense = np.where(on, gen.standard_normal(dim), 0.0)
+        dense[on & (dense == 0.0)] = 1.0
+        rows.append(normalize(vec(dense, dim)))
+    return Corpus.from_vectors(rows, dim)
+
+
+class TestExactCosinesBitwise:
+    """exact_cosines sums only where supports meet; every bit must equal the
+    full scatter-and-bincount sum."""
+
+    @staticmethod
+    def check(train, queries):
+        got, want = exact_cosines(train, queries), bincount_cosines(train, queries)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40),
+           density=st.floats(0.1, 1.0), full_share=st.floats(0.0, 1.0),
+           n_train=st.integers(1, 25), n_query=st.integers(0, 12))
+    def test_matches_bincount(self, seed, dim, density, full_share, n_train, n_query):
+        # columns held by every row on both sides interleave with partial ones
+        gen = np.random.default_rng(seed)
+        full = gen.random(dim) < full_share
+        self.check(random_corpus(gen, n_train, dim, density, full),
+                   random_corpus(gen, n_query, dim, density, full))
+
+    def test_disjoint_supports_give_positive_zeros(self):
+        gen = np.random.default_rng(5)
+        left = np.arange(30) < 15
+        train = random_corpus(gen, 12, 30, 0.5, never=~left)
+        queries = random_corpus(gen, 6, 30, 0.5, never=left)
+        self.check(train, queries)
+        assert not np.signbit(exact_cosines(train, queries)).any()
+
+    def test_single_training_row(self):
+        gen = np.random.default_rng(6)
+        for density in (0.2, 1.0):
+            self.check(random_corpus(gen, 1, 25, density), random_corpus(gen, 7, 25, density))
+
+    def test_zero_queries(self):
+        gen = np.random.default_rng(7)
+        self.check(random_corpus(gen, 9, 10, 1.0), random_corpus(gen, 0, 10, 1.0))
+
+    def test_opposite_products_cancel_to_positive_zero(self):
+        # (+a)(+b) + (-a)(+b) = +0 exactly; later meeting columns add onto it
+        train = Corpus.from_vectors([DataVector(np.array([0, 1, 3]),
+                                                np.array([0.6, -0.6, math.sqrt(0.28)]), 4)], 4)
+        queries = Corpus.from_vectors([DataVector(np.array([0, 1, 2]),
+                                                  np.array([0.5, 0.5, math.sqrt(0.5)]), 4)], 4)
+        self.check(train, queries)
+        assert exact_cosines(train, queries)[0, 0] == 0.0
+
+    def test_benchmark_shaped_corpora(self):
+        # dense: the ranking workload's 400 x 40 rows in 512 dims; sparse:
+        # 800 x 100 rows of ~128 Zipf-popular terms in 65,536 dims
+        train, queries = make_clustered_corpus(3, dim=512, n_train=400, n_queries=40)
+        self.check(train, queries)
+        gen = np.random.default_rng(8)
+        dim = 65536
+        popularity = 1.0 / np.arange(1, dim + 1) ** 1.05
+        popularity /= popularity.sum()
+
+        def sparse(n):
+            rows = []
+            for _ in range(n):
+                terms = np.unique(gen.choice(dim, size=200, p=popularity))
+                rows.append(normalize(DataVector(terms, gen.random(terms.size) + 0.5, dim)))
+            return Corpus.from_vectors(rows, dim)
+
+        self.check(sparse(800), sparse(100))
+
 
 
 class TestRankQueries:
@@ -190,6 +287,40 @@ class TestPrCurve:
     def test_l_grid_validated(self):
         with pytest.raises(ConfigError):
             pr_curve([np.array([0, 1])], [np.array([0])], l_grid=[5])
+
+    def test_negative_relevance_index_rejected(self):
+        # -1 used to wrap to item 2 and report recall 1.0 at L = 3
+        with pytest.raises(ShapeError):
+            pr_curve([np.array([0, 1, 2])], [np.array([-1])])
+
+    def test_relevance_index_past_the_end_rejected(self):
+        with pytest.raises(ShapeError):
+            pr_curve([np.array([0, 1, 2])], [np.array([0, 3])])
+
+    def test_rankings_of_unequal_length_rejected(self):
+        with pytest.raises(ShapeError):
+            pr_curve([np.array([0, 1, 2]), np.array([1, 0])], [np.array([0]), np.array([1])])
+
+    @pytest.mark.parametrize("l_grid", [None, [1, 3, 17, 40]])
+    def test_matches_per_query_loop_bitwise(self, l_grid):
+        gen = np.random.default_rng(9)
+        n = 40
+        rankings = [gen.permutation(n) for _ in range(30)]
+        relevance = [gen.choice(n, size=gen.integers(0, 12), replace=False)
+                     for _ in range(30)]
+        ls = np.arange(1, n + 1) if l_grid is None else np.asarray(l_grid)
+        prec_sum, rec_sum, included = np.zeros(ls.size), np.zeros(ls.size), 0
+        for ranked, rel in zip(rankings, relevance):
+            if len(rel):
+                included += 1
+                mask = np.zeros(n, dtype=bool)
+                mask[rel] = True
+                hits = np.cumsum(mask[ranked])[ls - 1]
+                prec_sum += hits / ls
+                rec_sum += hits / len(rel)
+        points = pr_curve(rankings, relevance, l_grid)
+        assert [(p.L, p.precision, p.recall) for p in points] == [
+            (int(l), p / included, r / included) for l, p, r in zip(ls, prec_sum, rec_sum)]
 
 
 class TestInterpolatedPrecision:

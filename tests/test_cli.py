@@ -274,12 +274,17 @@ class TestTraceHooks:
     """The benchmark's span tracer wraps rpsketch functions by name; a rename
     or deletion of a traced name fails here rather than in the benchmark."""
 
-    def test_install_run_uninstall(self, tmp_path, monkeypatch):
+    @staticmethod
+    def load_spans(monkeypatch):
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
         spec = importlib.util.spec_from_file_location("spans", path)
         spans = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, "spans", spans)  # its dataclasses look it up
         spec.loader.exec_module(spans)
+        return spans
+
+    def test_install_run_uninstall(self, tmp_path, monkeypatch):
+        spans = self.load_spans(monkeypatch)
         corpus, store, out = tmp_path / "c.txt", tmp_path / "s.sfrp", tmp_path / "o.csv"
         corpus.write_text("1:1\n2:1\n1:0.6 2:0.8\n")
         assert run(["sketch", "--input", str(corpus), "--k", "16", "--seed", "2",
@@ -297,6 +302,30 @@ class TestTraceHooks:
         batches = [sp for sp in tracer.spans if sp.name == "estimators.estimate_batch.s-norm"]
         assert len(batches) == 3 and all(sp.counts["pairs"] == 3 for sp in batches)
         assert spans.layer_metrics(tracer, 1, 0.0)["cli.estimate.csv_bytes"] > 0
+
+    def test_traced_bench_records_every_bench_layer(self, tmp_path, monkeypatch):
+        # a restructure that stops calling a traced name would zero its metric
+        spans = self.load_spans(monkeypatch)
+        corpus, out = tmp_path / "c.txt", tmp_path / "o.csv"
+        corpus.write_text("1:1\n2:1\n1:0.6 2:0.8\n1:0.8 3:0.6\n")
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            assert cli.main(["bench", "--train", str(corpus), "--query", str(corpus),
+                             "--k", "8,16", "--rho0", "0.5", "--estimators",
+                             "sign-sign,s-norm", "--seed", "2", "--threads", "1",
+                             "--out", str(out)]) == 0
+        finally:
+            tracer.uninstall()
+        names = {sp.name for sp in tracer.spans}
+        assert {"bench.exact_cosines", "projection.project_corpus", "bench.rank_queries",
+                "estimators.estimate_batch.sign-sign", "estimators.estimate_batch.s-norm",
+                "bench.pr_curve"} <= names
+        metrics = spans.layer_metrics(tracer, 1, 0.0)
+        assert all(metrics[m] > 0 for m in (
+            "bench.exact_cosines.s", "projection.project_corpus.self_s",
+            "bench.rank_queries.self_s", "estimators.estimate_batch.s-norm.pairs_per_s",
+            "bench.pr_curve.s"))
 
 
 class TestVarianceTable:

@@ -127,6 +127,27 @@ class TestProject:
             assert store.values[i].tobytes() == one.values.tobytes()
             assert store.sumsq[i] == one.sumsq
 
+    @pytest.mark.parametrize("layout", ["whole-union", "sub-runs", "mixed"])
+    @pytest.mark.parametrize("k", [1, 7, 33, 64, 256])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_project_corpus_shared_runs_match_project(self, layout, k, threads):
+        # rows with one run of the union share one stacked product; the
+        # others gather their own rows; each must equal project bit for bit
+        dim = 16
+        supports = {
+            "whole-union": [range(dim)] * 6,
+            "sub-runs": [range(dim), *[range(2, 7)] * 3, *[range(9, 11)] * 2, [4], [4]],
+            "mixed": [range(3, 9), [0, 3, 8], range(3, 9), [1, 15], range(dim),
+                      [5, 6], [2, 9, 14], range(3, 9), [5, 6], range(dim)],
+        }[layout]
+        rng_ = np.random.default_rng(k + 100 * threads)
+        vs = [DataVector(np.array(list(sup)), rng_.standard_normal(len(sup)), dim)
+              for sup in supports]
+        store = project_corpus(Corpus.from_vectors(vs, dim), ProjectionConfig(k, 11),
+                               threads=threads)
+        for i, v in enumerate(vs):
+            assert store.values[i].tobytes() == project(v, ProjectionConfig(k, 11)).values.tobytes()
+
     def test_project_corpus_empty(self):
         store = project_corpus(Corpus.from_vectors([], 4), ProjectionConfig(8, 1))
         assert isinstance(store, FullStore) and len(store) == 0 and store.k == 8
