@@ -18,7 +18,6 @@ import bisect
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,45 +26,20 @@ from . import rng
 from .errors import ConfigError, ShapeError
 from .estimators import Estimator, estimate_batch
 from .projection import (FullStore, ProjectionConfig, SignStore, project_corpus,
-                         quantize_store)
+                         sign_quantize)
 from .vectors import Corpus, DataVector
 
 log = logging.getLogger(__name__)
+
+#: a precision-recall curve as columns: L (int), precision and recall (float64)
+Curve = tuple[np.ndarray, np.ndarray, np.ndarray]
+_EMPTY_CURVE: Curve = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
 
 
 def check_rho0(*rho0s: float) -> None:
     """Relevance thresholds lie in (0, 1], not NaN."""
     for bad in (r0 for r0 in rho0s if not 0.0 < r0 <= 1.0):
         raise ConfigError(f"rho0 must lie in (0, 1], got {bad}")
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    k: int
-    seed: int
-    rho0: float
-    estimators: tuple[Estimator, ...]
-    l_grid: tuple[int, ...] | None = None  # None = full sweep 1..train size
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        check_rho0(self.rho0)
-        if not self.estimators:
-            raise ConfigError("need at least one estimator")
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.l_grid is not None:
-            grid = tuple(int(l) for l in self.l_grid)
-            if any(l < 1 for l in grid):
-                raise ConfigError("L values must be >= 1")
-            object.__setattr__(self, "l_grid", grid)
-
-
-@dataclass(frozen=True)
-class PrPoint:
-    L: int
-    precision: float
-    recall: float
 
 
 def _by_column(corpus: Corpus) -> tuple[np.ndarray, ...]:
@@ -124,11 +98,6 @@ def _relevant(sims: np.ndarray, rho0: float) -> list[np.ndarray]:
     return [np.nonzero(row >= rho0)[0] for row in sims]
 
 
-def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
-    """Per query, the training indices whose exact cosine is >= rho0."""
-    return _relevant(exact_cosines(train, queries), rho0)
-
-
 def rank_queries(store: SignStore | FullStore, queries: FullStore,
                  estimator: Estimator) -> np.ndarray:
     """(n_query, n_store) training indices by descending estimate, ties by
@@ -139,8 +108,9 @@ def rank_queries(store: SignStore | FullStore, queries: FullStore,
 
 def pr_curve(rankings: Sequence[np.ndarray],
              relevance: Sequence[np.ndarray],
-             l_grid: Sequence[int] | None = None) -> list[PrPoint]:
-    """Precision/recall at each L, averaged over queries with relevant points.
+             l_grid: Sequence[int] | None = None) -> Curve:
+    """Precision and recall at each L, averaged over queries with relevant
+    points, as the columns (L, precision, recall).
 
     Rankings share one length n, relevance indices lie in 0..n-1.  Queries
     with empty relevance sets have undefined recall and are excluded from the
@@ -149,7 +119,7 @@ def pr_curve(rankings: Sequence[np.ndarray],
     if len(rankings) != len(relevance):
         raise ShapeError("need one relevance set per ranking")
     if not len(rankings):
-        return []
+        return _EMPTY_CURVE
     n = len(rankings[0])
     if any(len(ranked) != n for ranked in rankings):
         raise ShapeError("rankings differ in length")
@@ -159,7 +129,7 @@ def pr_curve(rankings: Sequence[np.ndarray],
     kept = [q for q, rel in enumerate(relevance) if len(rel)]
     if not kept:
         log.warning("every query had an empty relevance set; empty curve")
-        return []
+        return _EMPTY_CURVE
     sizes = np.array([len(relevance[q]) for q in kept])
     rel = np.concatenate([relevance[q] for q in kept])
     if rel.min() < 0 or rel.max() >= n:
@@ -172,30 +142,21 @@ def pr_curve(rankings: Sequence[np.ndarray],
     for prec, rec in zip(hits / ls, hits / sizes[:, None]):  # in query order
         prec_sum += prec
         rec_sum += rec
-    return [PrPoint(*point) for point in zip(
-        ls.tolist(), (prec_sum / len(kept)).tolist(), (rec_sum / len(kept)).tolist())]
+    return ls, prec_sum / len(kept), rec_sum / len(kept)
 
 
-def interpolated_precision(points: Sequence[PrPoint], recall_level: float) -> float:
+def interpolated_precision(curve: Curve, recall_level: float) -> float:
     """Highest precision among curve points reaching the given recall."""
-    eligible = [p.precision for p in points if p.recall >= recall_level]
-    return max(eligible) if eligible else 0.0
-
-
-def run_benchmark(train: Corpus, queries: Corpus,
-                  cfg: BenchConfig) -> dict[Estimator, list[PrPoint]]:
-    """One precision-recall curve per estimator at (cfg.k, cfg.rho0)."""
-    rows = benchmark_grid(train, queries, [cfg.k], [cfg.rho0],
-                          cfg.estimators, cfg.seed, cfg.l_grid)
-    return {est: [p for e, r0, k, p in rows if e is est]
-            for est in cfg.estimators}
+    _, precision, recall = curve
+    eligible = precision[recall >= recall_level]
+    return float(eligible.max()) if eligible.size else 0.0
 
 
 def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
                    rho0s: Sequence[float], estimators: Sequence[Estimator],
                    seed: int, l_grid: Sequence[int] | None = None, *,
-                   threads: int = 1) -> list[tuple[Estimator, float, int, PrPoint]]:
-    """Curves for the full (estimator, rho0, k) grid.
+                   threads: int = 1) -> list[tuple[Estimator, float, int, Curve]]:
+    """One curve per (estimator, rho0, k) of the grid.
 
     Ground truth depends only on rho0 and rankings only on (k, estimator),
     so both are computed once and reused across the grid.
@@ -203,16 +164,15 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     check_rho0(*rho0s)
     sims = exact_cosines(train, queries)
     relevance = {r0: _relevant(sims, r0) for r0 in rho0s}
-    rows: list[tuple[Estimator, float, int, PrPoint]] = []
+    rows: list[tuple[Estimator, float, int, Curve]] = []
     for k in ks:
         pcfg = ProjectionConfig(k=int(k), seed=seed)
-        store = quantize_store(project_corpus(train, pcfg, threads=threads))
+        store = sign_quantize(project_corpus(train, pcfg, threads=threads))
         query_sketches = project_corpus(queries, pcfg, threads=threads)
         for est in estimators:
             rankings = rank_queries(store, query_sketches, est)
             for r0 in rho0s:
-                for point in pr_curve(rankings, relevance[r0], l_grid):
-                    rows.append((est, float(r0), int(k), point))
+                rows.append((est, float(r0), int(k), pr_curve(rankings, relevance[r0], l_grid)))
     return rows
 
 

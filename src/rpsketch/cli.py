@@ -17,13 +17,15 @@ import re
 import sys
 from contextlib import nullcontext
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import simulate as sim_mod
 from . import variance as var_mod
 from .errors import RpsketchError
 from .estimators import Estimator, estimate_batch
 from .projection import (FullStore, ProjectionConfig, load_sketches, project_corpus,
-                         quantize_store, save_sketches)
+                         save_sketches, sign_quantize)
 from .vectors import load_sparse_text, save_sparse_text
 
 
@@ -93,10 +95,13 @@ def _parse_rho_grid(spec: str) -> list[float]:
 
 def _parse_list(spec: str, what: str, kind=int) -> list:
     try:
-        return [kind(tok) for tok in spec.split(",") if tok.strip()]
+        values = [kind(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"non-{'integer' if kind is int else 'numeric'} {what} "
                          f"in {spec!r}") from None
+    if not values:
+        raise UsageError(f"no {what} given")
+    return values
 
 
 def _parse_levels(spec: str) -> list[tuple[float, int]]:
@@ -131,7 +136,7 @@ def _cmd_sketch(args) -> int:
     _at_most("--k", MAX_K, args.k)
     sketches = project_corpus(load_sparse_text(args.input, args.dim),
                               ProjectionConfig(args.k, args.seed), threads=args.threads)
-    save_sketches(args.out, quantize_store(sketches) if args.kind == "sign" else sketches)
+    save_sketches(args.out, sign_quantize(sketches) if args.kind == "sign" else sketches)
     return 0
 
 
@@ -142,7 +147,8 @@ def _cmd_estimate(args) -> int:
     queries = load_sparse_text(args.queries, args.dim)
     header = ["query", "train", "estimator", "rho_hat", "clamped"]
     if not len(store):
-        estimate_batch(store, FullStore.stack([]), estimator)  # the store-kind check
+        estimate_batch(store, FullStore(np.zeros((0, 0)), np.zeros(0)),
+                       estimator)  # the store-kind check
         _emit(args.out, header, [])
         return 0
     qs = project_corpus(queries, ProjectionConfig(store.k, args.seed), threads=args.threads)
@@ -235,10 +241,11 @@ def _cmd_bench(args) -> int:
     l_grid = _parse_list(args.l_grid, "L") if args.l_grid else None
     train = load_sparse_text(args.train, args.dim)
     queries = load_sparse_text(args.query, args.dim)
-    rows = [[est.cli_name, rho0, k, p.L, p.precision, p.recall]
-            for est, rho0, k, p in bench_mod.benchmark_grid(
+    rows = [[est.cli_name, rho0, k, *point]
+            for est, rho0, k, curve in bench_mod.benchmark_grid(
                 train, queries, ks, rho0s, estimators, args.seed, l_grid,
-                threads=args.threads)]
+                threads=args.threads)
+            for point in zip(*(column.tolist() for column in curve))]
     _emit(args.out, ["estimator", "rho0", "k", "L", "precision", "recall"], rows)
     return 0
 

@@ -13,9 +13,9 @@ Three families:
 Every closed form (raw_values) reads a few per-pair statistics, from the
 simulation lab's float blocks (SampleStats) or from a packed SignStore
 scored through per-query byte tables (StoreStats).  Both add the mismatch
-weights in one order, so the lab, batch and scalar values agree bitwise.
+weights in one order, so the lab and store values agree bitwise.
 
-Raw formula values may land outside [-1, 1]; reports carry both the raw
+Raw formula values may land outside [-1, 1]; results carry both the raw
 value and the clamped one with an explicit flag, because ranking wants
 bounded scores while variance analysis wants the untouched statistic.
 """
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import mle
 from .errors import ContractError, DomainError, ShapeError
-from .projection import (FullSketch, FullStore, SignSketch, SignStore,
-                         matching_bits, pack_signs, popcount, sum_product)
+from .projection import FullStore, SignStore, pack_signs, popcount, sum_product
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 SQRT_TAU = math.sqrt(2.0 * math.pi)
@@ -59,17 +58,6 @@ SIGN_STORE_ESTIMATORS = frozenset({
     Estimator.SIGN_SIGN, Estimator.G, Estimator.G_NORM,
     Estimator.S, Estimator.S_NORM, Estimator.MLE_SIGN_FULL,
 })
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """An estimate plus its provenance: estimator, k, raw value, clamp flag."""
-
-    estimator: Estimator
-    k: int
-    rho_hat: float
-    clamped: bool
-    raw: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +210,8 @@ def estimate_batch(store: SignStore | FullStore, queries: FullStore,
     A SignStore takes the SIGN_STORE_ESTIMATORS, a FullStore the others; any
     other pairing raises ContractError before scoring.  Every query is scored
     alone, so a row of the result equals the one-query result, and a one-row
-    store gives the scalar value, bit for bit.  For mle and mle-full, clamped
-    is the solver's boundary flag.
+    store gives the value of that row in a larger store, bit for bit.  For
+    mle and mle-full, clamped is the solver's boundary flag.
     """
     sign = isinstance(store, SignStore)
     if (estimator in SIGN_STORE_ESTIMATORS) != sign:
@@ -246,21 +234,3 @@ def estimate_batch(store: SignStore | FullStore, queries: FullStore,
                                                        xx=store.sumsq, yy=yy))
     return BatchEstimate(estimator, store.k, raw, np.clip(raw, -1.0, 1.0),
                          flags | (raw > 1.0) | (raw < -1.0))
-
-
-def estimate_pair(estimator: Estimator, stored: SignSketch | FullSketch,
-                  query: FullSketch) -> EstimateReport:
-    """Scalar scoring for any estimator: a batch of one stored sketch, of the
-    kind the estimator scores, against one query."""
-    store = (SignStore if isinstance(stored, SignSketch) else FullStore).stack([stored])
-    res = estimate_batch(store, FullStore.stack([query]), estimator)
-    return EstimateReport(estimator, res.k, float(res.rho_hat[0, 0]),
-                          bool(res.clamped[0, 0]), float(res.raw[0, 0]))
-
-
-def estimate_sign_sign(a: SignSketch, b: SignSketch) -> EstimateReport:
-    """cos(pi * (1 - matches/k)); in [-1, 1] by construction."""
-    if a.k < 1:
-        raise ShapeError("need k >= 1")
-    raw = float(_cos_table(a.k)[matching_bits(a, b)])
-    return EstimateReport(Estimator.SIGN_SIGN, a.k, raw, False, raw)

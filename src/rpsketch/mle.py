@@ -9,7 +9,7 @@ built from the sample second moments.
 
 Both solvers run on many rows at once, in chunks of at most _CHUNK_VALUES
 values, and every row takes the same arithmetic it would take alone: the
-scalar entry points are batches of one.
+pair-level entry points on row arrays are batches of one.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
-from .projection import (FullSketch, FullStore, SignSketch, SignStore, sign_array,
-                         sum_product)
+from .projection import FullStore, SignStore, sign_array, sum_product
 
 _INV_SQRT_TAU = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -179,29 +178,6 @@ def _scores(rho: np.ndarray, s: np.ndarray, slope: bool = False):
     return f, -np.sum(h * (cs + h) * s * s, axis=1) / _libm(lambda o: o**1.5, omr2)
 
 
-def score(rho: float, signs: SignSketch, query: FullSketch) -> float:
-    """Likelihood score sum_j invmills(c*s_j)*s_j at a given rho in (-1, 1),
-    with s_j = sgn(x_j) * y_j."""
-    if signs.k != query.k:
-        raise ShapeError(f"k mismatch: {signs.k} vs {query.k}")
-    if not -1.0 < rho < 1.0:
-        raise DomainError("score requires |rho| < 1")
-    if not np.any(query.values != 0.0):
-        raise DegenerateInputError("all query coordinates are zero")
-    return float(_scores(np.array([float(rho)]), (sign_array(signs) * query.values)[None, :])[0])
-
-
-def mle_sign_full(signs: SignSketch, query: FullSketch,
-                  cfg: SolverConfig = SolverConfig()) -> MleResult:
-    """Root of the sign-full likelihood score, by safeguarded Newton.
-
-    If the score never changes sign on [-1+eps, 1-eps] the likelihood is
-    monotone there (all nonzero s_j share a sign) and the boundary the score
-    points at is returned with ``at_boundary`` set.
-    """
-    return mle_sign_full_store(SignStore(signs.bits[None, :], signs.k), query.values, cfg)[0]
-
-
 def mle_sign_full_store(store: SignStore, y: np.ndarray,
                         cfg: SolverConfig = SolverConfig()) -> MleBatch:
     """Sign-full MLE of every row of a sign store against one query row y,
@@ -294,23 +270,11 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
     return rho, ~inner, iterations
 
 
-def mle_full(x: FullSketch, y: FullSketch,
-             cfg: SolverConfig = SolverConfig()) -> MleResult:
-    """Full-data MLE: likelihood-maximizing real root of the moment cubic.
-
-    With sample moments b = sum(x_j y_j)/k and m = (sum x_j^2 + sum y_j^2)/k
-    the stationarity condition is rho^3 - b rho^2 + (m - 1) rho - b = 0.
-    Multiple real roots occur with small probability; the exact bivariate
-    normal log-likelihood picks the winner.  A root at or beyond +/-1 is
-    clamped and flagged as a boundary solution.
-    """
-    return mle_full_store(FullStore.stack([x]), y.values, y.sumsq, cfg)[0]
-
-
 def mle_full_store(store: FullStore, y: np.ndarray, yy: float,
                    cfg: SolverConfig = SolverConfig()) -> MleBatch:
-    """mle_full of every row of a full store against one query row y with
-    sum of squares yy."""
+    """Full-data MLE of every row of a full store against one query row y
+    with sum of squares yy, from the sample moments b = sum(x_j y_j)/k and
+    m = (sum x_j^2 + sum y_j^2)/k."""
     if store.k != y.size:
         raise ShapeError(f"k mismatch: {store.k} vs {y.size}")
     k = store.k

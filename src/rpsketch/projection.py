@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, ShapeError, SketchFormatError
-from .vectors import Corpus, DataVector
+from .vectors import Corpus
 
 _MAGIC = b"SFRP"
 _VERSION = 2  # Box–Muller normals; version 1 drew them by the inverse normal CDF
@@ -47,64 +46,19 @@ def sum_product(a: np.ndarray, b: np.ndarray):
     """sum(a*b) along the last axis via elementwise multiply + pairwise sum:
     a float for vectors, an array of row sums for matrices.
 
-    Deliberately not BLAS dot: the same reduction runs on every row, so
-    scalar and vectorized paths stay bitwise-identical.
+    Deliberately not BLAS dot: the same reduction runs on every row, so a
+    row's sum does not depend on the rows stacked with it.
     """
     out = np.multiply(a, b).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class FullSketch:
-    """k projected coordinates plus their cached sum of squares."""
-
-    values: np.ndarray
-    sumsq: float | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ShapeError("sketch values must be 1-D")
-        recomputed = sum_product(values, values)
-        if self.sumsq is None:
-            object.__setattr__(self, "sumsq", recomputed)
-        elif not math.isclose(self.sumsq, recomputed, rel_tol=1e-9, abs_tol=1e-300):
-            raise SketchFormatError(
-                f"stored sumsq {self.sumsq!r} inconsistent with values ({recomputed!r})")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def k(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class SignSketch:
-    """k projection signs, bit-packed little-endian within bytes.
-
-    Bit j lives at bit (j mod 8) of byte j // 8 and is 1 iff the projected
-    value was >= 0.  Pad bits of the final byte are zero.
-    """
-
-    bits: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.k < 0 or bits.ndim != 1 or bits.size != (self.k + 7) // 8:
-            raise ShapeError(f"expected {(self.k + 7) // 8} packed bytes for k={self.k}")
-        pad = self.k % 8
-        if pad and bits.size and (int(bits[-1]) & (0xFF << pad)) != 0:
-            raise SketchFormatError("nonzero pad bits in final byte")
-        object.__setattr__(self, "bits", bits)
 
 
 @dataclass(frozen=True, eq=False)
 class SignStore:
     """n sign sketches of one length k, as one (n, ceil(k/8)) uint8 array.
 
-    Row i is packed like SignSketch.bits; indexing returns that row as a
-    SignSketch.  Pad bits of the final column are zero.
+    Bit j of row i lives at bit (j mod 8) of byte j // 8 and is 1 iff the
+    projected value was >= 0.  Pad bits of the final column are zero.
     """
 
     bits: np.ndarray
@@ -123,27 +77,12 @@ class SignStore:
     def __len__(self) -> int:
         return self.bits.shape[0]
 
-    def __getitem__(self, i: int) -> SignSketch:
-        return SignSketch(self.bits[i], self.k)
-
-    @classmethod
-    def stack(cls, rows: Sequence[SignSketch]) -> "SignStore":
-        """Stack sketches of one length; an empty sequence gives k = 0."""
-        rows = list(rows)
-        k = rows[0].k if rows else 0
-        for i, sk in enumerate(rows):
-            if sk.k != k:
-                raise ShapeError(f"sketch {i}: k mismatch ({sk.k} vs {k})")
-        if not rows:
-            return cls(np.zeros((0, 0), dtype=np.uint8), 0)
-        return cls(np.stack([sk.bits for sk in rows]), k)
-
 
 @dataclass(frozen=True, eq=False)
 class FullStore:
     """n full sketches of one length k: an (n, k) float64 array and their
-    sums of squares, each checked as FullSketch checks it.  Indexing returns
-    row i as a FullSketch."""
+    sums of squares.  A stored sum that differs from the recomputed one by
+    more than a relative 1e-9 is rejected."""
 
     values: np.ndarray
     sumsq: np.ndarray
@@ -153,8 +92,12 @@ class FullStore:
         object.__setattr__(self, "sumsq", np.asarray(self.sumsq, dtype=np.float64))
         if self.values.ndim != 2 or self.sumsq.shape != self.values.shape[:1]:
             raise ShapeError("expected (n, k) values and n sums of squares")
-        for i in np.flatnonzero(sum_product(self.values, self.values) != self.sumsq):
-            FullSketch(self.values[i], float(self.sumsq[i]))  # raises unless close
+        recomputed = sum_product(self.values, self.values)
+        for i in np.flatnonzero(recomputed != self.sumsq):
+            stored, actual = float(self.sumsq[i]), float(recomputed[i])
+            if not math.isclose(stored, actual, rel_tol=1e-9, abs_tol=1e-300):
+                raise SketchFormatError(
+                    f"stored sumsq {stored!r} inconsistent with values ({actual!r})")
 
     @property
     def k(self) -> int:
@@ -163,42 +106,16 @@ class FullStore:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __getitem__(self, i: int) -> FullSketch:
-        return FullSketch(self.values[i], float(self.sumsq[i]))
-
-    @classmethod
-    def stack(cls, rows: Sequence[FullSketch]) -> "FullStore":
-        """Stack sketches of one length; an empty sequence gives k = 0."""
-        rows = list(rows)
-        if len({s.k for s in rows}) > 1:
-            raise ShapeError("all stored sketches must share k")
-        if not rows:
-            return cls(np.zeros((0, 0)), np.zeros(0))
-        return cls(np.stack([s.values for s in rows]), [s.sumsq for s in rows])
-
-
-def gaussian_entry(seed: int, row: int, col: int) -> float:
-    """Standard-normal entry (row, col) of the implicit projection matrix."""
-    return float(rng.normals(seed, row, col))
-
-
-def project(u: DataVector, cfg: ProjectionConfig) -> FullSketch:
-    """Project u onto k seeded Gaussian directions: value_j = sum_i u_i R[i,j]."""
-    if u.nnz == 0:
-        raise DomainError("cannot project an empty vector")
-    rows = rng.normal_grid(cfg.seed, u.indices, cfg.k)
-    values = u.values @ rows
-    return FullSketch(values)
-
 
 def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *,
                    threads: int = 1) -> FullStore:
-    """Project every row of a corpus, bit-identical to project(corpus[i], cfg);
-    an empty corpus gives a store of shape (0, cfg.k).  The rows of the union
-    of supports are drawn once, on up to `threads` workers, when they fit the
-    row cache.  Rows whose supports are one run of the union share one
-    stacked product over that slice of them (a vector-matrix product per
-    row, as project makes); any other row gathers its own."""
+    """Project every row of a corpus onto k seeded Gaussian directions,
+    value_j = sum_i u_i R[i, j], as one vector-matrix product per row of its
+    values and its rows of R; an empty corpus gives a store of shape
+    (0, cfg.k).  The rows of the union of supports are drawn once, on up to
+    `threads` workers, when they fit the row cache.  Rows whose supports are
+    one run of the union share one stacked product over that slice of them
+    (the same vector-matrix product per row); any other row gathers its own."""
     n, k, indptr, size = len(corpus), cfg.k, corpus.indptr, np.diff(corpus.indptr)
     if np.any(size == 0):
         raise DomainError("cannot project an empty vector")
@@ -230,18 +147,13 @@ def pack_signs(values: np.ndarray) -> np.ndarray:
     return np.packbits(values >= 0.0, axis=-1, bitorder="little")
 
 
-def sign_quantize(s: FullSketch) -> SignSketch:
-    """Keep only the signs of one sketch."""
-    return SignSketch(pack_signs(s.values), s.k)
-
-
-def quantize_store(store: FullStore) -> SignStore:
+def sign_quantize(store: FullStore) -> SignStore:
     """Keep only the signs of every row of a full store, with one packbits."""
     return SignStore(pack_signs(store.values), store.k)
 
 
-def sign_array(s: SignSketch | SignStore) -> np.ndarray:
-    """Signs as float64 +1/-1: length k, or (n, k) for a store."""
+def sign_array(s: SignStore) -> np.ndarray:
+    """The (n, k) signs of a store as float64 +1/-1."""
     unpacked = np.unpackbits(s.bits, axis=-1, count=s.k, bitorder="little")
     return unpacked.astype(np.float64) * 2.0 - 1.0
 
@@ -249,14 +161,6 @@ def sign_array(s: SignSketch | SignStore) -> np.ndarray:
 def popcount(arr: np.ndarray) -> np.ndarray:
     """Per-byte set-bit counts via a 256-entry table."""
     return _POPCOUNT[arr]
-
-
-def matching_bits(a: SignSketch, b: SignSketch) -> int:
-    """Number of positions where the two sketches agree."""
-    if a.k != b.k:
-        raise ShapeError(f"sketch length mismatch: {a.k} vs {b.k}")
-    differing = int(_POPCOUNT[np.bitwise_xor(a.bits, b.bits)].sum())
-    return a.k - differing
 
 
 def save_sketches(path, store: SignStore | FullStore) -> None:

@@ -60,12 +60,6 @@ class Histogram:
     frac_below_neg_one: float
 
 
-def sample_pair(rho: float, seed: int, trial: int, j: int) -> tuple[float, float]:
-    """Pair j of trial `trial`, from minor counters 2j and 2j+1 as in rng.bivariate_block."""
-    x, z = rng.normals(seed, trial, [2 * j, 2 * j + 1])
-    return float(x), float(np.sqrt((1.0 - rho) * (1.0 + rho)) * z + rho * x)
-
-
 def raw_estimates(estimator: Estimator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Raw per-trial formula values over (trials, k) sample blocks."""
     return _block_estimates((estimator,), x, y)[estimator]

@@ -1,4 +1,4 @@
-"""Sparse data vectors, exact cosine similarity, and sparse text I/O.
+"""Sparse data vectors, a CSR corpus of unit rows, and sparse text I/O.
 
 Vectors are stored as sorted (index, value) pairs because the target corpora
 are extremely sparse and projection iterates over the support in index order;
@@ -53,42 +53,9 @@ class DataVector:
         idx = np.nonzero(dense)[0]
         return cls(idx, dense[idx], dim if dim is not None else dense.size)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    def norm(self) -> float:
-        return math.sqrt(float(np.dot(self.values, self.values)))
-
-    def dot(self, other: "DataVector") -> float:
-        if self.dim != other.dim:
-            raise ShapeError(f"dim mismatch: {self.dim} vs {other.dim}")
-        _, ia, ib = np.intersect1d(self.indices, other.indices,
-                                   assume_unique=True, return_indices=True)
-        if ia.size == 0:
-            return 0.0
-        return float(np.dot(self.values[ia], other.values[ib]))
-
-
-def normalize(u: DataVector) -> DataVector:
-    """Scale to unit L2 norm; the direction is preserved."""
-    n = u.norm()
-    if n == 0.0:
-        raise DomainError("cannot normalize a zero vector")
-    return DataVector(u.indices, u.values / n, u.dim)
-
-
-def cosine(u: DataVector, v: DataVector) -> float:
-    """Exact cosine similarity <u,v>/(|u||v|); ground truth for everything."""
-    nu, nv = u.norm(), v.norm()
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine undefined for zero vectors")
-    return u.dot(v) / (nu * nv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +196,8 @@ def load_sparse_text(path, dim: int | None = None) -> Corpus:
     if skipped:
         log.warning("skipped %d empty vector line(s) in %s", skipped, path)
     for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
-        row = values[lo:hi]  # in place, with the arithmetic and errors of normalize()
+        # in place, with the arithmetic and errors of normalize() in tests/oracles.py
+        row = values[lo:hi]
         norm = math.sqrt(float(np.dot(row, row)))
         if norm == 0.0:
             raise DomainError("cannot normalize a zero vector")

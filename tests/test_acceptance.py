@@ -20,11 +20,11 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
+from oracles import matching_bits, project, sign_store
 from rpsketch import (Estimator, FisherConfig, SimConfig,
                       benchmark_grid, half_gaussian_cdf_integrals,
                       interpolated_precision, make_clustered_corpus,
-                      matching_bits, mle_variance_factor, project,
-                      run_mse, run_mse_ratio, sign_quantize,
+                      mle_variance_factor, run_mse, run_mse_ratio,
                       sign_sign_variance_asymptote, v_factor)
 from rpsketch import rng
 from rpsketch.cli import main as cli_main
@@ -246,8 +246,8 @@ def test_criterion_10_collision_probability():
     for rho in [0.0, 0.5, 0.9]:
         u = DataVector.from_dense([1.0, 0.0], 2)
         v = DataVector.from_dense([rho, math.sqrt(1 - rho * rho)], 2)
-        bits_u = sign_quantize(project(u, cfg))
-        bits_v = sign_quantize(project(v, cfg))
+        bits_u = sign_store(project(u, cfg))
+        bits_v = sign_store(project(v, cfg))
         agree = matching_bits(bits_u, bits_v) / k
         p = 1.0 - math.acos(rho) / PI
         tol = 4 * math.sqrt(p * (1 - p) / k)
@@ -267,11 +267,8 @@ def test_criterion_11_ranking_benchmark():
         train, queries = make_clustered_corpus(seed)  # 1000/100, D=512
         rows = benchmark_grid(train, queries, [100], [0.9, 0.4],
                               estimators, seed)
-        curves = {}
-        for est, rho0, k, point in rows:
-            curves.setdefault((est, rho0), []).append(point)
-        prec = {key: interpolated_precision(pts, 0.5)
-                for key, pts in curves.items()}
+        prec = {(est, rho0): interpolated_precision(curve, 0.5)
+                for est, rho0, k, curve in rows}
         wins += prec[(Estimator.S_NORM, 0.9)] > prec[(Estimator.SIGN_SIGN, 0.9)]
         low_threshold_diffs.append(prec[(Estimator.G_NORM, 0.4)]
                                    - prec[(Estimator.S_NORM, 0.4)])

@@ -7,17 +7,32 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (BenchConfig, Corpus, DataVector, Estimator, FullSketch,
-                      FullStore, PrPoint, ProjectionConfig, SignStore, benchmark_grid,
-                      cosine, ground_truth, interpolated_precision,
-                      make_clustered_corpus, normalize, pr_curve, project_corpus,
-                      quantize_store, rank_queries, run_benchmark, sign_quantize)
-from rpsketch.bench import exact_cosines
+from oracles import cosine, full_store, normalize, sign_store
+from rpsketch import (Corpus, DataVector, Estimator, ProjectionConfig, benchmark_grid,
+                      interpolated_precision, make_clustered_corpus, pr_curve,
+                      project_corpus, rank_queries, sign_quantize)
+from rpsketch.bench import _relevant, exact_cosines
 from rpsketch.errors import ConfigError, ContractError, ShapeError
 
 
 def vec(dense, dim=None):
     return DataVector.from_dense(dense, dim)
+
+
+def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
+    """Per query, the training indices whose exact cosine is >= rho0."""
+    return _relevant(exact_cosines(train, queries), rho0)
+
+
+def to_dense(v: DataVector) -> np.ndarray:
+    out = np.zeros(v.dim)
+    out[v.indices] = v.values
+    return out
+
+
+def points(curve) -> list[tuple[int, float, float]]:
+    """A curve's (L, precision, recall) columns as rows of Python numbers."""
+    return list(zip(*(column.tolist() for column in curve)))
 
 
 def axis(i, dim):
@@ -77,7 +92,7 @@ class TestExactCosines:
         train, queries = (self.corpus(gen, n, 60, density) for n in (41, 9))
 
         def dense(c):
-            return np.stack([v.to_dense() for v in c])
+            return np.stack([to_dense(v) for v in c])
 
         sims = exact_cosines(train, queries)
         assert sims.shape == (9, 41)
@@ -198,7 +213,7 @@ class TestRankQueries:
         dim = 32
         vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(20)]
         cfg = ProjectionConfig(k=256, seed=9)
-        store = quantize_store(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
+        store = sign_quantize(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
         query = project_corpus(Corpus.from_vectors([vecs[7]], dim), cfg)
         from rpsketch import estimate_batch
 
@@ -208,9 +223,8 @@ class TestRankQueries:
         assert ranking[0] == 7
 
     def test_tie_broken_by_lower_index(self):
-        sk = sign_quantize(FullSketch(np.array([1.0, -1.0, 1.0, 1.0])))
-        store = SignStore.stack([sk, sk, sk])
-        query = FullStore.stack([FullSketch(np.array([0.5, -0.5, 0.5, 0.5]))])
+        store = sign_store(*[[1.0, -1.0, 1.0, 1.0]] * 3)
+        query = full_store([0.5, -0.5, 0.5, 0.5])
         (ranking,) = rank_queries(store, query, Estimator.G_NORM)
         assert ranking.tolist() == [0, 1, 2]
 
@@ -220,7 +234,7 @@ class TestRankQueries:
         vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(50)]
         query_vec = normalize(vec(rng_.standard_normal(dim)))
         cfg = ProjectionConfig(k=10_000, seed=13)
-        store = quantize_store(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
+        store = sign_quantize(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
         query = project_corpus(Corpus.from_vectors([query_vec], dim), cfg)
         (ranking,) = rank_queries(store, query, Estimator.S_NORM)
         truth = np.array([cosine(query_vec, t) for t in vecs])
@@ -233,56 +247,54 @@ class TestRankQueries:
         assert corr >= 0.95
 
     def test_full_estimator_rejected(self):
-        store = SignStore.stack([sign_quantize(FullSketch(np.ones(8)))])
         with pytest.raises(ContractError):
-            rank_queries(store, FullStore.stack([FullSketch(np.ones(8))]), Estimator.FULL_NORM)
+            rank_queries(sign_store(np.ones(8)), full_store(np.ones(8)), Estimator.FULL_NORM)
 
 
 class TestPrCurve:
     def test_hand_enumeration(self):
         ranking = np.array([2, 0, 4, 1, 3])
         relevance = np.array([0, 4])
-        points = pr_curve([ranking], [relevance])
+        curve = pr_curve([ranking], [relevance])
         expected = [(1, 0.0, 0.0), (2, 1 / 2, 1 / 2), (3, 2 / 3, 1.0),
                     (4, 2 / 4, 1.0), (5, 2 / 5, 1.0)]
-        for p, (L, prec, rec) in zip(points, expected):
-            assert (p.L, p.precision, p.recall) == (L, prec, rec)
+        assert points(curve) == expected
 
     def test_perfect_prefix(self):
-        points = pr_curve([np.array([1, 0, 2])], [np.array([0, 1])],
-                          l_grid=[2])
-        assert points[0].precision == 1.0 and points[0].recall == 1.0
+        ls, precision, recall = pr_curve([np.array([1, 0, 2])], [np.array([0, 1])],
+                                         l_grid=[2])
+        assert ls.tolist() == [2] and precision[0] == 1.0 and recall[0] == 1.0
 
     def test_recall_one_at_full_sweep(self):
         ranking = np.array([3, 1, 0, 2])
-        points = pr_curve([ranking], [np.array([0])])
-        assert points[-1].recall == 1.0
+        _, _, recall = pr_curve([ranking], [np.array([0])])
+        assert recall[-1] == 1.0
 
     def test_recall_monotone(self):
         rng_ = np.random.default_rng(4)
         ranking = rng_.permutation(40)
         rel = rng_.choice(40, size=7, replace=False)
-        points = pr_curve([ranking], [rel])
-        recalls = [p.recall for p in points]
-        assert all(b >= a for a, b in zip(recalls, recalls[1:]))
+        _, _, recalls = pr_curve([ranking], [rel])
+        assert recalls.size == 40 and np.all(np.diff(recalls) >= 0.0)
 
     def test_empty_relevance_excluded_from_average(self):
         r1 = np.array([0, 1, 2])
         r2 = np.array([2, 1, 0])
-        points = pr_curve([r1, r2], [np.array([0]), np.array([], dtype=int)])
+        _, precision, recall = pr_curve([r1, r2], [np.array([0]), np.array([], dtype=int)])
         # only the first query counts
-        assert points[0].precision == 1.0 and points[0].recall == 1.0
+        assert precision[0] == 1.0 and recall[0] == 1.0
 
     def test_all_empty_gives_empty_curve(self):
-        points = pr_curve([np.array([0, 1])], [np.array([], dtype=int)])
-        assert points == []
+        curve = pr_curve([np.array([0, 1])], [np.array([], dtype=int)])
+        assert len(curve) == 3 and all(column.size == 0 for column in curve)
+        assert points(curve) == [] and interpolated_precision(curve, 0.5) == 0.0
 
     def test_integer_products_before_averaging(self):
         ranking = np.array([4, 2, 0, 3, 1])
         rel = np.array([2, 3])
-        for p in pr_curve([ranking], [rel]):
-            assert (p.precision * p.L) == pytest.approx(round(p.precision * p.L))
-            assert (p.recall * len(rel)) == pytest.approx(round(p.recall * len(rel)))
+        for L, precision, recall in points(pr_curve([ranking], [rel])):
+            assert (precision * L) == pytest.approx(round(precision * L))
+            assert (recall * len(rel)) == pytest.approx(round(recall * len(rel)))
 
     def test_l_grid_validated(self):
         with pytest.raises(ConfigError):
@@ -318,19 +330,19 @@ class TestPrCurve:
                 hits = np.cumsum(mask[ranked])[ls - 1]
                 prec_sum += hits / ls
                 rec_sum += hits / len(rel)
-        points = pr_curve(rankings, relevance, l_grid)
-        assert [(p.L, p.precision, p.recall) for p in points] == [
+        assert points(pr_curve(rankings, relevance, l_grid)) == [
             (int(l), p / included, r / included) for l, p, r in zip(ls, prec_sum, rec_sum)]
 
 
 class TestInterpolatedPrecision:
     def test_takes_max_beyond_level(self):
-        points = [PrPoint(1, 0.2, 0.1), PrPoint(2, 0.9, 0.5), PrPoint(3, 0.6, 1.0)]
-        assert interpolated_precision(points, 0.5) == 0.9
-        assert interpolated_precision(points, 0.8) == 0.6
+        curve = (np.array([1, 2, 3]), np.array([0.2, 0.9, 0.6]), np.array([0.1, 0.5, 1.0]))
+        assert interpolated_precision(curve, 0.5) == 0.9
+        assert interpolated_precision(curve, 0.8) == 0.6
 
     def test_empty_when_unreachable(self):
-        assert interpolated_precision([PrPoint(1, 1.0, 0.3)], 0.5) == 0.0
+        curve = (np.array([1]), np.array([1.0]), np.array([0.3]))
+        assert interpolated_precision(curve, 0.5) == 0.0
 
 
 class TestBenchmark:
@@ -338,17 +350,20 @@ class TestBenchmark:
         train, queries = make_clustered_corpus(3, dim=64, n_clusters=4,
                                                n_train=40, n_queries=8)
         args = (train, queries, [32], [0.8], [Estimator.S_NORM], 5)
-        assert benchmark_grid(*args) == benchmark_grid(*args)
+        runs = [[(est, r0, k, points(curve)) for est, r0, k, curve in benchmark_grid(*args)]
+                for _ in range(2)]
+        assert runs[0] == runs[1] and len(runs[0]) == 1
 
     def test_run_benchmark_single_combo(self):
         train, queries = make_clustered_corpus(4, dim=64, n_clusters=4,
                                                n_train=40, n_queries=8)
-        cfg = BenchConfig(k=32, seed=6, rho0=0.8,
-                          estimators=(Estimator.S_NORM, Estimator.SIGN_SIGN))
-        curves = run_benchmark(train, queries, cfg)
-        assert set(curves) == {Estimator.S_NORM, Estimator.SIGN_SIGN}
-        for points in curves.values():
-            assert len(points) == 40  # full L sweep
+        rows = benchmark_grid(train, queries, [32], [0.8],
+                              (Estimator.S_NORM, Estimator.SIGN_SIGN), 6)
+        assert [(est, r0, k) for est, r0, k, _ in rows] == [
+            (Estimator.S_NORM, 0.8, 32), (Estimator.SIGN_SIGN, 0.8, 32)]
+        for _, _, _, (ls, precision, recall) in rows:
+            assert ls.tolist() == list(range(1, 41))  # full L sweep
+            assert precision.shape == recall.shape == (40,)
 
     def test_ground_truth_estimator_agnostic(self):
         train, queries = make_clustered_corpus(5, dim=64, n_clusters=4,
@@ -359,12 +374,13 @@ class TestBenchmark:
             assert np.array_equal(a, b)
 
     def test_config_validated(self):
+        # an empty estimator list is a usage error of the CLI (test_cli.py)
+        train, queries = make_clustered_corpus(3, dim=8, n_clusters=1, n_train=4,
+                                               n_queries=1)
         with pytest.raises(ConfigError):
-            BenchConfig(k=0, seed=1, rho0=0.5, estimators=(Estimator.S,))
+            benchmark_grid(train, queries, [0], [0.5], [Estimator.S], seed=1)
         with pytest.raises(ConfigError):
-            BenchConfig(k=1, seed=1, rho0=0.0, estimators=(Estimator.S,))
-        with pytest.raises(ConfigError):
-            BenchConfig(k=1, seed=1, rho0=0.5, estimators=())
+            benchmark_grid(train, queries, [1], [0.0], [Estimator.S], seed=1)
 
     @pytest.mark.parametrize("rho0", [-1.0, 0.0, 2.0, math.nan])
     def test_grid_rejects_rho0_outside_unit_interval(self, rho0):
@@ -372,8 +388,6 @@ class TestBenchmark:
                                                n_queries=1)
         with pytest.raises(ConfigError, match=r"rho0 must lie in \(0, 1\]"):
             benchmark_grid(train, queries, [8], [0.5, rho0], [Estimator.S], seed=1)
-        with pytest.raises(ConfigError):
-            BenchConfig(k=8, seed=1, rho0=rho0, estimators=(Estimator.S,))
 
 
 class TestClusteredCorpus:
@@ -383,7 +397,7 @@ class TestClusteredCorpus:
         assert len(train) == 60 and len(queries) == 12
         assert train.dim == queries.dim == 96
         for v in list(train)[:10]:
-            assert abs(v.norm() - 1.0) < 1e-12
+            assert abs(math.sqrt(float(np.dot(v.values, v.values))) - 1.0) < 1e-12
 
     def test_deterministic_in_seed(self):
         a, _ = make_clustered_corpus(11, dim=32, n_clusters=2, n_train=8,

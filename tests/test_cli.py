@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import one_row
 from rpsketch import (ProjectionConfig, cli, estimators, load_sketches,
-                      load_sparse_text, mle_full, mle_sign_full, project_corpus)
+                      load_sparse_text, mle, project_corpus)
 from rpsketch.cli import main
 from rpsketch.projection import _VERSION
 
@@ -189,6 +190,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {flag} must be at most {limits[flag]}\n"
         assert peak < 2**20
 
+    @pytest.mark.parametrize("args,what", [
+        (["bench", "--k", ",", "--rho0", "0.5"], "k"),
+        (["bench", "--k", "8", "--rho0", ","], "rho0"),
+        (["bench", "--k", "8", "--rho0", "0.5", "--l-grid", ","], "L"),
+        (["bench", "--k", "8", "--rho0", "0.5", "--estimators", ","], "estimators"),
+        (["mse-ratio", "--rho", "0.5", "--k-grid", ","], "k"),
+    ])
+    def test_empty_list_is_usage_error(self, args, what, tmp_path, monkeypatch, capsys):
+        # a list with no values would give a header-only CSV; the input
+        # files are absent, so the check comes first
+        monkeypatch.chdir(tmp_path)
+        if args[0] == "bench":
+            args = args + ["--train", "absent.txt", "--query", "absent.txt"]
+        assert run(args + ["--seed", "1", "--out", "c.csv"]) == 1
+        assert capsys.readouterr().err == f"error: no {what} given\n"
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("rho0", ["-1", "0", "2", "nan"])
     def test_rho0_outside_unit_interval_rejected_before_reading(self, rho0, tmp_path,
                                                                  monkeypatch, capsys):
@@ -287,13 +305,13 @@ class TestTraceHooks:
         spans = self.load_spans(monkeypatch)
         corpus, store, out = tmp_path / "c.txt", tmp_path / "s.sfrp", tmp_path / "o.csv"
         corpus.write_text("1:1\n2:1\n1:0.6 2:0.8\n")
-        assert run(["sketch", "--input", str(corpus), "--k", "16", "--seed", "2",
-                    "--out", str(store)]) == 0
         original = estimators.estimate_batch
         tracer = spans.Tracer()
         try:
             spans.install(tracer)
             assert estimators.estimate_batch is not original
+            assert cli.main(["sketch", "--input", str(corpus), "--k", "16", "--seed", "2",
+                             "--out", str(store)]) == 0
             assert cli.main(["estimate", "--store", str(store), "--queries", str(corpus),
                              "--estimator", "s-norm", "--seed", "2", "--out", str(out)]) == 0
         finally:
@@ -301,7 +319,10 @@ class TestTraceHooks:
         assert estimators.estimate_batch is original and cli.estimate_batch is original
         batches = [sp for sp in tracer.spans if sp.name == "estimators.estimate_batch.s-norm"]
         assert len(batches) == 3 and all(sp.counts["pairs"] == 3 for sp in batches)
-        assert spans.layer_metrics(tracer, 1, 0.0)["cli.estimate.csv_bytes"] > 0
+        assert [sp.name for sp in tracer.spans].count("projection.sign_quantize") == 1
+        metrics = spans.layer_metrics(tracer, 1, 0.0)
+        assert metrics["cli.estimate.csv_bytes"] > 0
+        assert metrics["projection.sign_quantize.s"] > 0
 
     def test_traced_bench_records_every_bench_layer(self, tmp_path, monkeypatch):
         # a restructure that stops calling a traced name would zero its metric
@@ -318,14 +339,14 @@ class TestTraceHooks:
         finally:
             tracer.uninstall()
         names = {sp.name for sp in tracer.spans}
-        assert {"bench.exact_cosines", "projection.project_corpus", "bench.rank_queries",
-                "estimators.estimate_batch.sign-sign", "estimators.estimate_batch.s-norm",
-                "bench.pr_curve"} <= names
+        assert {"bench.exact_cosines", "projection.project_corpus", "projection.sign_quantize",
+                "bench.rank_queries", "estimators.estimate_batch.sign-sign",
+                "estimators.estimate_batch.s-norm", "bench.pr_curve"} <= names
         metrics = spans.layer_metrics(tracer, 1, 0.0)
         assert all(metrics[m] > 0 for m in (
             "bench.exact_cosines.s", "projection.project_corpus.self_s",
-            "bench.rank_queries.self_s", "estimators.estimate_batch.s-norm.pairs_per_s",
-            "bench.pr_curve.s"))
+            "projection.sign_quantize.s", "bench.rank_queries.self_s",
+            "estimators.estimate_batch.s-norm.pairs_per_s", "bench.pr_curve.s"))
 
 
 class TestVarianceTable:
@@ -450,8 +471,10 @@ class TestPipelines:
             loaded = load_sketches(store)
             assert len(rows) == len(queries) * len(loaded) == 64
             for r in rows:
-                q, x = queries[int(r["query"])], loaded[int(r["train"])]
-                res = mle_sign_full(x, q) if kind == "sign" else mle_full(x, q)
+                qi, x = int(r["query"]), one_row(loaded, int(r["train"]))
+                q = queries.values[qi]
+                res = (mle.mle_sign_full_store(x, q) if kind == "sign"
+                       else mle.mle_full_store(x, q, queries.sumsq[qi]))[0]
                 assert r["estimator"] == estimator
                 assert r["rho_hat"] == repr(res.rho_hat)
                 assert r["clamped"] == str(res.at_boundary)

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, log_ndtr
 
-from rpsketch import (DomainError, FullSketch, FullStore, MleResult,
-                      SignSketch, SolverConfig, inv_mills, mle_full,
-                      mle_sign_full, norm_cdf, norm_pdf, quantize_store, score,
-                      sign_quantize)
+from oracles import full_store, one_row, sign_store
+from rpsketch import (DomainError, MleResult, SolverConfig, inv_mills, norm_cdf,
+                      norm_pdf)
 from rpsketch import mle, rng
 from rpsketch.errors import ConfigError, DegenerateInputError
 from rpsketch.mle import (solve_full_batch, solve_full_from_moments,
@@ -20,9 +19,26 @@ from rpsketch.mle import (solve_full_batch, solve_full_from_moments,
 mp.mp.dps = 30
 
 
-def pair_from(x_values, y_values) -> tuple[SignSketch, FullSketch]:
-    return (sign_quantize(FullSketch(np.asarray(x_values, dtype=np.float64))),
-                        FullSketch(np.asarray(y_values, dtype=np.float64)))
+def pair_from(x_values, y_values) -> tuple[np.ndarray, np.ndarray]:
+    return (np.asarray(x_values, dtype=np.float64),
+            np.asarray(y_values, dtype=np.float64))
+
+
+def score(rho: float, x, y) -> float:
+    """Likelihood score sum_j invmills(c*s_j)*s_j at rho, s_j = sgn(x_j) * y_j."""
+    s = np.where(np.asarray(x) >= 0.0, 1.0, -1.0) * y
+    return float(mle._scores(np.array([float(rho)]), s[None, :])[0])
+
+
+def mle_sign_full(x, y, cfg=SolverConfig()) -> MleResult:
+    """The sign-full MLE of one pair, through one-row stores."""
+    return mle.mle_sign_full_store(sign_store(x), np.asarray(y, dtype=np.float64), cfg)[0]
+
+
+def mle_full(x, y, cfg=SolverConfig()) -> MleResult:
+    """The full-data MLE of one pair, through one-row stores."""
+    query = full_store(y)
+    return mle.mle_full_store(full_store(x), query.values[0], query.sumsq[0], cfg)[0]
 
 
 class TestNormalSpecialFunctions:
@@ -210,9 +226,18 @@ class TestScore:
         assert score(0.5, *p) == pytest.approx(0.4702332694669627, abs=1e-14)
 
     def test_domain(self):
-        p = pair_from([1.0], [1.0])
-        with pytest.raises(DomainError):
-            score(1.0, *p)
+        # the solver evaluates the score only inside (-1, 1), where c is finite
+        seen, score_rows = [], mle._scores
+
+        def spy(rho, rows, slope=False):
+            seen.append(rho)
+            return score_rows(rho, rows, slope)
+
+        x, y = rng.bivariate_block(0.999, seed=3, major_start=0, n_major=200, k=8)
+        with mock.patch.object(mle, "_scores", spy):
+            solve_sign_full_batch(np.where(x >= 0.0, 1.0, -1.0) * y)
+        rho = np.concatenate(seen)
+        assert rho.size and np.all(np.abs(rho) < 1.0)
 
 
 class TestSignFullMle:
@@ -290,7 +315,7 @@ class TestSignFullMle:
 
 class TestFullMle:
     def test_identical_sketches_boundary_at_one(self):
-        v = FullSketch(np.random.default_rng(18).standard_normal(64))
+        v = np.random.default_rng(18).standard_normal(64)
         res = mle_full(v, v)
         assert res.at_boundary
         assert res.rho_hat == pytest.approx(1.0, abs=1e-9)
@@ -298,7 +323,7 @@ class TestFullMle:
     def test_independent_data_near_zero(self):
         k = 10_000
         x, y = rng.bivariate_block(0.0, seed=21, major_start=0, n_major=1, k=k)
-        res = mle_full(FullSketch(x[0]), FullSketch(y[0]))
+        res = mle_full(x[0], y[0])
         assert abs(res.rho_hat) < 4 / math.sqrt(k)  # V_fm(0) = 1
         assert not res.at_boundary
 
@@ -331,10 +356,10 @@ class TestFullMle:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
-            mle_full(FullSketch(np.zeros(4)), FullSketch(np.ones(4)))
+            mle_full(np.zeros(4), np.ones(4))
 
     def test_result_type(self):
-        v = FullSketch(np.array([1.0, -1.0]))
+        v = np.array([1.0, -1.0])
         assert isinstance(mle_full(v, v), MleResult)
 
 
@@ -554,23 +579,22 @@ class TestBatchContracts:
     @settings(max_examples=10, deadline=None)
     def test_zero_query_rejected(self, seed, n, k):
         rng_ = np.random.default_rng(seed)
-        store = quantize_store(FullStore.stack([FullSketch(rng_.standard_normal(k))
-                                                for _ in range(n)]))
+        store = sign_store(*(rng_.standard_normal(k) for _ in range(n)))
         with pytest.raises(DegenerateInputError):
             mle.mle_sign_full_store(store, np.zeros(k))
         with pytest.raises(DegenerateInputError):
-            mle_sign_full(store[0], FullSketch(np.zeros(k)))
+            mle.mle_sign_full_store(one_row(store, 0), np.zeros(k))
 
     def test_store_rows_equal_pairwise_calls(self):
         rng_ = np.random.default_rng(30)
-        full = [FullSketch(rng_.standard_normal(45)) for _ in range(9)]
-        query = FullSketch(rng_.standard_normal(45))
-        signs = mle.mle_sign_full_store(quantize_store(FullStore.stack(full)), query.values)
-        moments = mle.mle_full_store(FullStore.stack(full + [query]), query.values,
-                                      query.sumsq)
+        full = [rng_.standard_normal(45) for _ in range(9)]
+        query = full_store(rng_.standard_normal(45))
+        y, yy = query.values[0], query.sumsq[0]
+        signs = mle.mle_sign_full_store(sign_store(*full), y)
+        moments = mle.mle_full_store(full_store(*full, y), y, yy)
         for i, x in enumerate(full):
-            assert signs[i] == mle_sign_full(sign_quantize(x), query)
-            assert moments[i] == mle_full(x, query)
+            assert signs[i] == mle_sign_full(x, y)
+            assert moments[i] == mle_full(x, y)
         assert moments[9].at_boundary
 
 

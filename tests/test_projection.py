@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (Corpus, DataVector, DomainError, FullSketch, FullStore, ProjectionConfig,
-                      ShapeError, SignSketch, SignStore, SketchFormatError, cosine,
-                      gaussian_entry, load_sketches, matching_bits, normalize,
-                      project, project_corpus, quantize_store, save_sketches,
-                      sign_array, sign_quantize)
+from oracles import (full_store, gaussian_entry, matching_bits, normalize, project,
+                     sign_store)
+from rpsketch import (Corpus, DataVector, DomainError, FullStore, ProjectionConfig,
+                      ShapeError, SignStore, SketchFormatError, load_sketches,
+                      project_corpus, save_sketches, sign_array, sign_quantize)
 from rpsketch import rng
 from rpsketch.errors import ConfigError
 from rpsketch.projection import _VERSION
@@ -46,29 +46,28 @@ class TestProject:
     def test_empty_vector_rejected(self):
         empty = DataVector(np.array([], dtype=np.int64), np.array([]), 4)
         with pytest.raises(DomainError):
-            project(empty, self.CFG)
+            project_corpus(Corpus.from_vectors([empty], 4), self.CFG)
 
     def test_axis_vector_reads_matrix_row(self):
         e3 = vec([0.0, 0.0, 0.0, 1.0, 0.0])
-        sk = project(e3, self.CFG)
+        sk = project_corpus(Corpus.from_vectors([e3], 5), self.CFG)
         for j in [0, 1, 17, 63]:
-            assert sk.values[j] == gaussian_entry(99, 3, j)
+            assert sk.values[0, j] == gaussian_entry(99, 3, j)
 
     def test_pure_function(self):
         u = normalize(vec([0.5, -0.25, 0.0, 1.0]))
-        a = project(u, self.CFG)
-        b = project(u, self.CFG)
+        a = project_corpus(Corpus.from_vectors([u], 4), self.CFG)
+        b = project_corpus(Corpus.from_vectors([u], 4), self.CFG)
         assert np.array_equal(a.values, b.values)
-        assert a.sumsq == b.sumsq
+        assert np.array_equal(a.sumsq, b.sumsq)
 
     def test_linearity(self):
         rng_ = np.random.default_rng(0)
         u = rng_.standard_normal(12)
         w = rng_.standard_normal(12)
         cfg = ProjectionConfig(k=128, seed=5)
-        su = project(vec(u), cfg).values
-        sw = project(vec(w), cfg).values
-        ssum = project(vec(u + w), cfg).values
+        su, sw, ssum = project_corpus(Corpus.from_vectors([vec(u), vec(w), vec(u + w)], 12),
+                                      cfg).values
         np.testing.assert_allclose(su + sw, ssum, rtol=1e-9, atol=1e-12)
 
     def test_pair_product_mean_over_seeds(self):
@@ -89,8 +88,7 @@ class TestProject:
         for rho in [0.0, 0.5, 0.9]:
             u = vec([1.0, 0.0])
             v = vec([rho, math.sqrt(1 - rho * rho)])
-            bu = sign_quantize(project(u, cfg))
-            bv = sign_quantize(project(v, cfg))
+            bu, bv = (sign_store(project(w, cfg)) for w in (u, v))
             p = 1.0 - math.acos(rho) / math.pi
             agree = matching_bits(bu, bv) / k
             assert abs(agree - p) < 4.0 * math.sqrt(p * (1 - p) / k)
@@ -100,8 +98,8 @@ class TestProject:
         vs = [normalize(vec(rng_.standard_normal(40))) for _ in range(25)]
         cfg = ProjectionConfig(k=33, seed=77)
         batch = project_corpus(Corpus.from_vectors(vs, 40), cfg)
-        for v, sk in zip(vs, batch):
-            assert np.array_equal(sk.values, project(v, cfg).values)
+        for v, values in zip(vs, batch.values):
+            assert np.array_equal(values, project(v, cfg))
 
     @pytest.mark.parametrize("k", [1, 7, 33, 64, 256])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -123,9 +121,9 @@ class TestProject:
                                threads=threads)
         assert isinstance(store, FullStore) and store.values.shape == (len(vs), k)
         for i, v in enumerate(vs):
-            one = project(v, ProjectionConfig(k, 5))
-            assert store.values[i].tobytes() == one.values.tobytes()
-            assert store.sumsq[i] == one.sumsq
+            one = full_store(project(v, ProjectionConfig(k, 5)))
+            assert store.values[i].tobytes() == one.values[0].tobytes()
+            assert store.sumsq[i] == one.sumsq[0]
 
     @pytest.mark.parametrize("layout", ["whole-union", "sub-runs", "mixed"])
     @pytest.mark.parametrize("k", [1, 7, 33, 64, 256])
@@ -146,7 +144,7 @@ class TestProject:
         store = project_corpus(Corpus.from_vectors(vs, dim), ProjectionConfig(k, 11),
                                threads=threads)
         for i, v in enumerate(vs):
-            assert store.values[i].tobytes() == project(v, ProjectionConfig(k, 11)).values.tobytes()
+            assert store.values[i].tobytes() == project(v, ProjectionConfig(k, 11)).tobytes()
 
     def test_project_corpus_empty(self):
         store = project_corpus(Corpus.from_vectors([], 4), ProjectionConfig(8, 1))
@@ -158,71 +156,68 @@ class TestProject:
 
 class TestSignQuantize:
     def test_all_positive(self):
-        sk = sign_quantize(FullSketch(np.full(13, 2.0)))
-        assert np.array_equal(sign_array(sk), np.ones(13))
+        sk = sign_store(np.full(13, 2.0))
+        assert np.array_equal(sign_array(sk), np.ones((1, 13)))
         # the 3 pad bits of the final byte are zero
-        assert sk.bits[-1] == 0b00011111
+        assert sk.bits[0, -1] == 0b00011111
 
     def test_bit_packing_order(self):
-        sk = sign_quantize(FullSketch(np.array([-1.0, 2.0, -3.0])))
-        assert sk.bits.tolist() == [0x02]
+        sk = sign_store([-1.0, 2.0, -3.0])
+        assert sk.bits.tolist() == [[0x02]]
 
     def test_zero_counts_as_positive(self):
-        sk = sign_quantize(FullSketch(np.array([0.0, -1.0])))
-        assert sign_array(sk).tolist() == [1.0, -1.0]
+        sk = sign_store([0.0, -1.0])
+        assert sign_array(sk).tolist() == [[1.0, -1.0]]
 
     @given(st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_sign_round_trip(self, values):
         values = np.asarray(values, dtype=np.float64)
-        sk = sign_quantize(FullSketch(values))
+        sk = sign_store(values)
         expected = np.where(values >= 0.0, 1.0, -1.0)
-        assert np.array_equal(sign_array(sk), expected)
+        assert np.array_equal(sign_array(sk)[0], expected)
 
     def test_pad_bits_validated(self):
         with pytest.raises(SketchFormatError):
-            SignSketch(np.array([0xFF], dtype=np.uint8), 3)
+            SignStore(np.array([[0xFF]], dtype=np.uint8), 3)
 
 
 class TestSketchFiles:
     def test_sign_round_trip(self, tmp_path):
         rng_ = np.random.default_rng(4)
-        sketches = [sign_quantize(FullSketch(rng_.standard_normal(64)))
-                    for _ in range(100)]
+        sketches = sign_store(*(rng_.standard_normal(64) for _ in range(100)))
         path = tmp_path / "s.sfrp"
-        save_sketches(path, SignStore.stack(sketches))
+        save_sketches(path, sketches)
         loaded = load_sketches(path)
         assert len(loaded) == 100
-        for a, b in zip(sketches, loaded):
-            assert a.k == b.k
-            assert np.array_equal(a.bits, b.bits)
+        assert loaded.k == sketches.k
+        assert np.array_equal(loaded.bits, sketches.bits)
 
     def test_full_round_trip(self, tmp_path):
         rng_ = np.random.default_rng(6)
-        sketches = [FullSketch(rng_.standard_normal(17)) for _ in range(9)]
+        sketches = full_store(*(rng_.standard_normal(17) for _ in range(9)))
         path = tmp_path / "f.sfrp"
-        save_sketches(path, FullStore.stack(sketches))
+        save_sketches(path, sketches)
         loaded = load_sketches(path)
-        for a, b in zip(sketches, loaded):
-            assert np.array_equal(a.values, b.values)
-            assert a.sumsq == b.sumsq
+        assert np.array_equal(loaded.values, sketches.values)
+        assert np.array_equal(loaded.sumsq, sketches.sumsq)
 
     def test_full_file_loads_as_columns(self, tmp_path):
         rng_ = np.random.default_rng(7)
-        sketches = [FullSketch(rng_.standard_normal(17)) for _ in range(9)]
+        rows = [rng_.standard_normal(17) for _ in range(9)]
         path = tmp_path / "f.sfrp"
-        save_sketches(path, FullStore.stack(sketches))
+        save_sketches(path, full_store(*rows))
         loaded = load_sketches(path)
         assert isinstance(loaded, FullStore)
         assert loaded.values.shape == (9, 17) and loaded.k == 17
-        assert np.array_equal(loaded.values, np.stack([s.values for s in sketches]))
-        assert loaded.sumsq.tolist() == [s.sumsq for s in sketches]
-        save_sketches(path, FullStore.stack(sketches[:0]))
+        assert np.array_equal(loaded.values, np.stack(rows))
+        assert loaded.sumsq.tolist() == [full_store(r).sumsq[0] for r in rows]
+        save_sketches(path, FullStore(np.zeros((0, 17)), np.zeros(0)))
         assert len(load_sketches(path)) == 0
 
     def test_full_file_sumsq_checked(self, tmp_path):
         path = tmp_path / "f.sfrp"
-        save_sketches(path, FullStore.stack([FullSketch(np.ones(4)), FullSketch(np.full(4, 2.0))]))
+        save_sketches(path, full_store(np.ones(4), np.full(4, 2.0)))
         blob = bytearray(path.read_bytes())
         blob[-8:] = struct.pack("<d", 99.0)  # second row's sumsq
         path.write_bytes(bytes(blob))
@@ -231,14 +226,14 @@ class TestSketchFiles:
 
     def test_empty_collection(self, tmp_path):
         path = tmp_path / "e.sfrp"
-        save_sketches(path, SignStore.stack([]))
+        save_sketches(path, SignStore(np.zeros((0, 0), dtype=np.uint8), 0))
         loaded = load_sketches(path)
         assert isinstance(loaded, SignStore)
         assert len(loaded) == 0 and loaded.k == 0
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "bad.sfrp"
-        save_sketches(path, SignStore.stack([sign_quantize(FullSketch(np.ones(8)))]))
+        save_sketches(path, sign_store(np.ones(8)))
         blob = bytearray(path.read_bytes())
         blob[0] = ord("X")
         path.write_bytes(bytes(blob))
@@ -247,8 +242,7 @@ class TestSketchFiles:
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "t.sfrp"
-        save_sketches(path, SignStore.stack([sign_quantize(FullSketch(np.ones(64)))
-                                             for _ in range(4)]))
+        save_sketches(path, sign_store(*[np.ones(64)] * 4))
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
         with pytest.raises(SketchFormatError):
@@ -256,19 +250,20 @@ class TestSketchFiles:
 
     def test_store_round_trip_matches_row_path(self, tmp_path):
         rng_ = np.random.default_rng(5)
-        full = [FullSketch(rng_.standard_normal(61)) for _ in range(30)]
+        full = [rng_.standard_normal(61) for _ in range(30)]
         rows, stored = tmp_path / "rows.sfrp", tmp_path / "store.sfrp"
-        save_sketches(rows, SignStore.stack([sign_quantize(s) for s in full]))
-        save_sketches(stored, quantize_store(FullStore.stack(full)))
+        one_row_bits = [sign_store(s).bits for s in full]
+        save_sketches(rows, SignStore(np.concatenate(one_row_bits), 61))
+        save_sketches(stored, sign_quantize(full_store(*full)))
         assert rows.read_bytes() == stored.read_bytes()
         loaded = load_sketches(stored)
         assert loaded.bits.shape == (30, 8) and loaded.k == 61
-        for i, s in enumerate(full):
-            assert np.array_equal(loaded[i].bits, sign_quantize(s).bits)
+        for i, bits in enumerate(one_row_bits):
+            assert np.array_equal(loaded.bits[i:i + 1], bits)
 
     def test_store_pad_bits_validated(self, tmp_path):
         path = tmp_path / "pad.sfrp"
-        save_sketches(path, SignStore.stack([sign_quantize(FullSketch(-np.ones(3)))] * 2))
+        save_sketches(path, sign_store(*[-np.ones(3)] * 2))
         blob = bytearray(path.read_bytes())
         blob[-1] |= 0x80
         path.write_bytes(bytes(blob))
@@ -293,9 +288,11 @@ class TestSketchFiles:
             load_sketches(path)
 
     def test_heterogeneous_k_rejected(self, tmp_path):
+        # one k per store: rows of another width cannot be stored with it
         with pytest.raises(ShapeError):
-            save_sketches(tmp_path / "k.sfrp",
-                          FullStore.stack([FullSketch(np.ones(4)), FullSketch(np.ones(5))]))
+            SignStore(np.zeros((2, 1), dtype=np.uint8), 9)
+        with pytest.raises(ShapeError):
+            FullStore(np.ones(4), [4.0])
 
 
 class TestConfig:
@@ -305,4 +302,5 @@ class TestConfig:
 
     def test_sumsq_consistency_enforced(self):
         with pytest.raises(SketchFormatError):
-            FullSketch(np.array([1.0, 2.0]), sumsq=99.0)
+            FullStore(np.array([[1.0, 2.0]]), [99.0])
+        FullStore(np.array([[1.0, 2.0]]), [5.0 * (1.0 + 1e-10)])  # within 1e-9

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpsketch import (Estimator, FullSketch, SimConfig, estimate_pair,
-                      run_histogram, run_mse, run_mse_ratio, sample_pair,
-                      sign_quantize, v_factor)
+from oracles import full_store, sample_pair, score_one, sign_store
+from rpsketch import (Estimator, SimConfig, estimate_batch, run_histogram, run_mse,
+                      run_mse_ratio, v_factor)
 from rpsketch import rng, simulate
 from rpsketch.errors import ConfigError
 from rpsketch.simulate import raw_estimates
@@ -53,21 +53,26 @@ class TestSamplePair:
 
 class TestRawEstimates:
     def test_consistent_with_scalar_estimators(self):
+        # the lab's float blocks and the store kernel agree bit for bit: trial
+        # t is row t of the store scored against query y[t], and one-row stores
         x, y = rng.bivariate_block(0.6, seed=23, major_start=0, n_major=40, k=37)
+        store, queries = sign_store(*x), full_store(*y)
         for est in (Estimator.G, Estimator.G_NORM, Estimator.S, Estimator.S_NORM):
             vec = raw_estimates(est, x, y)
+            assert np.array_equal(vec, np.diag(estimate_batch(store, queries, est).raw))
             for t in range(40):
-                assert vec[t] == estimate_pair(
-                    est, sign_quantize(FullSketch(x[t])), FullSketch(y[t])).raw
+                assert vec[t] == score_one(est, x[t], y[t]).raw
 
     def test_consistent_with_scalar_full_estimators(self):
         x, y = rng.bivariate_block(0.3, seed=27, major_start=0, n_major=25, k=19)
         plain = raw_estimates(Estimator.FULL, x, y)
         normed = raw_estimates(Estimator.FULL_NORM, x, y)
+        for est, vec in ((Estimator.FULL, plain), (Estimator.FULL_NORM, normed)):
+            assert np.array_equal(vec, np.diag(
+                estimate_batch(full_store(*x), full_store(*y), est).raw))
         for t in range(25):
-            xs, ys = FullSketch(x[t]), FullSketch(y[t])
-            assert plain[t] == estimate_pair(Estimator.FULL, xs, ys).raw
-            assert normed[t] == estimate_pair(Estimator.FULL_NORM, xs, ys).raw
+            assert plain[t] == score_one(Estimator.FULL, x[t], y[t]).raw
+            assert normed[t] == score_one(Estimator.FULL_NORM, x[t], y[t]).raw
 
     def test_sign_sign_consistent(self):
         x, y = rng.bivariate_block(0.2, seed=29, major_start=0, n_major=20, k=64)
