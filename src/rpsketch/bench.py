@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .estimators import Estimator, estimate_batch
 from .projection import (FullStore, ProjectionConfig, SignStore, project_corpus,
                          sign_quantize)
@@ -192,17 +192,24 @@ def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
     mix controls the similarity histogram.
     Members are assigned to clusters round-robin; queries are extra members
     generated the same way.  Everything is a pure function of the seed.
+    Level values must be finite and >= 0 (ConfigError); a member whose norm
+    overflows raises DomainError rather than becoming a zero row.
     """
     if dim < 1 or n_clusters < 1 or n_train < 1 or n_queries < 0:
         raise ConfigError("need dim >= 1, at least one cluster and one training vector")
     if any(int(slots) < 0 for _, slots in spread_levels):
         raise ConfigError("spread_levels slots must be >= 0")
+    if not all(0.0 <= value < math.inf for value, _ in spread_levels):
+        raise ConfigError("spread_levels values must be finite and >= 0")
     ends = list(itertools.accumulate(int(slots) for _, slots in spread_levels))
     if not ends or not ends[-1]:
         raise ConfigError("spread_levels must provide at least one slot")
 
     def unit(vec: np.ndarray) -> np.ndarray:
-        return vec / math.sqrt(float(np.dot(vec, vec)))
+        norm = math.sqrt(float(np.dot(vec, vec)))
+        if not 0.0 < norm < math.inf:  # all zero, or the noise overflowed its norm
+            raise DomainError(f"cannot normalize a vector of norm {norm}")
+        return vec / norm
 
     centers = [unit(rng.normal_grid(seed, [c], dim)[0])
                for c in range(n_clusters)]

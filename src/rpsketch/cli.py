@@ -6,27 +6,23 @@ function of its argument vector: stochastic subcommands require an explicit
 seed and their outputs are byte-identical across reruns and thread counts.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error.
+
+Each subcommand imports the modules it runs when it runs, so parsing the
+arguments, --help and a closed-form variance-table load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import math
 import re
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
-from . import bench as bench_mod
-from . import simulate as sim_mod
-from . import variance as var_mod
 from .errors import RpsketchError
-from .estimators import Estimator, estimate_batch
-from .projection import (FullStore, ProjectionConfig, load_sketches, project_corpus,
-                         save_sketches, sign_quantize)
-from .vectors import load_sparse_text, save_sparse_text
+from .names import Estimator
 
 
 #: the most points a --rho-grid, or bins a --bins, may ask for
@@ -39,6 +35,17 @@ MAX_TRIALS = 10**7
 MAX_MLE_SAMPLES = 10**9
 #: the most values synth draws, (--clusters + --train + --query) * --dim
 MAX_SYNTH_VALUES = 10**7
+
+
+#: names callers look up here, resolved in their home module at each access
+#: so that a wrapper installed there (benchmarks/spans.py) is seen here too
+_FORWARDED = {"load_sparse_text": "vectors", "estimate_batch": "estimators"}
+
+
+def __getattr__(name: str):
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_FORWARDED[name]}", __package__), name)
 
 
 class UsageError(Exception):
@@ -71,6 +78,15 @@ def _parse_estimators(spec: str) -> tuple[Estimator, ...]:
         if name not in known:
             raise UsageError(f"unknown estimator {name!r} (known: {', '.join(known)})")
     return tuple(map(Estimator, names))
+
+
+def _parse_estimator(spec: str) -> Estimator:
+    """The estimator of a one-estimator flag: a list of several is refused,
+    not cut to its first name."""
+    estimators = _parse_estimators(spec)
+    if len(estimators) > 1:
+        raise UsageError(f"--estimator takes one estimator, got {len(estimators)}: {spec!r}")
+    return estimators[0]
 
 
 def _parse_rho_grid(spec: str) -> list[float]:
@@ -134,6 +150,9 @@ def _cmd_sketch(args) -> int:
     if not args.out:
         raise UsageError("sketch writes binary data; --out is required")
     _at_most("--k", MAX_K, args.k)
+    from .projection import ProjectionConfig, project_corpus, save_sketches, sign_quantize
+    from .vectors import load_sparse_text
+
     sketches = project_corpus(load_sparse_text(args.input, args.dim),
                               ProjectionConfig(args.k, args.seed), threads=args.threads)
     save_sketches(args.out, sign_quantize(sketches) if args.kind == "sign" else sketches)
@@ -142,8 +161,15 @@ def _cmd_sketch(args) -> int:
 
 def _cmd_estimate(args) -> int:
     """Score every query against the store, writing the CSV one query at a time."""
+    estimator = _parse_estimator(args.estimator)
+
+    import numpy as np
+
+    from .estimators import estimate_batch
+    from .projection import FullStore, ProjectionConfig, load_sketches, project_corpus
+    from .vectors import load_sparse_text
+
     store = load_sketches(args.store)
-    estimator = _parse_estimators(args.estimator)[0]
     queries = load_sparse_text(args.queries, args.dim)
     header = ["query", "train", "estimator", "rho_hat", "clamped"]
     if not len(store):
@@ -175,6 +201,8 @@ def _cmd_variance_table(args) -> int:
     estimators = _parse_estimators(args.estimators)
     grid = _parse_rho_grid(args.rho_grid)
     _at_most("--mle-samples", MAX_MLE_SAMPLES, args.mle_samples)
+    from . import variance as var_mod
+
     rows = []
     for rho in grid:
         for est in estimators:
@@ -192,8 +220,10 @@ def _cmd_variance_table(args) -> int:
 def _cmd_simulate(args) -> int:
     _at_most("--k", MAX_K, args.k)
     _at_most("--trials", MAX_TRIALS, args.trials)
-    cfg = sim_mod.SimConfig(args.rho, args.k, args.trials, args.seed,
-                            _parse_estimators(args.estimators))
+    estimators = _parse_estimators(args.estimators)
+    from . import simulate as sim_mod
+
+    cfg = sim_mod.SimConfig(args.rho, args.k, args.trials, args.seed, estimators)
     reports = sim_mod.run_mse(cfg, threads=args.threads)
     rows = [[r.estimator.cli_name, r.rho, r.k, r.bias, r.variance, r.mse,
              r.clamp_rate] for r in reports]
@@ -206,6 +236,8 @@ def _cmd_mse_ratio(args) -> int:
     ks = _parse_list(args.k_grid, "k")
     _at_most("--k-grid", MAX_K, *ks)
     _at_most("--trials", MAX_TRIALS, args.trials)
+    from . import simulate as sim_mod
+
     points = sim_mod.run_mse_ratio(args.rho, ks, args.trials, args.seed,
                                    threads=args.threads)
     rows = [[p.k, p.mse_sign_sign, p.mse_s_norm, p.mse_g_norm, p.ratio_s_norm,
@@ -218,10 +250,12 @@ def _cmd_mse_ratio(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    estimator = _parse_estimators(args.estimator)[0]
+    estimator = _parse_estimator(args.estimator)
     _at_most("--k", MAX_K, args.k)
     _at_most("--trials", MAX_TRIALS, args.trials)
     _at_most("--bins", MAX_GRID_POINTS, args.bins)
+    from . import simulate as sim_mod
+
     hist = sim_mod.run_histogram(args.rho, args.k, args.trials, args.seed,
                                  estimator, args.bins, threads=args.threads)
     rows = [[estimator.cli_name, args.rho, args.k, lo, hi, int(c),
@@ -237,6 +271,9 @@ def _cmd_bench(args) -> int:
     ks = _parse_list(args.k, "k")
     _at_most("--k", MAX_K, *ks)
     rho0s = _parse_list(args.rho0, "rho0", float)
+    from . import bench as bench_mod
+    from .vectors import load_sparse_text
+
     bench_mod.check_rho0(*rho0s)
     l_grid = _parse_list(args.l_grid, "L") if args.l_grid else None
     train = load_sparse_text(args.train, args.dim)
@@ -255,6 +292,9 @@ def _cmd_synth(args) -> int:
              (args.clusters + args.train + args.query) * args.dim)
     levels = _parse_levels(args.levels) if args.levels else ((0.05, 4), (0.30, 3),
                                                              (1.50, 3))
+    from . import bench as bench_mod
+    from .vectors import save_sparse_text
+
     train, queries = bench_mod.make_clustered_corpus(
         args.seed, dim=args.dim, n_clusters=args.clusters,
         n_train=args.train, n_queries=args.query, spread_levels=levels)

@@ -22,7 +22,6 @@ bounded scores while variance analysis wants the untouched statistic.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -31,26 +30,11 @@ import numpy as np
 
 from . import mle
 from .errors import ContractError, DomainError, ShapeError
+from .names import Estimator
 from .projection import FullStore, SignStore, pack_signs, popcount, sum_product
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 SQRT_TAU = math.sqrt(2.0 * math.pi)
-
-
-class Estimator(enum.Enum):
-    SIGN_SIGN = "sign-sign"
-    FULL = "full"
-    FULL_NORM = "full-norm"
-    G = "g"
-    G_NORM = "g-norm"
-    S = "s"
-    S_NORM = "s-norm"
-    MLE_SIGN_FULL = "mle"
-    MLE_FULL = "mle-full"
-
-    @property
-    def cli_name(self) -> str:
-        return self.value
 
 
 #: estimators that score a bit-packed SignStore; the others score a FullStore

@@ -11,7 +11,8 @@ keeps the high-similarity ratios near full float64 precision up to
 rho = 1 - 1e-15.
 
 The sign-full MLE has no closed-form factor; its Fisher information is
-integrated by deterministic Monte Carlo instead.
+integrated by deterministic Monte Carlo instead.  Only that integration
+needs numpy, so it is imported there: the closed forms run on math alone.
 """
 
 from __future__ import annotations
@@ -19,12 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import rng
 from .errors import ConfigError, ContractError, DomainError
-from .estimators import Estimator
-from .mle import inv_mills
+from .names import Estimator
 
 _FISHER_BLOCK = 1 << 20
 
@@ -144,6 +141,11 @@ def mle_variance_factor(rho: float, cfg: FisherConfig = FisherConfig(), *,
     workers, and the block sums are added in block order, so the result
     depends only on (rho, samples, seed).
     """
+    import numpy as np
+
+    from . import rng
+    from .mle import inv_mills
+
     if not -0.999 <= rho <= 0.999:
         raise DomainError("Fisher integrand is ill-conditioned beyond |rho| = 0.999")
     omr2 = _one_minus_rho_sq(rho)

@@ -12,7 +12,7 @@ from rpsketch import (Corpus, DataVector, Estimator, ProjectionConfig, benchmark
                       interpolated_precision, make_clustered_corpus, pr_curve,
                       project_corpus, rank_queries, sign_quantize)
 from rpsketch.bench import _relevant, exact_cosines
-from rpsketch.errors import ConfigError, ContractError, ShapeError
+from rpsketch.errors import ConfigError, ContractError, DomainError, ShapeError
 
 
 def vec(dense, dim=None):
@@ -438,6 +438,17 @@ class TestClusteredCorpus:
             with pytest.raises(ConfigError):
                 make_clustered_corpus(1, dim=8, n_clusters=1, n_train=1,
                                       n_queries=0, spread_levels=levels)
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf, -math.inf])
+    def test_bad_level_values_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            make_clustered_corpus(1, dim=8, n_clusters=1, n_train=1, n_queries=0,
+                                  spread_levels=((0.1, 1), (value, 1)))
+
+    def test_member_whose_norm_overflows_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="norm inf"):
+            make_clustered_corpus(1, dim=8, n_clusters=1, n_train=3, n_queries=0,
+                                  spread_levels=((1e308, 1),))
 
     def test_huge_slot_count_builds_no_slot_list(self):
         tracemalloc.start()

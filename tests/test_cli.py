@@ -196,6 +196,9 @@ class TestExitCodes:
         (["bench", "--k", "8", "--rho0", "0.5", "--l-grid", ","], "L"),
         (["bench", "--k", "8", "--rho0", "0.5", "--estimators", ","], "estimators"),
         (["mse-ratio", "--rho", "0.5", "--k-grid", ","], "k"),
+        (["estimate", "--store", "absent.sfrp", "--queries", "absent.txt",
+          "--estimator", ","], "estimators"),
+        (["histogram", "--rho", "0.5", "--k", "8", "--estimator", ","], "estimators"),
     ])
     def test_empty_list_is_usage_error(self, args, what, tmp_path, monkeypatch, capsys):
         # a list with no values would give a header-only CSV; the input
@@ -205,6 +208,22 @@ class TestExitCodes:
             args = args + ["--train", "absent.txt", "--query", "absent.txt"]
         assert run(args + ["--seed", "1", "--out", "c.csv"]) == 1
         assert capsys.readouterr().err == f"error: no {what} given\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["estimate", "--store", "absent.sfrp", "--queries", "absent.txt",
+         "--estimator", "s-norm,g"],
+        ["histogram", "--rho", "0.5", "--k", "8", "--estimator", "s,g"],
+        ["histogram", "--rho", "0.5", "--k", "8", "--estimator", "s,s"],
+    ])
+    def test_list_for_a_one_estimator_flag_is_usage_error(self, args, tmp_path,
+                                                           monkeypatch, capsys):
+        # the step used to run the first name alone; the store is absent,
+        # so the check comes first
+        monkeypatch.chdir(tmp_path)
+        assert run(args + ["--seed", "1", "--out", "c.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --estimator takes one estimator, got 2: {args[-1]!r}\n")
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("rho0", ["-1", "0", "2", "nan"])
@@ -286,6 +305,29 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert code == 0 and peak < 2**20
+
+    @pytest.mark.parametrize("levels", ["-0.5:3", "0.1:2,nan:1", "inf:1"])
+    def test_synth_level_values_must_be_finite_and_nonnegative(self, levels, tmp_path,
+                                                               capsys):
+        # a negative value used to end in an uncaught math domain error
+        out_train = tmp_path / "t.txt"
+        assert run(["synth", "--dim", "8", "--clusters", "1", "--train", "3", "--query", "1",
+                    "--seed", "1", "--out-train", str(out_train),
+                    "--out-query", str(tmp_path / "q.txt"), f"--levels={levels}"]) == 2
+        assert capsys.readouterr().err == \
+            "error: spread_levels values must be finite and >= 0\n"
+        assert not out_train.exists()
+
+    def test_synth_noise_that_overflows_its_norm_is_a_data_error(self, tmp_path, capsys):
+        # the member's norm overflows, and dividing by it used to save an empty line
+        out_train = tmp_path / "t.txt"
+        with np.errstate(over="ignore"):
+            code = run(["synth", "--dim", "8", "--clusters", "1", "--train", "3",
+                        "--query", "1", "--seed", "1", "--out-train", str(out_train),
+                        "--out-query", str(tmp_path / "q.txt"), "--levels=1e308:3"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot normalize a vector of norm inf\n"
+        assert not out_train.exists()
 
 
 class TestTraceHooks:
