@@ -9,7 +9,7 @@ import importlib
 _EXPORTS = {
     "errors": ("ConfigError", "ContractError", "DegenerateInputError", "DomainError",
                "RpsketchError", "ShapeError", "SketchFormatError", "SparseTextError"),
-    "vectors": ("Corpus", "DataVector", "load_sparse_text", "save_sparse_text"),
+    "vectors": ("Corpus", "load_sparse_text", "save_sparse_text"),
     "projection": ("FullStore", "ProjectionConfig", "SignStore", "load_sketches",
                    "project_corpus", "save_sketches", "sign_array", "sign_quantize"),
     "names": ("Estimator",),

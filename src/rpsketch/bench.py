@@ -14,7 +14,6 @@ low-similarity regimes.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import logging
 import math
@@ -27,7 +26,7 @@ from .errors import ConfigError, DomainError, ShapeError
 from .estimators import Estimator, estimate_batch
 from .projection import (FullStore, ProjectionConfig, SignStore, project_corpus,
                          sign_quantize)
-from .vectors import Corpus, DataVector
+from .vectors import Corpus
 
 log = logging.getLogger(__name__)
 
@@ -176,6 +175,26 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     return rows
 
 
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """Divide each row by its norm in place; DomainError for the first row
+    whose norm is 0 or overflows."""
+    norms = [math.sqrt(float(np.dot(row, row))) for row in block]
+    for norm in norms:
+        if not 0.0 < norm < math.inf:  # all zero, or the noise overflowed its norm
+            raise DomainError(f"cannot normalize a vector of norm {norm}")
+    block /= np.array(norms)[:, None]
+    return block
+
+
+def _nonzeros(block: np.ndarray) -> Corpus:
+    """The nonzeros of a block of rows of one dim as a Corpus, rows in order."""
+    mask = block != 0.0
+    indices = np.flatnonzero(mask)
+    indices %= block.shape[1]
+    return Corpus(np.concatenate(([0], np.cumsum(mask.sum(axis=1)))), indices,
+                  block[mask], block.shape[1])
+
+
 def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
                           n_train: int = 1000, n_queries: int = 100,
                           spread_levels: Sequence[tuple[float, int]] = (
@@ -191,7 +210,9 @@ def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
     energies a and b have expected cosine 1/sqrt((1+a)(1+b)), so the level
     mix controls the similarity histogram.
     Members are assigned to clusters round-robin; queries are extra members
-    generated the same way.  Everything is a pure function of the seed.
+    generated the same way.  Centers are rows 0..n_clusters-1 of the seed's
+    normal table, training members and then queries the rows after them, so
+    everything is a pure function of the seed, drawn in two grids.
     Level values must be finite and >= 0 (ConfigError); a member whose norm
     overflows raises DomainError rather than becoming a zero row.
     """
@@ -205,22 +226,17 @@ def make_clustered_corpus(seed: int, dim: int = 512, n_clusters: int = 10,
     if not ends or not ends[-1]:
         raise ConfigError("spread_levels must provide at least one slot")
 
-    def unit(vec: np.ndarray) -> np.ndarray:
-        norm = math.sqrt(float(np.dot(vec, vec)))
-        if not 0.0 < norm < math.inf:  # all zero, or the noise overflowed its norm
-            raise DomainError(f"cannot normalize a vector of norm {norm}")
-        return vec / norm
+    ordinal = np.concatenate((np.arange(n_train), np.arange(n_queries)))
+    # no slot reaches `top`, so capping the slot counts there picks the same
+    # levels and keeps them within int64
+    top = max(n_train, n_queries) // n_clusters + 1
+    slot = ordinal // n_clusters % min(ends[-1], top)
+    level = np.searchsorted([min(end, top) for end in ends], slot, "right")
+    sigma = np.array([math.sqrt(value / dim) for value, _ in spread_levels])[level]
 
-    centers = [unit(rng.normal_grid(seed, [c], dim)[0])
-               for c in range(n_clusters)]
-
-    def member(major: int, ordinal: int) -> DataVector:
-        cluster = ordinal % n_clusters
-        s2d = spread_levels[bisect.bisect_right(ends, (ordinal // n_clusters) % ends[-1])][0]
-        sigma = math.sqrt(s2d / dim)
-        noise = rng.normal_grid(seed, [major], dim)[0]
-        return DataVector.from_dense(unit(centers[cluster] + sigma * noise), dim)
-
-    train = [member(n_clusters + m, m) for m in range(n_train)]
-    queries = [member(n_clusters + n_train + q, q) for q in range(n_queries)]
-    return Corpus.from_vectors(train, dim), Corpus.from_vectors(queries, dim)
+    centers = _unit_rows(rng.normal_grid(seed, np.arange(n_clusters), dim))
+    members = rng.normal_grid(seed, np.arange(n_clusters, n_clusters + ordinal.size), dim)
+    members *= sigma[:, None]
+    members += centers[ordinal % n_clusters]
+    _unit_rows(members)
+    return _nonzeros(members[:n_train]), _nonzeros(members[n_train:])

@@ -21,7 +21,7 @@ import re
 import sys
 from contextlib import nullcontext
 
-from .errors import RpsketchError
+from .errors import ConfigError, RpsketchError
 from .names import Estimator
 
 
@@ -67,6 +67,12 @@ def _at_most(flag: str, limit: int, *values: int) -> None:
     """Reject a size argument above its limit before anything is sized by it."""
     if any(v > limit for v in values):
         raise UsageError(f"{flag} must be at most {limit}")
+
+
+def _check_dim(dim: int | None) -> None:
+    """Refuse a --dim below 1 before any file is opened."""
+    if dim is not None and dim < 1:
+        raise ConfigError(f"--dim must be >= 1, not {dim}")
 
 
 def _parse_estimators(spec: str) -> tuple[Estimator, ...]:
@@ -150,6 +156,7 @@ def _cmd_sketch(args) -> int:
     if not args.out:
         raise UsageError("sketch writes binary data; --out is required")
     _at_most("--k", MAX_K, args.k)
+    _check_dim(args.dim)
     from .projection import ProjectionConfig, project_corpus, save_sketches, sign_quantize
     from .vectors import load_sparse_text
 
@@ -162,6 +169,7 @@ def _cmd_sketch(args) -> int:
 def _cmd_estimate(args) -> int:
     """Score every query against the store, writing the CSV one query at a time."""
     estimator = _parse_estimator(args.estimator)
+    _check_dim(args.dim)
 
     import numpy as np
 
@@ -271,6 +279,7 @@ def _cmd_bench(args) -> int:
     ks = _parse_list(args.k, "k")
     _at_most("--k", MAX_K, *ks)
     rho0s = _parse_list(args.rho0, "rho0", float)
+    _check_dim(args.dim)
     from . import bench as bench_mod
     from .vectors import load_sparse_text
 

@@ -136,7 +136,8 @@ class MleResult:
 
 @dataclass(frozen=True, eq=False)
 class MleBatch:
-    """Per-row solver results; row i is the MleResult of solving row i alone."""
+    """Per-row solver results: entry i of each array is the result of solving
+    row i alone."""
 
     rho_hat: np.ndarray
     at_boundary: np.ndarray
@@ -145,9 +146,10 @@ class MleBatch:
     def __len__(self) -> int:
         return self.rho_hat.size
 
-    def __getitem__(self, i: int) -> MleResult:
-        return MleResult(float(self.rho_hat[i]), bool(self.at_boundary[i]),
-                         int(self.iterations[i]))
+
+def _only_row(batch: MleBatch) -> MleResult:
+    return MleResult(float(batch.rho_hat[0]), bool(batch.at_boundary[0]),
+                     int(batch.iterations[0]))
 
 
 def _chunked(solve, width: int, *arrays) -> MleBatch:
@@ -192,7 +194,7 @@ def mle_sign_full_store(store: SignStore, y: np.ndarray,
 
 def solve_sign_full(s: np.ndarray, cfg: SolverConfig = SolverConfig()) -> MleResult:
     """Solver core on precomputed products s_j = sgn(x_j) * y_j."""
-    return solve_sign_full_batch(np.asarray(s, dtype=np.float64)[None, :], cfg)[0]
+    return _only_row(solve_sign_full_batch(np.asarray(s, dtype=np.float64)[None, :], cfg))
 
 
 def solve_sign_full_batch(s: np.ndarray, cfg: SolverConfig = SolverConfig()) -> MleBatch:
@@ -287,8 +289,8 @@ def mle_full_store(store: FullStore, y: np.ndarray, yy: float,
 def solve_full_from_moments(b: float, m: float, k: int,
                             cfg: SolverConfig = SolverConfig()) -> MleResult:
     """Cubic-MLE core on the sample moments b = mean(xy), m = mean(x^2+y^2)."""
-    return solve_full_batch(np.array([b], dtype=np.float64),
-                            np.array([m], dtype=np.float64), k, cfg)[0]
+    return _only_row(solve_full_batch(np.array([b], dtype=np.float64),
+                                      np.array([m], dtype=np.float64), k, cfg))
 
 
 def solve_full_batch(b: np.ndarray, m: np.ndarray, k: int,

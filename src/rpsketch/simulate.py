@@ -135,11 +135,14 @@ def run_mse_ratio(rho: float, k_grid, trials: int, seed: int,
     """MSE(sign-sign)/MSE(normalized estimator) per k, with theory columns.
 
     The theory columns are the constant variance-factor quotients
-    V_sign-sign / V_s-norm and V_sign-sign / V_g-norm at this rho.
+    V_sign-sign / V_s-norm and V_sign-sign / V_g-norm at this rho, which
+    are 0/0 at rho = 1, so that rho is refused (ConfigError).
     """
     k_grid = [int(k) for k in k_grid]
     if any(k < 2 for k in k_grid):
         raise ConfigError("ratio curves need k >= 2")
+    if rho == 1.0:  # both MSEs and both variance factors are 0
+        raise ConfigError("ratio curves need rho < 1: at rho = 1 every MSE is 0")
     v1 = variance.v_factor(Estimator.SIGN_SIGN, rho).value
     th_s = v1 / variance.v_factor(Estimator.S_NORM, rho).value
     th_g = v1 / variance.v_factor(Estimator.G_NORM, rho).value

@@ -1,11 +1,11 @@
-"""Sparse data vectors, a CSR corpus of unit rows, and sparse text I/O.
+"""A CSR corpus of unit rows, and sparse text I/O.
 
-Vectors are stored as sorted (index, value) pairs because the target corpora
-are extremely sparse and projection iterates over the support in index order;
-a corpus keeps all of its rows in three CSR arrays.  Text files use the
-common line-per-vector convention: an optional leading label token followed
-by whitespace-separated ``index:value`` pairs with 1-based indices.  In
-memory everything is 0-based.
+A corpus keeps all of its rows in three CSR arrays, each row's support as
+sorted (index, value) pairs, because the target corpora are extremely
+sparse and projection iterates over the support in index order.  Text files
+use the common line-per-vector convention: an optional leading label token
+followed by whitespace-separated ``index:value`` pairs with 1-based indices.
+In memory everything is 0-based.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SparseTextError
+from .errors import DomainError, SparseTextError
 
 log = logging.getLogger(__name__)
 
@@ -24,45 +24,11 @@ _CHUNK_CHARS = 1 << 18  # text is parsed in chunks of whole lines of about this 
 _NOT_SEP = bytes(b for b in range(256) if b not in b": ")  # deleted by translate
 
 
-@dataclass(frozen=True)
-class DataVector:
-    """Sparse real vector: strictly increasing indices, no stored zeros."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ShapeError("indices and values must be 1-D and equal length")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ShapeError(f"index out of range for dim={self.dim}")
-            if np.any(np.diff(idx) <= 0):
-                raise ShapeError("indices must be strictly increasing")
-        if np.any(val == 0.0) or not np.all(np.isfinite(val)):
-            raise DomainError("values must be finite and nonzero")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @classmethod
-    def from_dense(cls, dense, dim: int | None = None) -> "DataVector":
-        dense = np.asarray(dense, dtype=np.float64)
-        idx = np.nonzero(dense)[0]
-        return cls(idx, dense[idx], dim if dim is not None else dense.size)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Unit-normalized sparse rows of one dimensionality in CSR form: row i
     holds the 0-based, strictly increasing indices[indptr[i]:indptr[i + 1]]
-    and their values.  Indexing and iteration give rows as DataVectors."""
+    and their values."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -70,22 +36,8 @@ class Corpus:
     dim: int
     skipped: int = 0
 
-    @classmethod
-    def from_vectors(cls, vectors, dim: int) -> "Corpus":
-        vectors = list(vectors)
-        if any(v.dim != dim for v in vectors):
-            raise ShapeError("all corpus vectors must share dim")
-        return cls(np.cumsum([0] + [v.nnz for v in vectors]),
-                   np.concatenate([v.indices for v in vectors] or [np.zeros(0, np.int64)]),
-                   np.concatenate([v.values for v in vectors] or [np.zeros(0)]), dim)
-
     def __len__(self) -> int:
         return len(self.indptr) - 1
-
-    def __getitem__(self, i: int) -> DataVector:  # IndexError past the end stops iteration
-        i = range(len(self))[i]
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return DataVector(self.indices[lo:hi], self.values[lo:hi], self.dim)
 
 
 def _parse_lines(path, dim: int | None):

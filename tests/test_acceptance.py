@@ -30,7 +30,6 @@ from rpsketch import rng
 from rpsketch.cli import main as cli_main
 from rpsketch.mle import solve_sign_full_batch
 from rpsketch.projection import ProjectionConfig
-from rpsketch.vectors import DataVector
 
 PI = math.pi
 SEED = 20260809
@@ -244,8 +243,7 @@ def test_criterion_10_collision_probability():
     k = 100_000
     cfg = ProjectionConfig(k=k, seed=SEED)
     for rho in [0.0, 0.5, 0.9]:
-        u = DataVector.from_dense([1.0, 0.0], 2)
-        v = DataVector.from_dense([rho, math.sqrt(1 - rho * rho)], 2)
+        u, v = [1.0, 0.0], [rho, math.sqrt(1 - rho * rho)]
         bits_u = sign_store(project(u, cfg))
         bits_v = sign_store(project(v, cfg))
         agree = matching_bits(bits_u, bits_v) / k

@@ -7,16 +7,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cosine, full_store, normalize, sign_store
-from rpsketch import (Corpus, DataVector, Estimator, ProjectionConfig, benchmark_grid,
+from oracles import clustered_corpus, corpus, cosine, full_store, normalize, rows, sign_store
+from rpsketch import (Corpus, Estimator, ProjectionConfig, benchmark_grid,
                       interpolated_precision, make_clustered_corpus, pr_curve,
                       project_corpus, rank_queries, sign_quantize)
 from rpsketch.bench import _relevant, exact_cosines
 from rpsketch.errors import ConfigError, ContractError, DomainError, ShapeError
-
-
-def vec(dense, dim=None):
-    return DataVector.from_dense(dense, dim)
 
 
 def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
@@ -24,9 +20,10 @@ def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray
     return _relevant(exact_cosines(train, queries), rho0)
 
 
-def to_dense(v: DataVector) -> np.ndarray:
-    out = np.zeros(v.dim)
-    out[v.indices] = v.values
+def to_dense(c: Corpus) -> np.ndarray:
+    """The rows of a corpus as a dense (n, dim) array."""
+    out = np.zeros((len(c), c.dim))
+    out[np.repeat(np.arange(len(c)), np.diff(c.indptr)), c.indices] = c.values
     return out
 
 
@@ -38,78 +35,72 @@ def points(curve) -> list[tuple[int, float, float]]:
 def axis(i, dim):
     dense = np.zeros(dim)
     dense[i] = 1.0
-    return vec(dense, dim)
+    return dense
 
 
 class TestGroundTruth:
     def test_exact_duplicate_at_threshold_one(self):
-        train = Corpus.from_vectors((axis(0, 4), axis(1, 4), axis(2, 4)), 4)
-        queries = Corpus.from_vectors((axis(1, 4),), 4)
+        train = corpus((axis(0, 4), axis(1, 4), axis(2, 4)), 4)
+        queries = corpus((axis(1, 4),), 4)
         (rel,) = ground_truth(train, queries, 1.0)
         assert rel.tolist() == [1]
 
     def test_threshold_above_everything(self):
         rng_ = np.random.default_rng(1)
-        train = Corpus.from_vectors([normalize(vec(rng_.standard_normal(16)))
-                                     for _ in range(5)], 16)
-        queries = Corpus.from_vectors((normalize(vec(rng_.standard_normal(16))),), 16)
-        sims = [cosine(queries[0], t) for t in train]
+        train = corpus([normalize(rng_.standard_normal(16)) for _ in range(5)], 16)
+        queries = corpus((normalize(rng_.standard_normal(16)),), 16)
+        sims = [cosine(queries, t) for t in rows(train)]
         rho0 = max(sims) + 1e-9
         (rel,) = ground_truth(train, queries, rho0)
         assert rel.size == 0
 
     def test_hand_enumerated_sets(self):
-        train = Corpus.from_vectors((vec([1.0, 0.0]), normalize(vec([1.0, 1.0])),
-                                     vec([0.0, 1.0])), 2)
-        queries = Corpus.from_vectors((vec([1.0, 0.0]),), 2)
+        train = corpus(([1.0, 0.0], normalize([1.0, 1.0]), [0.0, 1.0]), 2)
+        queries = corpus(([1.0, 0.0],), 2)
         # cosines: 1.0, 0.7071, 0.0
         (rel,) = ground_truth(train, queries, 0.5)
         assert rel.tolist() == [0, 1]
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            ground_truth(Corpus.from_vectors((axis(0, 3),), 3),
-                         Corpus.from_vectors((axis(0, 4),), 4), 0.5)
+            ground_truth(corpus((axis(0, 3),), 3), corpus((axis(0, 4),), 4), 0.5)
 
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
-            ground_truth(Corpus.from_vectors((), 3), Corpus.from_vectors((axis(0, 3),), 3), 0.5)
+            ground_truth(corpus((), 3), corpus((axis(0, 3),), 3), 0.5)
 
 
 class TestExactCosines:
     @staticmethod
-    def corpus(gen, n, dim, density):
-        rows = []
+    def unit_corpus(gen, n, dim, density):
+        unit = []
         for _ in range(n):
             dense = gen.standard_normal(dim) * (gen.random(dim) < density)
             dense[gen.integers(dim)] = 1.0  # no empty row
-            rows.append(normalize(vec(dense, dim)))
-        return Corpus.from_vectors(rows, dim)
+            unit.append(normalize(dense))
+        return corpus(unit, dim)
 
     @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
     def test_equals_dense_product(self, density):
         gen = np.random.default_rng(17)
-        train, queries = (self.corpus(gen, n, 60, density) for n in (41, 9))
-
-        def dense(c):
-            return np.stack([to_dense(v) for v in c])
+        train, queries = (self.unit_corpus(gen, n, 60, density) for n in (41, 9))
 
         sims = exact_cosines(train, queries)
         assert sims.shape == (9, 41)
-        np.testing.assert_allclose(sims, dense(queries) @ dense(train).T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sims, to_dense(queries) @ to_dense(train).T,
+                                   rtol=0, atol=1e-12)
 
     def test_no_queries_gives_no_rows(self):
-        train = Corpus.from_vectors((axis(0, 3), axis(2, 3)), 3)
-        assert exact_cosines(train, Corpus.from_vectors((), 3)).shape == (0, 2)
+        train = corpus((axis(0, 3), axis(2, 3)), 3)
+        assert exact_cosines(train, corpus((), 3)).shape == (0, 2)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            exact_cosines(Corpus.from_vectors((axis(0, 3),), 3),
-                          Corpus.from_vectors((axis(0, 4),), 4))
+            exact_cosines(corpus((axis(0, 3),), 3), corpus((axis(0, 4),), 4))
 
     def test_empty_training_corpus(self):
         with pytest.raises(ConfigError):
-            exact_cosines(Corpus.from_vectors((), 3), Corpus.from_vectors((axis(0, 3),), 3))
+            exact_cosines(corpus((), 3), corpus((axis(0, 3),), 3))
 
 
 def bincount_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
@@ -117,10 +108,10 @@ def bincount_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
     nonzero's product with it summed per row by bincount, in index order."""
     row_of_nnz = np.repeat(np.arange(len(train)), np.diff(train.indptr))
     dense, out = np.zeros(train.dim), np.empty((len(queries), len(train)))
-    for i, query in enumerate(queries):
-        dense[query.indices] = query.values
+    for i, (indices, values) in enumerate(rows(queries)):
+        dense[indices] = values
         out[i] = np.bincount(row_of_nnz, train.values * dense[train.indices], len(train))
-        dense[query.indices] = 0.0
+        dense[indices] = 0.0
     return out
 
 
@@ -129,15 +120,15 @@ def random_corpus(gen, n, dim, density, always=None, never=None):
     none, the rest each with probability `density` (one forced if empty)."""
     always = np.zeros(dim, bool) if always is None else always
     allowed = ~always if never is None else ~(always | never)
-    rows = []
+    unit = []
     for _ in range(n):
         on = always | (allowed & (gen.random(dim) < density))
         if not on.any():
             on[gen.choice(np.flatnonzero(allowed | always))] = True
         dense = np.where(on, gen.standard_normal(dim), 0.0)
         dense[on & (dense == 0.0)] = 1.0
-        rows.append(normalize(vec(dense, dim)))
-    return Corpus.from_vectors(rows, dim)
+        unit.append(normalize(dense))
+    return corpus(unit, dim)
 
 
 class TestExactCosinesBitwise:
@@ -179,10 +170,8 @@ class TestExactCosinesBitwise:
 
     def test_opposite_products_cancel_to_positive_zero(self):
         # (+a)(+b) + (-a)(+b) = +0 exactly; later meeting columns add onto it
-        train = Corpus.from_vectors([DataVector(np.array([0, 1, 3]),
-                                                np.array([0.6, -0.6, math.sqrt(0.28)]), 4)], 4)
-        queries = Corpus.from_vectors([DataVector(np.array([0, 1, 2]),
-                                                  np.array([0.5, 0.5, math.sqrt(0.5)]), 4)], 4)
+        train = corpus([([0, 1, 3], [0.6, -0.6, math.sqrt(0.28)])], 4)
+        queries = corpus([([0, 1, 2], [0.5, 0.5, math.sqrt(0.5)])], 4)
         self.check(train, queries)
         assert exact_cosines(train, queries)[0, 0] == 0.0
 
@@ -197,11 +186,11 @@ class TestExactCosinesBitwise:
         popularity /= popularity.sum()
 
         def sparse(n):
-            rows = []
+            unit = []
             for _ in range(n):
                 terms = np.unique(gen.choice(dim, size=200, p=popularity))
-                rows.append(normalize(DataVector(terms, gen.random(terms.size) + 0.5, dim)))
-            return Corpus.from_vectors(rows, dim)
+                unit.append(normalize((terms, gen.random(terms.size) + 0.5)))
+            return corpus(unit, dim)
 
         self.check(sparse(800), sparse(100))
 
@@ -211,10 +200,10 @@ class TestRankQueries:
     def test_identical_vector_ranks_first_with_estimate_one(self):
         rng_ = np.random.default_rng(2)
         dim = 32
-        vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(20)]
+        vecs = [normalize(rng_.standard_normal(dim)) for _ in range(20)]
         cfg = ProjectionConfig(k=256, seed=9)
-        store = sign_quantize(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
-        query = project_corpus(Corpus.from_vectors([vecs[7]], dim), cfg)
+        store = sign_quantize(project_corpus(corpus(vecs, dim), cfg))
+        query = project_corpus(corpus([vecs[7]], dim), cfg)
         from rpsketch import estimate_batch
 
         scores = estimate_batch(store, query, Estimator.S_NORM)
@@ -231,11 +220,11 @@ class TestRankQueries:
     def test_large_k_ranking_tracks_truth(self):
         rng_ = np.random.default_rng(3)
         dim = 24
-        vecs = [normalize(vec(rng_.standard_normal(dim))) for _ in range(50)]
-        query_vec = normalize(vec(rng_.standard_normal(dim)))
+        vecs = [normalize(rng_.standard_normal(dim)) for _ in range(50)]
+        query_vec = normalize(rng_.standard_normal(dim))
         cfg = ProjectionConfig(k=10_000, seed=13)
-        store = sign_quantize(project_corpus(Corpus.from_vectors(vecs, dim), cfg))
-        query = project_corpus(Corpus.from_vectors([query_vec], dim), cfg)
+        store = sign_quantize(project_corpus(corpus(vecs, dim), cfg))
+        query = project_corpus(corpus([query_vec], dim), cfg)
         (ranking,) = rank_queries(store, query, Estimator.S_NORM)
         truth = np.array([cosine(query_vec, t) for t in vecs])
         est_rank_of = np.empty(50)
@@ -396,27 +385,28 @@ class TestClusteredCorpus:
                                                n_train=60, n_queries=12)
         assert len(train) == 60 and len(queries) == 12
         assert train.dim == queries.dim == 96
-        for v in list(train)[:10]:
-            assert abs(math.sqrt(float(np.dot(v.values, v.values))) - 1.0) < 1e-12
+        for _, values in rows(train):
+            assert abs(math.sqrt(float(np.dot(values, values))) - 1.0) < 1e-12
 
     def test_deterministic_in_seed(self):
         a, _ = make_clustered_corpus(11, dim=32, n_clusters=2, n_train=8,
                                      n_queries=2)
         b, _ = make_clustered_corpus(11, dim=32, n_clusters=2, n_train=8,
                                      n_queries=2)
-        for u, w in zip(a, b):
-            assert np.array_equal(u.values, w.values)
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.values, b.values)
         c, _ = make_clustered_corpus(12, dim=32, n_clusters=2, n_train=8,
                                      n_queries=2)
-        assert not np.array_equal(a[0].values, c[0].values)
+        assert not np.array_equal(a.values[:32], c.values[:32])
 
     def test_same_cluster_pairs_sit_in_high_band(self):
         train, _ = make_clustered_corpus(13, dim=512, n_clusters=5,
                                          n_train=50, n_queries=0,
                                          spread_levels=((0.05, 1),))
         # members 0 and 5 share cluster 0 at the tight level: cos ~ 1/1.05
-        same = cosine(train[0], train[5])
-        other = cosine(train[0], train[1])
+        members = rows(train)
+        same = cosine(members[0], members[5])
+        other = cosine(members[0], members[1])
         assert same > 0.9
         assert abs(other) < 0.4
 
@@ -429,9 +419,9 @@ class TestClusteredCorpus:
                   for v in (0.1, 2.0)}
         rotation = [0.1, 0.1, 2.0, 2.0, 2.0]
         for side in (0, 1):
-            for m, row in enumerate(mixed[side]):
+            for m, (_, values) in enumerate(rows(mixed[side])):
                 level = rotation[(m // 2) % 5]
-                assert np.array_equal(row.values, single[level][side][m].values)
+                assert np.array_equal(values, rows(single[level][side])[m][1])
 
     def test_bad_slot_counts_rejected(self):
         for levels in (((0.1, -1), (0.5, 2)), ((0.1, 0),), ()):
@@ -449,6 +439,49 @@ class TestClusteredCorpus:
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="norm inf"):
             make_clustered_corpus(1, dim=8, n_clusters=1, n_train=3, n_queries=0,
                                   spread_levels=((1e308, 1),))
+
+    @pytest.mark.parametrize("seed, dim, n_clusters, n_train, n_queries, levels", [
+        (1, 512, 10, 300, 30, ((0.05, 4), (0.30, 3), (1.50, 3))),
+        (5, 37, 7, 120, 17, ((0.0, 2), (0.3, 1), (1.5, 2))),  # a 0.0 level: centers only
+        (2, 1, 3, 20, 4, ((0.5, 1),)),
+        (3, 9, 40, 25, 0, ((0.1, 1), (2.0, 2))),  # more clusters than members, no queries
+        (4, 16, 3, 50, 60, ((0.2, 2), (0.7, 10**20), (4.0, 1))),  # slots beyond int64
+    ])
+    def test_equals_the_per_member_construction(self, seed, dim, n_clusters, n_train,
+                                                n_queries, levels):
+        args = (seed, dim, n_clusters, n_train, n_queries, levels)
+        for got, want in zip(make_clustered_corpus(*args), clustered_corpus(*args)):
+            for field in ("indptr", "indices", "values"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            assert (got.dim, got.skipped) == (want.dim, want.skipped)
+
+    @pytest.mark.parametrize("seed, dim, n_train, n_queries", [
+        (1, 8, 12, 2),  # training member 7 is the first whose norm overflows
+        (4, 1, 4, 10),  # no training member overflows; query 7 is the first
+    ])
+    def test_first_bad_member_raises_as_per_member(self, seed, dim, n_train, n_queries):
+        args = (seed, dim, 2, n_train, n_queries, ((0.1, 1), (1.7e308, 1)))
+        errors = []
+        for build in (make_clustered_corpus, clustered_corpus):
+            with np.errstate(over="ignore"), pytest.raises(DomainError) as err:
+                build(*args)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == "cannot normalize a vector of norm inf"
+
+    def test_peak_memory_in_proportion_to_the_values_drawn(self):
+        # 40,550 x 64 values: the noise grid, the mask and one corpus's
+        # indices and values are alive at once, ~3.2 times the grid's bytes
+        n_clusters, n_train, n_queries, dim = 50, 40_000, 500, 64
+        drawn = 8 * (n_clusters + n_train + n_queries) * dim
+        tracemalloc.start()
+        try:
+            train, queries = make_clustered_corpus(3, dim, n_clusters, n_train, n_queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(train) == n_train and len(queries) == n_queries
+        assert peak < 4 * drawn, peak / drawn
 
     def test_huge_slot_count_builds_no_slot_list(self):
         tracemalloc.start()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import one_row
+from oracles import mle_row, one_row
 from rpsketch import (ProjectionConfig, cli, estimators, load_sketches,
                       load_sparse_text, mle, project_corpus)
 from rpsketch.cli import main
@@ -189,6 +189,23 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {flag} must be at most {limits[flag]}\n"
         assert peak < 2**20
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    @pytest.mark.parametrize("args", [
+        ["sketch", "--input", "absent.txt", "--k", "8", "--out", "o.sfrp"],
+        ["estimate", "--store", "absent.sfrp", "--queries", "absent.txt",
+         "--estimator", "s-norm", "--out", "c.csv"],
+        ["bench", "--train", "absent.txt", "--query", "absent.txt", "--k", "8",
+         "--rho0", "0.5", "--out", "c.csv"],
+    ])
+    def test_dim_below_one_rejected_before_reading(self, args, dim, tmp_path, monkeypatch,
+                                                   capsys):
+        # such a --dim used to have the file parsed twice and then blamed on
+        # its line 1; the input files are absent, so the check comes first
+        monkeypatch.chdir(tmp_path)
+        assert run(args + ["--dim", dim, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: --dim must be >= 1, not {dim}\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args,what", [
         (["bench", "--k", ",", "--rho0", "0.5"], "k"),
@@ -433,6 +450,25 @@ class TestSimulate:
         (row,) = rows_of(out)
         assert float(row["mse"]) == 0.0
 
+    def test_mse_ratio_at_rho_one_refused_before_any_trial(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # V_sign-sign / V_s-norm is 0/0 at rho = 1, and both MSEs are exactly 0
+        from rpsketch import simulate
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        out = tmp_path / "r.csv"
+        args = ["mse-ratio", "--k-grid", "10", "--trials", "20", "--seed", "7",
+                "--out", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "run_mse", no_trials)
+            assert run(args + ["--rho", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: ratio curves need rho < 1: at rho = 1 every MSE is 0\n"
+        assert not out.exists()
+        assert run(args + ["--rho", "-1"]) == 0 and len(rows_of(out)) == 1
+
     def test_all_estimators_present(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["simulate", "--rho", "0.5", "--k", "20", "--trials",
@@ -515,8 +551,8 @@ class TestPipelines:
             for r in rows:
                 qi, x = int(r["query"]), one_row(loaded, int(r["train"]))
                 q = queries.values[qi]
-                res = (mle.mle_sign_full_store(x, q) if kind == "sign"
-                       else mle.mle_full_store(x, q, queries.sumsq[qi]))[0]
+                res = mle_row(mle.mle_sign_full_store(x, q) if kind == "sign"
+                              else mle.mle_full_store(x, q, queries.sumsq[qi]))
                 assert r["estimator"] == estimator
                 assert r["rho_hat"] == repr(res.rho_hat)
                 assert r["clamped"] == str(res.at_boundary)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Score, full_store, one_row, score_one, sign_store
+from oracles import Score, full_store, mle_row, one_row, score_one, sign_store
 from rpsketch import (DomainError, Estimator, ShapeError, SignStore, estimate_batch, mle,
                       sign_quantize)
 from rpsketch import rng
@@ -347,7 +347,7 @@ class TestKernelContracts:
         rows = range(n) if n < 400 else sorted({0, 1, 57, 199, 398, 399})
         for i in rows:
             rep = score_one(Estimator.MLE_SIGN_FULL, one_row(store, i), query)
-            res = mle.mle_sign_full_store(one_row(store, i), query)[0]
+            res = mle_row(mle.mle_sign_full_store(one_row(store, i), query))
             assert _scores(many, 0, i) == rep == (res.rho_hat, res.rho_hat, res.at_boundary)
 
     @given(*store_shapes)
@@ -381,7 +381,7 @@ class TestFullBatch:
                     rep = score_one(est, one_row(store, i), q)
                     assert _scores(one, 0, i) == rep
                     if est is Estimator.MLE_FULL:  # clamped is the boundary flag
-                        res = mle.mle_full_store(one_row(store, i), q, full_store(q).sumsq[0])[0]
+                        res = mle_row(mle.mle_full_store(one_row(store, i), q, full_store(q).sumsq[0]))
                         assert rep == (res.rho_hat, res.rho_hat, res.at_boundary)
         # the store holds the last query: an mle-full boundary row
         assert many.clamped[3, 0] and many.clamped.sum() == 1

@@ -14,7 +14,10 @@ paths the steps below do not run.
 """
 
 import ast
+import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 PRELUDE = """
 import sys
@@ -110,6 +114,33 @@ def test_package_cli_shell_and_closed_form_variance_table_load_no_numpy(tmp_path
     """, tmp_path)
     assert out.splitlines() == ["[]", "[]", "0 []", "s-norm []", "0 []"]
     assert len((tmp_path / "factors.csv").read_text().splitlines()) == 1 + 8 * 7
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The rpsketch commands of the sh block under README's "## CLI", with
+    continuation lines joined, as argument vectors."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rpsketch ")]
+
+
+def test_readme_cli_commands_parse_without_numpy(tmp_path):
+    # every documented command parses to its own subcommand, and every
+    # subcommand is documented, so the README cannot drift from the parser
+    commands = readme_cli_commands()
+    out = fresh(f"""
+        import json
+        from rpsketch.cli import build_parser
+        parser = build_parser()
+        parsed = [parser.parse_args(argv).command for argv in json.loads({json.dumps(commands)!r})]
+        subcommands = sorted(parser._subparsers._group_actions[0].choices)
+        print(json.dumps([parsed, subcommands]), loaded("numpy"))
+    """, tmp_path)
+    listed, numpy = out.rsplit(" ", 1)
+    parsed, subcommands = json.loads(listed)
+    assert parsed == [argv[0] for argv in commands] and numpy == "[]"
+    assert sorted(set(parsed)) == subcommands
 
 
 def test_mle_variance_table_loads_numpy_when_it_runs(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, log_ndtr
 
-from oracles import full_store, one_row, sign_store
+from oracles import full_store, mle_row, one_row, sign_store
 from rpsketch import (DomainError, MleResult, SolverConfig, inv_mills, norm_cdf,
                       norm_pdf)
 from rpsketch import mle, rng
@@ -32,13 +32,13 @@ def score(rho: float, x, y) -> float:
 
 def mle_sign_full(x, y, cfg=SolverConfig()) -> MleResult:
     """The sign-full MLE of one pair, through one-row stores."""
-    return mle.mle_sign_full_store(sign_store(x), np.asarray(y, dtype=np.float64), cfg)[0]
+    return mle_row(mle.mle_sign_full_store(sign_store(x), np.asarray(y, dtype=np.float64), cfg))
 
 
 def mle_full(x, y, cfg=SolverConfig()) -> MleResult:
     """The full-data MLE of one pair, through one-row stores."""
     query = full_store(y)
-    return mle.mle_full_store(full_store(x), query.values[0], query.sumsq[0], cfg)[0]
+    return mle_row(mle.mle_full_store(full_store(x), query.values[0], query.sumsq[0], cfg))
 
 
 class TestNormalSpecialFunctions:
@@ -522,10 +522,10 @@ class TestBatchContracts:
         assert batch.rho_hat.shape == (n,) and len(batch) == n
         for i in self._rows(n):
             one = solve_sign_full(s[i], cfg)
-            assert batch[i] == one
+            assert mle_row(batch, i) == one
             assert _bits(*_fields(one)) == _bits(*_reference_sign_full(s[i], cfg))
-        assert n < 2 or batch[1].at_boundary and batch[1].rho_hat > 0.0
-        assert n < 3 or batch[2].at_boundary and batch[2].rho_hat < 0.0
+        assert n < 2 or batch.at_boundary[1] and batch.rho_hat[1] > 0.0
+        assert n < 3 or batch.at_boundary[2] and batch.rho_hat[2] < 0.0
 
     @given(*shapes, configs, chunks)
     @settings(max_examples=30, deadline=None)
@@ -543,7 +543,7 @@ class TestBatchContracts:
         assert batch.rho_hat.shape == (n,)
         for i in range(n):
             one = solve_full_from_moments(b[i], m[i], k, cfg)
-            assert batch[i] == one
+            assert mle_row(batch, i) == one
             assert _bits(*_fields(one)) == _bits(*_reference_full(b[i], m[i], k, cfg))
 
     def test_lab_block_equals_reference_loop(self):
@@ -554,12 +554,12 @@ class TestBatchContracts:
         batch = solve_sign_full_batch(s)
         assert batch.at_boundary.sum() > 20
         for i, row in enumerate(s):
-            assert _bits(*_fields(batch[i])) == _bits(*_reference_sign_full(row))
+            assert _bits(*_fields(mle_row(batch, i))) == _bits(*_reference_sign_full(row))
         b = np.multiply(x, y).sum(axis=1) / 8
         m = (np.multiply(x, x).sum(axis=1) + np.multiply(y, y).sum(axis=1)) / 8
         full = solve_full_batch(b, m, 8)
         for i in range(3000):
-            assert _bits(*_fields(full[i])) == _bits(*_reference_full(b[i], m[i], 8))
+            assert _bits(*_fields(mle_row(full, i))) == _bits(*_reference_full(b[i], m[i], 8))
 
     def test_three_real_roots_and_out_of_range_moments(self):
         assert len(np.roots([1.0, -0.1, -0.5, -0.1])) == 3
@@ -593,9 +593,9 @@ class TestBatchContracts:
         signs = mle.mle_sign_full_store(sign_store(*full), y)
         moments = mle.mle_full_store(full_store(*full, y), y, yy)
         for i, x in enumerate(full):
-            assert signs[i] == mle_sign_full(x, y)
-            assert moments[i] == mle_full(x, y)
-        assert moments[9].at_boundary
+            assert mle_row(signs, i) == mle_sign_full(x, y)
+            assert mle_row(moments, i) == mle_full(x, y)
+        assert moments.at_boundary[9]
 
 
 def _midpoint_sign_full_rows(s, cfg=SolverConfig()):
@@ -663,7 +663,7 @@ class TestSignFullStart:
         s = np.stack([row(rng_, 100) for row in _SMALL_ROWS.values()])
         batch = solve_sign_full_batch(s)
         for i, row in enumerate(s):
-            assert _bits(*_fields(batch[i])) == _bits(*_reference_sign_full(row))
+            assert _bits(*_fields(mle_row(batch, i))) == _bits(*_reference_sign_full(row))
         got = dict(zip(_SMALL_ROWS, batch.rho_hat.tolist()))
         flags = dict(zip(_SMALL_ROWS, batch.at_boundary.tolist()))
         lo, hi = -1.0 + 1e-9, 1.0 - 1e-9

@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (full_store, gaussian_entry, matching_bits, normalize, project,
+from oracles import (corpus, full_store, gaussian_entry, matching_bits, normalize, project,
                      sign_store)
-from rpsketch import (Corpus, DataVector, DomainError, FullStore, ProjectionConfig,
+from rpsketch import (DomainError, FullStore, ProjectionConfig,
                       ShapeError, SignStore, SketchFormatError, load_sketches,
                       project_corpus, save_sketches, sign_array, sign_quantize)
 from rpsketch import rng
 from rpsketch.errors import ConfigError
 from rpsketch.projection import _VERSION
-
-
-def vec(dense, dim=None):
-    return DataVector.from_dense(dense, dim)
 
 
 class TestGaussianEntry:
@@ -44,20 +40,19 @@ class TestProject:
     CFG = ProjectionConfig(k=64, seed=99)
 
     def test_empty_vector_rejected(self):
-        empty = DataVector(np.array([], dtype=np.int64), np.array([]), 4)
         with pytest.raises(DomainError):
-            project_corpus(Corpus.from_vectors([empty], 4), self.CFG)
+            project_corpus(corpus([np.zeros(4)], 4), self.CFG)
 
     def test_axis_vector_reads_matrix_row(self):
-        e3 = vec([0.0, 0.0, 0.0, 1.0, 0.0])
-        sk = project_corpus(Corpus.from_vectors([e3], 5), self.CFG)
+        e3 = [0.0, 0.0, 0.0, 1.0, 0.0]
+        sk = project_corpus(corpus([e3], 5), self.CFG)
         for j in [0, 1, 17, 63]:
             assert sk.values[0, j] == gaussian_entry(99, 3, j)
 
     def test_pure_function(self):
-        u = normalize(vec([0.5, -0.25, 0.0, 1.0]))
-        a = project_corpus(Corpus.from_vectors([u], 4), self.CFG)
-        b = project_corpus(Corpus.from_vectors([u], 4), self.CFG)
+        u = normalize([0.5, -0.25, 0.0, 1.0])
+        a = project_corpus(corpus([u], 4), self.CFG)
+        b = project_corpus(corpus([u], 4), self.CFG)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.sumsq, b.sumsq)
 
@@ -66,8 +61,7 @@ class TestProject:
         u = rng_.standard_normal(12)
         w = rng_.standard_normal(12)
         cfg = ProjectionConfig(k=128, seed=5)
-        su, sw, ssum = project_corpus(Corpus.from_vectors([vec(u), vec(w), vec(u + w)], 12),
-                                      cfg).values
+        su, sw, ssum = project_corpus(corpus([u, w, u + w], 12), cfg).values
         np.testing.assert_allclose(su + sw, ssum, rtol=1e-9, atol=1e-12)
 
     def test_pair_product_mean_over_seeds(self):
@@ -86,8 +80,7 @@ class TestProject:
         k = 20_000
         cfg = ProjectionConfig(k=k, seed=31)
         for rho in [0.0, 0.5, 0.9]:
-            u = vec([1.0, 0.0])
-            v = vec([rho, math.sqrt(1 - rho * rho)])
+            u, v = [1.0, 0.0], [rho, math.sqrt(1 - rho * rho)]
             bu, bv = (sign_store(project(w, cfg)) for w in (u, v))
             p = 1.0 - math.acos(rho) / math.pi
             agree = matching_bits(bu, bv) / k
@@ -95,9 +88,9 @@ class TestProject:
 
     def test_project_corpus_bitwise_equal_to_scalar(self):
         rng_ = np.random.default_rng(2)
-        vs = [normalize(vec(rng_.standard_normal(40))) for _ in range(25)]
+        vs = [normalize(rng_.standard_normal(40)) for _ in range(25)]
         cfg = ProjectionConfig(k=33, seed=77)
-        batch = project_corpus(Corpus.from_vectors(vs, 40), cfg)
+        batch = project_corpus(corpus(vs, 40), cfg)
         for v, values in zip(vs, batch.values):
             assert np.array_equal(values, project(v, cfg))
 
@@ -115,9 +108,8 @@ class TestProject:
         dim = 12
         supports = [range(dim), [2, 3], [3, 5], [0, 9], [0, 3, 8], [5], [11],
                     [2, 3, 5, 8, 9], [0, 2, 11], range(3, 10)]
-        vs = [DataVector(np.array(sorted(sup)), rng_.standard_normal(len(sup)), dim)
-              for sup in supports]
-        store = project_corpus(Corpus.from_vectors(vs, dim), ProjectionConfig(k, 5),
+        vs = [(sorted(sup), rng_.standard_normal(len(sup))) for sup in supports]
+        store = project_corpus(corpus(vs, dim), ProjectionConfig(k, 5),
                                threads=threads)
         assert isinstance(store, FullStore) and store.values.shape == (len(vs), k)
         for i, v in enumerate(vs):
@@ -139,19 +131,17 @@ class TestProject:
                       [5, 6], [2, 9, 14], range(3, 9), [5, 6], range(dim)],
         }[layout]
         rng_ = np.random.default_rng(k + 100 * threads)
-        vs = [DataVector(np.array(list(sup)), rng_.standard_normal(len(sup)), dim)
-              for sup in supports]
-        store = project_corpus(Corpus.from_vectors(vs, dim), ProjectionConfig(k, 11),
+        vs = [(list(sup), rng_.standard_normal(len(sup))) for sup in supports]
+        store = project_corpus(corpus(vs, dim), ProjectionConfig(k, 11),
                                threads=threads)
         for i, v in enumerate(vs):
             assert store.values[i].tobytes() == project(v, ProjectionConfig(k, 11)).tobytes()
 
     def test_project_corpus_empty(self):
-        store = project_corpus(Corpus.from_vectors([], 4), ProjectionConfig(8, 1))
+        store = project_corpus(corpus([], 4), ProjectionConfig(8, 1))
         assert isinstance(store, FullStore) and len(store) == 0 and store.k == 8
         with pytest.raises(DomainError):
-            project_corpus(Corpus.from_vectors([vec([1.0, 0.0]), vec([0.0, 0.0])], 2),
-                           ProjectionConfig(8, 1))
+            project_corpus(corpus([[1.0, 0.0], [0.0, 0.0]], 2), ProjectionConfig(8, 1))
 
 
 class TestSignQuantize:

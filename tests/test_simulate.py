@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_store, sample_pair, score_one, sign_store
+from oracles import (full_store, sample_pair, score_one, sign_sign_law, sign_sign_moments,
+                     sign_store)
 from rpsketch import (Estimator, SimConfig, estimate_batch, run_histogram, run_mse,
                       run_mse_ratio, v_factor)
 from rpsketch import rng, simulate
@@ -213,3 +214,31 @@ class TestRunHistogram:
     def test_bins_validated(self):
         with pytest.raises(ConfigError):
             run_histogram(0.5, 10, 100, 1, Estimator.G, bins=1)
+
+
+class TestExactSmallK:
+    """The lab's sign-sign row at small k against its exact finite-k law, where
+    the asymptotic factor V/k does not hold (criterion 4 checks k = 1000)."""
+
+    TRIALS = 20_000
+
+    def test_exact_mse_times_k(self):
+        # five times V_sign-sign(0.99) = 0.00845 at k = 10; below V(0.5) = 1.645
+        for rho, k, want in [(0.99, 10, 0.0421), (0.5, 10, 1.4751), (0.99, 100, 0.0115)]:
+            bias, var = sign_sign_moments(rho, k)
+            assert (bias * bias + var) * k == pytest.approx(want, abs=5e-5)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("k", [10, 20, 50])
+    def test_run_mse_within_four_standard_errors(self, rho, k):
+        values, probs = sign_sign_law(rho, k)
+        bias, var = sign_sign_moments(rho, k)
+        mse, n = bias * bias + var, self.TRIALS
+
+        def central(power: int, about: float) -> float:
+            return math.fsum(w * (v - about) ** power for v, w in zip(values, probs))
+
+        (rep,) = run_mse(SimConfig(rho, k, n, 11, (Estimator.SIGN_SIGN,)))
+        assert abs(rep.bias - bias) <= 4 * math.sqrt(var / n)
+        assert abs(rep.variance - var) <= 4 * math.sqrt((central(4, rho + bias) - var**2) / n)
+        assert abs(rep.mse - mse) <= 4 * math.sqrt((central(4, rho) - mse**2) / n)

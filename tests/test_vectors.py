@@ -6,33 +6,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import cosine, normalize
-from rpsketch import (Corpus, DataVector, DomainError, ShapeError,
-                      SparseTextError, load_sparse_text, save_sparse_text)
+from oracles import corpus as make_corpus
+from oracles import cosine, normalize, rows
+from rpsketch import (Corpus, DomainError, ShapeError, SparseTextError, load_sparse_text,
+                      save_sparse_text)
 
-
-def vec(dense, dim=None):
-    return DataVector.from_dense(dense, dim)
+EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0))  # a row with no nonzeros
 
 
 class TestCosine:
     def test_identity(self):
-        u = vec([0.3, -1.2, 0.0, 2.5])
+        u = [0.3, -1.2, 0.0, 2.5]
         assert cosine(u, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine(vec([1.0, 0.0]), vec([0.0, 1.0])) == 0.0
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_hand_dot_product(self):
         # (1,0)·(1,1)/(1*sqrt(2))
-        assert cosine(vec([1.0, 0.0]), vec([1.0, 1.0])) == pytest.approx(
+        assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
             1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            u = vec(rng.standard_normal(8))
-            v = vec(rng.standard_normal(8))
+            u = rng.standard_normal(8)
+            v = rng.standard_normal(8)
             assert cosine(u, v) == cosine(v, u)
 
     @given(st.floats(min_value=1e-6, max_value=1e6), st.integers(0, 2**31))
@@ -41,65 +40,45 @@ class TestCosine:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
-        base = cosine(vec(u), vec(v))
-        scaled = cosine(vec(alpha * u), vec(v))
+        base = cosine(u, v)
+        scaled = cosine(alpha * u, v)
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            cosine(vec([1.0, 0.0]), vec([1.0, 0.0, 0.0]))
+            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
     def test_zero_vector(self):
-        empty = DataVector(np.array([], dtype=np.int64), np.array([]), 4)
         with pytest.raises(DomainError):
-            cosine(empty, vec([1.0, 0.0, 0.0, 0.0]))
+            cosine(EMPTY, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestNormalize:
     def test_three_four_five(self):
-        n = normalize(vec([3.0, 4.0]))
-        assert n.indices.tolist() == [0, 1]
-        np.testing.assert_allclose(n.values, [0.6, 0.8], rtol=0, atol=0)
+        indices, values = normalize([3.0, 4.0])
+        assert indices.tolist() == [0, 1]
+        np.testing.assert_allclose(values, [0.6, 0.8], rtol=0, atol=0)
 
     def test_idempotent(self):
-        u = normalize(vec([0.2, -0.7, 1.4]))
+        u = normalize([0.2, -0.7, 1.4])
         again = normalize(u)
-        np.testing.assert_allclose(again.values, u.values, atol=1e-15)
+        np.testing.assert_allclose(again[1], u[1], atol=1e-15)
         assert cosine(u, again) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_vector(self):
-        n = normalize(vec([2.0] + [0.0] * 9))
-        assert n.indices.tolist() == [0]
-        assert n.values.tolist() == [1.0]
+        indices, values = normalize([2.0] + [0.0] * 9)
+        assert indices.tolist() == [0]
+        assert values.tolist() == [1.0]
 
     def test_zero_rejected(self):
-        empty = DataVector(np.array([], dtype=np.int64), np.array([]), 4)
         with pytest.raises(DomainError):
-            normalize(empty)
+            normalize(EMPTY)
 
     def test_unit_norm_within_tolerance(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            u = normalize(vec(rng.standard_normal(30)))
-            assert abs(float(np.dot(u.values, u.values)) - 1.0) < 1e-12
-
-
-class TestDataVectorInvariants:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ShapeError):
-            DataVector(np.array([3, 1]), np.array([1.0, 2.0]), 5)
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ShapeError):
-            DataVector(np.array([2, 2]), np.array([1.0, 2.0]), 5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ShapeError):
-            DataVector(np.array([5]), np.array([1.0]), 5)
-
-    def test_rejects_stored_zero(self):
-        with pytest.raises(DomainError):
-            DataVector(np.array([1]), np.array([0.0]), 5)
+            _, values = normalize(rng.standard_normal(30))
+            assert abs(float(np.dot(values, values)) - 1.0) < 1e-12
 
 
 class TestLoader:
@@ -107,17 +86,17 @@ class TestLoader:
         p = tmp_path / "c.txt"
         p.write_text("1 3:0.6 4:0.8\n")
         corpus = load_sparse_text(p)
-        (v,) = corpus
-        assert v.indices.tolist() == [2, 3]
-        np.testing.assert_allclose(v.values, [0.6, 0.8], atol=1e-15)
+        ((indices, values),) = rows(corpus)
+        assert indices.tolist() == [2, 3]
+        np.testing.assert_allclose(values, [0.6, 0.8], atol=1e-15)
         assert corpus.dim == 4
 
     def test_single_entry_normalized(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("0 1:2\n")
-        (v,) = load_sparse_text(p)
-        assert v.indices.tolist() == [0]
-        assert v.values.tolist() == [1.0]
+        ((indices, values),) = rows(load_sparse_text(p))
+        assert indices.tolist() == [0]
+        assert values.tolist() == [1.0]
 
     def test_blank_line_skipped_with_count(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -136,8 +115,8 @@ class TestLoader:
     def test_unlabeled_lines(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("3:0.6 4:0.8\n")
-        (v,) = load_sparse_text(p)
-        assert v.indices.tolist() == [2, 3]
+        ((indices, _),) = rows(load_sparse_text(p))
+        assert indices.tolist() == [2, 3]
 
     def test_non_increasing_index_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -191,7 +170,7 @@ class TestLoader:
         corpus = load_sparse_text(p)
         assert len(corpus) == 1
         assert corpus.skipped == 1
-        assert corpus[0].indices.tolist() == [1]
+        assert corpus.indptr.tolist() == [0, 1] and corpus.indices.tolist() == [1]
 
     def test_load_matches_dense_brute_force(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -199,36 +178,31 @@ class TestLoader:
         dense[np.abs(dense) < 0.4] = 0.0
         dense[:, -1] = 1.0  # pin the dimensionality
         p = tmp_path / "c.txt"
-        save_sparse_text(p, Corpus.from_vectors(
-            (normalize(vec(row, 12)) for row in dense), 12))
-        corpus = load_sparse_text(p)
+        save_sparse_text(p, make_corpus([normalize(row) for row in dense], 12))
+        loaded = rows(load_sparse_text(p))
         unit = dense / np.linalg.norm(dense, axis=1, keepdims=True)
         expected = unit @ unit.T
         for i in range(6):
             for j in range(6):
-                got = cosine(corpus[i], corpus[j])
+                got = cosine(loaded[i], loaded[j])
                 assert got == pytest.approx(expected[i, j], abs=1e-10)
 
     def test_round_trip_values_exact(self, tmp_path):
         rng = np.random.default_rng(9)
-        original = Corpus.from_vectors([normalize(vec(rng.standard_normal(7)))
-                                         for _ in range(4)], 7)
+        original = make_corpus([normalize(rng.standard_normal(7)) for _ in range(4)], 7)
         p = tmp_path / "c.txt"
         save_sparse_text(p, original)
         loaded = load_sparse_text(p)
-        for a, b in zip(original, loaded):
-            # repr round-trips floats, and re-normalizing a unit vector is
-            # stable to the last bit or one ulp
-            np.testing.assert_allclose(a.values, b.values, rtol=1e-15)
-
-    def test_corpus_rejects_mixed_dims(self):
-        with pytest.raises(ShapeError):
-            Corpus.from_vectors((vec([1.0, 0.0]), vec([1.0, 0.0, 0.0])), 2)
+        assert np.array_equal(loaded.indptr, original.indptr)
+        assert np.array_equal(loaded.indices, original.indices)
+        # repr round-trips floats, and re-normalizing a unit vector is
+        # stable to the last bit or one ulp
+        np.testing.assert_allclose(loaded.values, original.values, rtol=1e-15)
 
 
 def _reference_load(path, dim=None):
     """The token-by-token loader as it stood before the chunked parser, as
-    CSR arrays: rows normalized one DataVector at a time."""
+    CSR arrays: rows normalized one at a time."""
     def parse_line(line_no, tokens):
         if tokens and ":" not in tokens[0]:
             tokens = tokens[1:]
@@ -255,7 +229,7 @@ def _reference_load(path, dim=None):
                 val.append(x)
         return idx, val
 
-    rows, skipped, max_index = [], 0, -1
+    kept, skipped, max_index = [], 0, -1
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             tokens = line.split()
@@ -267,15 +241,11 @@ def _reference_load(path, dim=None):
                 raise SparseTextError(
                     line_no, f"index {idx[-1] + 1} exceeds declared dim {dim}")
             max_index = max(max_index, idx[-1])
-            rows.append((idx, val))
+            kept.append((idx, val))
     if dim is None:
         dim = max_index + 1
-    vectors = [normalize(DataVector(np.array(i, dtype=np.int64), np.array(v), dim))
-               for i, v in rows]
-    indptr = np.cumsum([0] + [v.nnz for v in vectors])
-    cat = (lambda parts, empty: np.concatenate(parts) if parts else empty)
-    return (indptr, cat([v.indices for v in vectors], np.zeros(0, np.int64)),
-            cat([v.values for v in vectors], np.zeros(0)), dim, skipped)
+    unit = make_corpus([normalize((i, v)) for i, v in kept], dim)
+    return unit.indptr, unit.indices, unit.values, dim, skipped
 
 
 def _outcome(load, path, dim):
@@ -357,16 +327,13 @@ class TestChunkedLoader:
         p.write_bytes(text.encode("utf-8"))
         assert _outcome(load_sparse_text, p, dim) == _outcome(_reference_load, p, dim)
 
-    def test_rows_view_the_csr_arrays(self, tmp_path):
+    def test_csr_arrays_skip_empty_lines(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("3:0.6 4:0.8\n\n9 1:2\n")
         corpus = load_sparse_text(p)
-        assert corpus.indptr.tolist() == [0, 2, 3]
+        assert corpus.indptr.tolist() == [0, 2, 3] and len(corpus) == 2
         assert corpus.indices.tolist() == [2, 3, 0]
-        assert corpus[-1].indices.tolist() == [0] and len(list(corpus)) == 2
-        with pytest.raises(IndexError):
-            corpus[2]
-        assert np.shares_memory(corpus[0].values, corpus.values)
+        assert corpus.values.tolist() == [0.6, 0.8, 1.0]
 
     def test_peak_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
         # dense files of 250 and 500 rows of 512 pairs, parsed in chunks of
