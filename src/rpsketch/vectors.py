@@ -10,6 +10,7 @@ In memory everything is 0-based.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -20,8 +21,19 @@ from .errors import DomainError, SparseTextError
 
 log = logging.getLogger(__name__)
 
-_CHUNK_CHARS = 1 << 18  # text is parsed in chunks of whole lines of about this size
-_NOT_SEP = bytes(b for b in range(256) if b not in b": ")  # deleted by translate
+_CHUNK_CHARS = 1 << 18  # text is parsed in chunks of whole lines of about this many bytes
+_PAD = b" " * 24  # around a chunk: separators, and room to read 24 bytes before an offset
+# mark kinds of the byte parser; the separators come first, so kind < _COLON
+# tests for one.  Digits are no marks; they share _OTHER for lookups.
+_NL, _BLANK, _CR, _COLON, _SIGN, _DOT, _EXP, _OTHER, _BAD = range(9)
+_KIND = np.full(256, _BAD, dtype=np.uint8)  # non-ASCII
+_KIND[:128] = _OTHER
+_KIND[[*b" \t\v\f\x1c\x1d\x1e\x1f"]] = _BLANK
+_KIND[[*b"\n\r:+-.eE"]] = _NL, _CR, _COLON, _SIGN, _SIGN, _DOT, _EXP, _EXP
+_LAST_DIGITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - n) << 8 * (8 - n) for n in range(9)],
+                        dtype=np.uint64)  # low nibbles of a word's top n bytes
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_Q_MIN, _Q_MAX = -348, 347  # powers of ten in the Eisel-Lemire table
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,45 +100,192 @@ def _parse_lines(path, dim: int | None):
 
 
 def _parse_chunks(path, dim: int | None):
-    """_parse_lines in C-level passes over chunks of whole lines, into arrays
-    sized by the file's ':' and newline counts; None where a check fails.  A
-    chunk's tokens, less labels and joined by spaces, are pairs with nonempty
-    heads and tails iff the separators alternate ': : ... :' and no ':'
-    touches a space or an end."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """_parse_lines on the file's bytes, in chunks of whole lines, into arrays
+    sized by the file's ':' and newline counts; None where the fast grammar
+    (_chunk_pairs) or a check fails."""
+    with open(path, "rb") as fh:
         n_pairs = n_lines = 0
-        for block in iter(lambda: fh.read(_CHUNK_CHARS), ""):
-            n_pairs, n_lines = n_pairs + block.count(":"), n_lines + block.count("\n")
+        for block in iter(lambda: fh.read(_CHUNK_CHARS), b""):
+            n_pairs, n_lines = n_pairs + block.count(b":"), n_lines + block.count(b"\n")
         fh.seek(0)
         indices, values = np.empty(n_pairs, dtype=np.int64), np.empty(n_pairs)
         line_nnz, line, nnz = np.zeros(n_lines + 1, dtype=np.int64), 0, 0
         while lines := fh.readlines(_CHUNK_CHARS):
-            counts, tokens = [], []
-            for toks in map(str.split, lines):
-                if toks and ":" not in toks[0]:
-                    del toks[0]  # leading label
-                counts.append(len(toks))
-                tokens += toks
-            n, body = len(tokens), " ".join(tokens)
-            del lines, tokens
-            if (body.encode().translate(None, _NOT_SEP) != (b": " * n)[:-1] or " :" in body
-                    or ": " in body or body.startswith(":") or body.endswith(":")):
+            pairs = _chunk_pairs(b"".join(lines))
+            if pairs is None:
                 return None
-            pieces = body.replace(":", " ").split()
-            idx, val = np.array(pieces[0::2], np.int64), np.array(pieces[1::2], np.float64)
-            del body, pieces
-            ends, keep = np.cumsum(counts), val != 0.0
+            idx, val, line_of, n = pairs
             rise = np.diff(idx) > 0
-            rise[ends[(ends > 0) & (ends < n)] - 1] = True  # across a line break
-            if (np.any(idx < 1) or not np.isfinite(val).all() or not rise.all()
-                    or dim is not None and np.any(idx[keep] > dim)):
+            rise |= np.diff(line_of) > 0  # across a line break
+            keep = val != 0.0
+            if (idx.min(initial=1) < 1 or not np.isfinite(val).all() or not rise.all()
+                    or dim is not None and idx[keep].max(initial=0) > dim):
                 return None
-            kept = np.concatenate(([0], np.cumsum(keep)))
-            line_nnz[line:line + len(counts)] = kept[ends] - kept[ends - counts]
-            indices[nnz:nnz + kept[-1]], values[nnz:nnz + kept[-1]] = idx[keep] - 1, val[keep]
-            line, nnz = line + len(counts), nnz + kept[-1]
+            kept = np.count_nonzero(keep)
+            line_nnz[line:line + n] = np.bincount(line_of[keep], minlength=n)
+            indices[nnz:nnz + kept], values[nnz:nnz + kept] = idx[keep] - 1, val[keep]
+            line, nnz = line + n, nnz + kept
     rows = line_nnz[:line][line_nnz[:line] > 0]
     return np.concatenate(([0], np.cumsum(rows))), indices[:nnz], values[:nnz], line - rows.size
+
+
+def _chunk_pairs(data: bytes):
+    """Indices, values and line numbers (from 0) of the pairs in whole lines,
+    and their line count; None unless the bytes are ASCII, a '\\r' comes only
+    before a '\\n', and each line is an optional colon-free label and pairs of
+    a head of 1-18 digits and a tail [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?.
+
+    Every byte but a digit is a mark.  A pair is a colon with a separator
+    mark before its head and after it marks of the kinds sign, dot,
+    exponent, sign in that order, each optional, then a separator."""
+    raw = b"".join((_PAD, data, _PAD))
+    b = np.frombuffer(raw, np.uint8)
+    at = np.flatnonzero(b - np.uint8(48) > 9)
+    kind = _KIND.take(b.take(at))
+    if kind.max() == _BAD or (b.take(at[kind == _CR] + 1) != ord("\n")).any():
+        return None
+    sep = kind < _COLON
+    ci = np.flatnonzero(kind == _COLON)
+    colon = at[ci]
+    head = colon - at[ci - 1] - 1
+    ok = sep[ci - 1] & (head >= 1) & (head <= 18)
+    j = ci + 1
+    sign = (kind[j] == _SIGN) & (at[j] == colon + 1)
+    j += sign
+    dot = kind[j] == _DOT
+    point = at[j]
+    j += dot
+    exp = kind[j] == _EXP
+    man_end = at[j]
+    point = np.where(dot, point, man_end)
+    j += exp
+    exp_sign = exp & (kind[j] == _SIGN) & (at[j] == man_end + 1)
+    j += exp_sign
+    end = at[j]
+    n_int, n_frac = point - colon - 1 - sign, man_end - point - dot
+    n_exp = end - man_end - 1 - exp_sign
+    ok &= sep[j] & (n_int + n_frac > 0) & (~exp | (n_exp > 0))
+    if not ok.all():
+        return None
+    starts = sep[:-1] & ~(sep[1:] & (np.diff(at) == 1))  # a token after the separator
+    if np.count_nonzero(starts) != ci.size:  # labels: each must begin its line
+        token = np.flatnonzero(starts)
+        token_line = np.cumsum(kind == _NL)[token]
+        if not (np.isin(token[1:], ci - 1) | (token_line[1:] != token_line[:-1])).all():
+            return None
+    newlines = at[kind == _NL]
+    n_lines = newlines.size + (data[-1:] != b"\n")
+    line = np.searchsorted(newlines, colon)
+
+    words = np.ndarray((b.size - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    idx, _ = _digits(words, colon, head)
+    int_part, exact = _digits(words, point, n_int)
+    frac_part, frac_exact = _digits(words, man_end, n_frac)
+    f19 = np.minimum(n_frac, 19)
+    mantissa = int_part * _POW10.take(f19) + frac_part
+    exact &= frac_exact & ((int_part == 0) | (n_frac <= 19) & (int_part < _POW10.take(19 - f19)))
+    q = -n_frac
+    e = np.flatnonzero(exp)
+    if e.size:
+        power, power_exact = _digits(words, end[e], n_exp[e])
+        power = np.minimum(power, 1 << 20).astype(np.int64)  # beyond the table either way
+        q[e] += np.where(b.take(man_end[e] + 1) == ord("-"), -power, power)
+        exact[e] &= power_exact
+    bits, decided = _eisel_lemire(mantissa, q)
+    bits |= (sign & (b.take(colon + 1) == ord("-"))).astype(np.uint64) << np.uint64(63)
+    val = bits.view(np.float64)
+    for i in np.flatnonzero(~(decided & exact)).tolist():
+        val[i] = float(raw[colon[i] + 1:end[i]])
+    return idx.astype(np.int64), val, line, n_lines
+
+
+def _eight(words, n):
+    """Values of the last n <= 8 digits of little-endian 8-byte words, whose
+    top n bytes hold them (SWAR: pairs, then quads, then the eight)."""
+    w = words & _LAST_DIGITS.take(n)
+    w = (w * 2561) >> 8 & 0x00FF00FF00FF00FF
+    w = (w * 6553601) >> 16 & 0x0000FFFF0000FFFF
+    return (w * 42949672960001) >> 32
+
+
+def _digits(words, end, n):
+    """Values of the n-digit runs that end at byte offsets ``end``, read as up
+    to three 8-byte words, and whether each is exact: at most 24 digits, with
+    a value under 10^19 (at most 19 significant digits)."""
+    value = _eight(words[end - 8], np.minimum(n, 8))
+    exact = n <= 24
+    if n.max(initial=0) > 8:
+        value += _eight(words[end - 16], np.clip(n - 8, 0, 8)) * 10**8
+        if n.max() > 16:
+            top = _eight(words[end - 24], np.clip(n - 16, 0, 8))
+            exact &= top < 1000
+            value += top * 10**16
+    return value, exact
+
+
+@functools.cache
+def _powers_of_ten():
+    """High and low words of the 128-bit mantissas of 10^q, q in [_Q_MIN,
+    _Q_MAX]: 5^q scaled into [2^127, 2^128), truncated for q >= 0 and rounded
+    up for q < 0 (so that a decimal halfway case computes at its midpoint or
+    just above it), exactly from Python integers."""
+    rows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            m = 5**q
+            m = m >> max(m.bit_length() - 128, 0) << max(128 - m.bit_length(), 0)
+        else:
+            m = -(-(1 << (127 + (5**-q).bit_length())) // 5**-q)
+        rows.append((m >> 64, m & (1 << 64) - 1))
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+def _eisel_lemire(w, q):
+    """Bits of the doubles nearest w * 10^q, for uint64 w and int64 q, and
+    which of them are decided: all but subnormal or overflowing results and q
+    outside [_Q_MIN, _Q_MAX], which float() must convert.
+
+    Eisel-Lemire as in fast_float (D. Lemire, "Number Parsing at a Gigabyte
+    per Second", Softw. Pract. Exp. 51(8), 2021): the top 128 bits of w
+    times the mantissa of 10^q, from one 64x128-bit product or, where a
+    carry could still reach the rounding bits, two, are within a unit of
+    the exact product (exact for q in [0, 27]).  A decimal halfway case (q
+    in [-4, 23]) computes to its midpoint and rounds to even; no other
+    mantissa comes that close to one (N. Mushtak and D. Lemire, "Fast
+    Number Parsing Without Fallback", 2023)."""
+    hi_table, lo_table = _powers_of_ten()
+    decided = (q >= _Q_MIN) & (q <= _Q_MAX)
+    q = np.where(decided, q, 0)
+    nonzero = w != 0
+    bit_length = np.frexp(np.maximum(w, 1).astype(np.float64))[1].astype(np.int64)
+    bit_length -= (w >> (bit_length - 1).astype(np.uint64)) == 0  # rounded up to 2^n
+    lz = (64 - bit_length).astype(np.uint64)
+    w = w << lz
+    hi, lo = _mul64(w, hi_table.take(q - _Q_MIN))
+    wide = np.flatnonzero(hi & 0x1FF == 0x1FF)
+    if wide.size:
+        carry_in, _ = _mul64(w[wide], lo_table.take(q[wide] - _Q_MIN))
+        low = lo[wide] + carry_in
+        hi[wide] += low < carry_in
+        lo[wide] = low
+    shift = (hi >> np.uint64(63)) + np.uint64(9)  # 54 bits of the product
+    mantissa = hi >> shift
+    exponent = ((217706 * q) >> 16) + (54 + 1023) + shift.astype(np.int64) - lz.astype(np.int64)
+    tie = (lo <= 1) & (q >= -4) & (q <= 23) & (mantissa & 3 == 1) & (mantissa << shift == hi)
+    mantissa = (mantissa + (mantissa & 1) * ~tie) >> np.uint64(1)  # a tie rounds to even
+    exponent += (mantissa >> np.uint64(53)).astype(np.int64)  # rounded up to 2^53
+    decided &= (exponent > 0) & (exponent < 0x7FF) | ~nonzero
+    bits = exponent.astype(np.uint64) << np.uint64(52) | mantissa & (1 << 52) - 1
+    bits[~nonzero] = 0
+    return bits, decided
+
+
+def _mul64(a, b):
+    """High and low words of the 128-bit products of uint64 arrays."""
+    a0, a1, b0, b1 = a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross0 & 0xFFFFFFFF) + (cross1 & 0xFFFFFFFF)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32), a * b
 
 
 def load_sparse_text(path, dim: int | None = None) -> Corpus:
@@ -138,11 +297,7 @@ def load_sparse_text(path, dim: int | None = None) -> Corpus:
     A file that fails a check of the chunked parse is parsed again token by
     token, which raises the error of its first bad line.
     """
-    try:
-        parsed = _parse_chunks(path, dim)
-    except (ValueError, OverflowError):  # a conversion or the decoding failed
-        parsed = None
-    indptr, indices, values, skipped = parsed or _parse_lines(path, dim)
+    indptr, indices, values, skipped = _parse_chunks(path, dim) or _parse_lines(path, dim)
     if dim is None:
         dim = int(indices.max()) + 1 if indices.size else 0
     if skipped:

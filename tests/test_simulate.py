@@ -242,3 +242,41 @@ class TestExactSmallK:
         assert abs(rep.bias - bias) <= 4 * math.sqrt(var / n)
         assert abs(rep.variance - var) <= 4 * math.sqrt((central(4, rho + bias) - var**2) / n)
         assert abs(rep.mse - mse) <= 4 * math.sqrt((central(4, rho) - mse**2) / n)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+    def test_run_mse_ratio_sign_sign_within_four_standard_errors(self, rho):
+        n = self.TRIALS
+        points = run_mse_ratio(rho, [10, 20, 50], n, 13)
+        assert [p.k for p in points] == [10, 20, 50]
+        for p in points:
+            values, probs = sign_sign_law(rho, p.k)
+            bias, var = sign_sign_moments(rho, p.k)
+            mse = bias * bias + var
+            fourth = math.fsum(w * (v - rho) ** 4 for v, w in zip(values, probs))
+            assert abs(p.mse_sign_sign - mse) <= 4 * math.sqrt((fourth - mse**2) / n)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("k", [10, 20, 50])
+    def test_run_histogram_within_four_standard_errors(self, rho, k):
+        # Each of the k + 1 possible estimates falls in one bin (the few
+        # never drawn lie beyond the edges and count in the end bins).
+        # Adjacent bins are pooled until a group expects 25 estimates, where
+        # its binomial count is close to normal, and every group's count
+        # must lie within 4 standard errors of its expectation.
+        n, bins = self.TRIALS, 16
+        hist = run_histogram(rho, k, n, 17, Estimator.SIGN_SIGN, bins)
+        assert hist.counts.sum() == n and hist.frac_above_one == hist.frac_below_neg_one == 0.0
+        values, probs = sign_sign_law(rho, k)
+        in_bin = np.clip(np.searchsorted(hist.edges, values, side="right") - 1, 0, bins - 1)
+        expected = np.bincount(in_bin, weights=n * np.array(probs), minlength=bins)
+        groups, count, mean = [], 0, 0.0
+        for c, e in zip(hist.counts.tolist(), expected.tolist()):
+            count, mean = count + c, mean + e
+            if mean >= 25:
+                groups.append([count, mean])
+                count, mean = 0, 0.0
+        groups[-1][0] += count
+        groups[-1][1] += mean
+        assert len(groups) >= 2
+        for count, mean in groups:
+            assert abs(count - mean) <= 4 * math.sqrt(mean * (1 - mean / n)), (count, mean)

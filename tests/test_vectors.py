@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import corpus as make_corpus
 from oracles import cosine, normalize, rows
 from rpsketch import (Corpus, DomainError, ShapeError, SparseTextError, load_sparse_text,
-                      save_sparse_text)
+                      save_sparse_text, vectors)
 
 EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0))  # a row with no nonzeros
 
@@ -296,9 +296,75 @@ def _sparse_files(draw):
     return "".join(lines), draw(st.one_of(st.none(), st.integers(1, 45)))
 
 
+_ASCII_SEPARATORS = [" ", "  ", "\t", " \t ", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"]
+_EXPONENTS = st.one_of(  # of up to 5 digits, none that overflows a mantissa of 25 digits
+    st.tuples(st.sampled_from(["e-", "E-"]), st.integers(0, 99999)),
+    st.tuples(st.sampled_from(["e", "E", "e+"]), st.integers(0, 280))).map(
+        lambda t: t[0] + str(t[1]).zfill(5 if t[1] % 3 == 0 else 1))
+_ASCII_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-1e3, max_value=1e3).map(lambda x: f"{x:.3g}"),
+    st.sampled_from(["0", "-0.0", "1E+05", "5.", ".5", "+0.5", "-.5e-3", "1e-320", "4.9e-324",
+                     "2.5e-00300", "1e+00005", "7e-99999"]),
+    # mantissas of up to 25 digits with a point anywhere or none
+    st.tuples(st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1, max_size=25),
+              st.integers(0, 25), st.one_of(st.just(""), _EXPONENTS)).map(
+        lambda t: t[0] + (t[1][:t[2]] + "." + t[1][t[2]:] if t[2] < len(t[1]) else t[1]) + t[3]))
+
+
+@st.composite
+def _ascii_files(draw):
+    """Files in the byte parser's grammar.  One in four holds a fault that a
+    check must catch: out of order indices, a value that overflows, or an
+    18-digit head beyond a declared dim."""
+    fault = draw(st.sampled_from([None] * 9 + ["order", "overflow", "head"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        tokens = [draw(st.sampled_from(["+1", "lab"]))] if draw(st.booleans()) else []
+        indices = sorted(draw(st.sets(st.integers(1, 40), max_size=12)))
+        if draw(st.integers(0, 4)) == 0:
+            indices.append(draw(st.integers(10**17, 10**18 - 1)))  # an 18-digit head
+        width = draw(st.sampled_from([0, 0, 3, 18]))  # heads like 007
+        values = [draw(_ASCII_VALUES) for _ in indices]
+        if fault == "order" and len(indices) > 1:
+            indices.reverse()
+        if fault == "overflow" and values:
+            values[-1] = draw(st.sampled_from(["1e309", "-2e+99999", "123456789e300"]))
+        tokens += [f"{i:0{width}d}:{x}" for i, x in zip(indices, values)]
+        seps = [draw(st.sampled_from(_ASCII_SEPARATORS)) for _ in tokens]
+        lines.append("".join(sep + tok for sep, tok in zip(seps, tokens))
+                     + draw(st.sampled_from(["", " "])) + draw(st.sampled_from(["\n", "\r\n"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
+    dim = draw(st.integers(1, 45)) if fault == "head" else draw(st.sampled_from([None, 10**18]))
+    return "".join(lines), dim
+
+
+def _raw_outcome(parse, path, dim):
+    """The raw CSR arrays of a parse as bytes, or the error it raised."""
+    try:
+        got = parse(path, dim)
+    except SparseTextError as exc:
+        return ("error", str(exc), exc.line_no)
+    if got is None:
+        return None
+    indptr, indices, values, skipped = got
+    return (np.asarray(indptr, np.int64).tobytes(), indices.dtype, indices.tobytes(),
+            values.dtype, values.tobytes(), skipped)
+
+
+def _byte_outcomes(path, dim):
+    """The byte parse (None where it declines) and the token-by-token parse
+    of a file; the first equals the second wherever it returns."""
+    reference = _raw_outcome(vectors._parse_lines, path, dim)
+    fast = _raw_outcome(vectors._parse_chunks, path, dim)
+    assert fast is None or fast == reference
+    return fast, reference
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # rows of 1e300
 class TestChunkedLoader:
-    """The chunked parser against the token-by-token loader it replaced."""
+    """The byte parser against the token-by-token loader it replaced."""
 
     @given(_sparse_files())
     @settings(max_examples=400, deadline=None,
@@ -326,6 +392,43 @@ class TestChunkedLoader:
         p = tmp_path / "c.txt"
         p.write_bytes(text.encode("utf-8"))
         assert _outcome(load_sparse_text, p, dim) == _outcome(_reference_load, p, dim)
+
+    @given(_ascii_files())
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ascii_files_take_the_byte_path(self, tmp_path, case):
+        # the byte parser itself returns the token-by-token arrays for every
+        # file in its grammar, and declines exactly where a check fails
+        text, dim = case
+        p = tmp_path / "c.txt"
+        p.write_bytes(text.encode("ascii"))
+        fast, reference = _byte_outcomes(p, dim)
+        assert (fast is None) == (reference[0] == "error")
+
+    @pytest.mark.parametrize("text, fast", [
+        ("1:1\r2:2\n", False),  # a lone carriage return ends a line
+        ("1:1\n\r", False), ("1:1 2:2\r\n3:0.5\r\n", True), ("lab 1:1\r\n\r\n", True),
+        ("1:1 lab\n", False), ("+1\x1f007:5.\x1c2e1:.5\n", False),
+        ("\x1f+1\x1f007:5.\x1c20:.5\n", True), ("1:1e\n", False), ("1:e5\n", False),
+        ("1:.\n", False), ("1:1.5.2\n", False), ("1:1-2\n", False), ("1:--1\n", False),
+        ("123456789012345678:1\n", True), ("1234567890123456789:1\n", False),
+        ("1:123456789012345678901234567890 2:0.000000000000000000001234567890123\n", True),
+        ("1:1e-320 2:1e-400 3:4.9e-324\n", True), ("1:1e309\n", False),
+        ("1:1\x00 2:2\n", False), ("\x00lab 1:1\n", True),
+    ])
+    def test_hand_picked_ascii_files(self, tmp_path, text, fast):
+        p = tmp_path / "c.txt"
+        p.write_bytes(text.encode("ascii"))
+        assert (_byte_outcomes(p, None)[0] is not None) == fast
+        assert _outcome(load_sparse_text, p, None) == _outcome(_reference_load, p, None)
+
+    def test_line_longer_than_a_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vectors, "_CHUNK_CHARS", 64)
+        long = " ".join(f"{i}:{i / 7!r}" for i in range(1, 60))
+        p = tmp_path / "c.txt"
+        p.write_bytes(f"1:1\n{long}\n\n2:3 4:5\n{long}".encode("ascii"))
+        assert _byte_outcomes(p, None)[0] is not None
+        assert _outcome(load_sparse_text, p, None) == _outcome(_reference_load, p, None)
 
     def test_csr_arrays_skip_empty_lines(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -360,3 +463,66 @@ class TestChunkedLoader:
             out = corpus.indptr.nbytes + corpus.indices.nbytes + corpus.values.nbytes
             assert corpus.indices.size == 512 * n_rows
             assert peak - out < allowance, (n_rows, peak - out)
+
+
+def _kernel_inputs():
+    """Mantissas w and exponents q of decimals w * 10^q: the digits of repr
+    of doubles from every binade; mantissas of 1-19 digits with exponents in
+    [-350, 310]; binary midpoints of doubles cut to 19 digits, and the
+    decimals either side; exact decimal ties and their neighbours; powers of
+    ten; integers near 2^53 and just below 2^54..2^64; decimals around the
+    least normal double."""
+    rng = np.random.default_rng(2024)
+    u64 = np.uint64
+    doubles = rng.integers(1, 0x7FF0000000000000, 60_000, dtype=u64).view(np.float64)
+    reprs = [(m.replace(".", ""), int(e or 0) - len(m.partition(".")[2]))
+             for m, _, e in (repr(x).partition("e") for x in doubles.tolist())]
+    digits = rng.integers(1, 20, 520_000)
+    w = [np.array([int(d) for d, _ in reprs], dtype=u64),
+         rng.integers(10 ** (digits - 1).astype(u64), 10 ** digits.astype(u64), dtype=u64)]
+    q = [np.array([e for _, e in reprs]), rng.integers(-350, 311, digits.size)]
+    cut = []
+    for m, e in zip(rng.integers(2**52, 2**53, 40_000).tolist(),
+                    rng.integers(-1021, 972, 40_000).tolist()):
+        num, den = 2 * m + 1 << max(e - 1, 0), 1 << max(1 - e, 0)  # (2m + 1) 2^(e - 1)
+        k = math.floor(math.log10(2 * m + 1) + (e - 1) * math.log10(2)) - 18
+        scaled = num * 10 ** max(-k, 0) // (den * 10 ** max(k, 0))
+        if scaled >= 10**19:
+            scaled, k = scaled // 10, k + 1
+        cut += [(scaled - 1, k), (scaled, k), (scaled + 1, k)]
+    w.append(np.array([n for n, _ in cut], dtype=u64))
+    q.append(np.array([k for _, k in cut]))
+    # ties, odd 54-bit numbers times powers of two: odd * 5^-t * 10^t for
+    # t < 0, and r * 10^t for t >= 0 with r * 5^t odd and of 54 bits
+    t = rng.integers(-4, 24, 100_000)
+    five = 5 ** np.abs(t).astype(u64)
+    odd = rng.integers(2**53, 2**54, t.size, dtype=u64) | u64(1)
+    r = odd // five | u64(1)
+    tie = np.where(t < 0, odd * five, r)
+    ok = np.where(t < 0, odd < u64(2**64 - 1) // five, (r * five >> u64(53)) == 1)
+    tie, t = tie[ok], t[ok]
+    w += [tie - u64(1), tie, tie + u64(1)]
+    q += [t, t, t]
+    powers = np.arange(-360, 361)
+    least_normal = 2225073858507201383  # 2^-1022 = 2.225073858507201383...e-308
+    below = np.array([2**n - j for n in range(54, 65) for j in range(1, 601)], dtype=u64)
+    w += [np.ones(powers.size, u64), np.full(powers.size, 10**18, u64),
+          (2**53 + np.arange(-3000, 3000)).astype(u64), below,
+          (least_normal + np.arange(-3000, 3000)).astype(u64)]
+    q += [powers, powers, np.repeat(np.arange(-3, 3), 1000), rng.integers(-30, 30, below.size),
+          np.full(6000, -326)]
+    return np.concatenate(w), np.concatenate(q)
+
+
+class TestDecimalKernel:
+    def test_matches_float_bit_for_bit(self):
+        w, q = _kernel_inputs()
+        assert w.size >= 10**6
+        bits, decided = vectors._eisel_lemire(w, q)
+        want = np.array(list(map(float, [f"{a}e{b}" for a, b in zip(w.tolist(), q.tolist())])))
+        assert np.array_equal(bits[decided], want.view(np.uint64)[decided])
+        # left to float(): subnormal (or rounded up to the least normal),
+        # overflowing, or beyond the table
+        beyond = (q < vectors._Q_MIN) | (q > vectors._Q_MAX)
+        assert ((np.abs(want) <= 2.0**-1022) | np.isinf(want) | beyond)[~decided].all()
+        assert decided.mean() > 0.9
