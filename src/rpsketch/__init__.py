@@ -14,7 +14,7 @@ _EXPORTS = {
                    "project_corpus", "save_sketches", "sign_array", "sign_quantize"),
     "names": ("Estimator",),
     "estimators": ("BatchEstimate", "estimate_batch"),
-    "mle": ("MleBatch", "MleResult", "SolverConfig", "inv_mills", "norm_cdf", "norm_pdf"),
+    "mle": ("MleBatch", "MleResult", "inv_mills", "norm_cdf"),
     "variance": ("FisherConfig", "VarianceFactor", "half_gaussian_cdf_integrals",
                  "mle_variance_factor", "sign_sign_variance_asymptote", "v_factor",
                  "variance_ratio_constants"),

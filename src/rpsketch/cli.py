@@ -21,7 +21,7 @@ import re
 import sys
 from contextlib import nullcontext
 
-from .errors import ConfigError, RpsketchError
+from .errors import ConfigError, RpsketchError, SketchFormatError
 from .names import Estimator
 
 
@@ -178,6 +178,9 @@ def _cmd_estimate(args) -> int:
     from .vectors import load_sparse_text
 
     store = load_sketches(args.store)
+    if store.k > MAX_K:  # the query sketches and per-query tables grow with k
+        raise SketchFormatError(f"store has k = {store.k}, above the MAX_K = {MAX_K} "
+                                "that sketch --k accepts")
     queries = load_sparse_text(args.queries, args.dim)
     header = ["query", "train", "estimator", "rho_hat", "clamped"]
     if not len(store):
@@ -280,6 +283,8 @@ def _cmd_bench(args) -> int:
     _at_most("--k", MAX_K, *ks)
     rho0s = _parse_list(args.rho0, "rho0", float)
     _check_dim(args.dim)
+    from dataclasses import replace
+
     from . import bench as bench_mod
     from .vectors import load_sparse_text
 
@@ -287,6 +292,9 @@ def _cmd_bench(args) -> int:
     l_grid = _parse_list(args.l_grid, "L") if args.l_grid else None
     train = load_sparse_text(args.train, args.dim)
     queries = load_sparse_text(args.query, args.dim)
+    if args.dim is None:  # each file's largest index inferred its dim; both take the larger
+        dim = max(train.dim, queries.dim)
+        train, queries = replace(train, dim=dim), replace(queries, dim=dim)
     rows = [[est.cli_name, rho0, k, *point]
             for est, rho0, k, curve in bench_mod.benchmark_grid(
                 train, queries, ks, rho0s, estimators, args.seed, l_grid,

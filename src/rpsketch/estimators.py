@@ -49,8 +49,6 @@ class BatchEstimate:
     """Scores of queries against a store as (n_query, n_store) arrays;
     len() counts the pairs."""
 
-    estimator: Estimator
-    k: int
     raw: np.ndarray
     rho_hat: np.ndarray
     clamped: np.ndarray
@@ -90,6 +88,13 @@ def raw_values(estimator: Estimator, st: SampleStats | StoreStats) -> np.ndarray
     if estimator is Estimator.S_NORM:
         return 1.0 - SQRT_TAU * st.mis / (math.sqrt(k) * np.sqrt(st.yy))
     raise ContractError(f"estimator {estimator.cli_name!r} has no closed form")
+
+
+def full_mle(st: SampleStats) -> mle.MleBatch:
+    """Full-data MLE of each pair from its moments b = xy/k and m = (xx + yy)/k."""
+    if np.any(st.xx == 0.0) or np.any(st.yy == 0.0):
+        raise DomainError("degenerate sketches")
+    return mle.solve_full_batch(st.xy / st.k, (st.xx + st.yy) / st.k, st.k)
 
 
 def _mismatch_table(y: np.ndarray) -> np.ndarray:
@@ -207,14 +212,10 @@ def estimate_batch(store: SignStore | FullStore, queries: FullStore,
     raw = np.empty((len(queries), n))
     flags = np.zeros(raw.shape, dtype=bool)
     for i, (y, yy) in enumerate(zip(queries.values, queries.sumsq) if n else ()):
+        st = None if sign else SampleStats(store.values, y[None, :], xx=store.sumsq, yy=yy)
         if estimator in (Estimator.MLE_FULL, Estimator.MLE_SIGN_FULL):
-            res = (mle.mle_sign_full_store(store, y) if sign
-                   else mle.mle_full_store(store, y, yy))
+            res = mle.mle_sign_full_store(store, y) if sign else full_mle(st)
             raw[i], flags[i] = res.rho_hat, res.at_boundary
-        elif sign:
-            raw[i] = raw_values(estimator, StoreStats(store, y, yy))
         else:
-            raw[i] = raw_values(estimator, SampleStats(store.values, y[None, :],
-                                                       xx=store.sumsq, yy=yy))
-    return BatchEstimate(estimator, store.k, raw, np.clip(raw, -1.0, 1.0),
-                         flags | (raw > 1.0) | (raw < -1.0))
+            raw[i] = raw_values(estimator, StoreStats(store, y, yy) if sign else st)
+    return BatchEstimate(raw, np.clip(raw, -1.0, 1.0), flags | (raw > 1.0) | (raw < -1.0))

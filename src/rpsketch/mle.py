@@ -19,22 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
-from .projection import FullStore, SignStore, sign_array, sum_product
+from .errors import DegenerateInputError, ShapeError
+from .projection import SignStore, sign_array
 
-_INV_SQRT_TAU = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_TAU = math.sqrt(2.0 * math.pi)
 _MAX_T_MILLS = 0.2946  # max over t > 0 of t * inv_mills(t), 0.294528..., rounded up
 _CHUNK_VALUES = 1 << 18  # solver chunk: this many values (rows x row width)
 
-
-def norm_pdf(t):
-    """Standard normal density phi(t); accepts scalars or arrays."""
-    t = np.asarray(t, dtype=np.float64)
-    out = _INV_SQRT_TAU * np.exp(-0.5 * t * t)
-    return float(out) if out.ndim == 0 else out
+tolerance = 1e-10  # a Newton step moving rho by at most this ends a row
+max_iter = 200  # Newton steps per row at most
+boundary_eps = 1e-9  # |rho| >= 1 - boundary_eps is a boundary hit; the sign-full search stays inside
 
 
 # Cody's rational Chebyshev approximations (Math. Comp. 23, 1969; netlib CALERF),
@@ -117,17 +113,6 @@ def inv_mills(t):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-10  # on rho
-    max_iter: int = 200
-    boundary_eps: float = 1e-9
-
-    def __post_init__(self):
-        if self.tolerance <= 0 or not 0 < self.boundary_eps < 1 or self.max_iter < 1:
-            raise ConfigError("tolerance and max_iter must be positive, boundary_eps in (0, 1)")
-
-
-@dataclass(frozen=True)
 class MleResult:
     rho_hat: float
     at_boundary: bool
@@ -180,8 +165,7 @@ def _scores(rho: np.ndarray, s: np.ndarray, slope: bool = False):
     return f, -np.sum(h * (cs + h) * s * s, axis=1) / _libm(lambda o: o**1.5, omr2)
 
 
-def mle_sign_full_store(store: SignStore, y: np.ndarray,
-                        cfg: SolverConfig = SolverConfig()) -> MleBatch:
+def mle_sign_full_store(store: SignStore, y: np.ndarray) -> MleBatch:
     """Sign-full MLE of every row of a sign store against one query row y,
     with s_j = sgn(x_j) * y_j unpacked from the stored bits one chunk at a time."""
     if store.k != y.size:
@@ -189,21 +173,21 @@ def mle_sign_full_store(store: SignStore, y: np.ndarray,
     if not np.any(y != 0.0):
         raise DegenerateInputError("all query coordinates are zero")
     return _chunked(lambda bits: _sign_full_rows(
-        sign_array(SignStore(bits, store.k)) * y, cfg), store.k, store.bits)
+        sign_array(SignStore(bits, store.k)) * y), store.k, store.bits)
 
 
-def solve_sign_full(s: np.ndarray, cfg: SolverConfig = SolverConfig()) -> MleResult:
+def solve_sign_full(s: np.ndarray) -> MleResult:
     """Solver core on precomputed products s_j = sgn(x_j) * y_j."""
-    return _only_row(solve_sign_full_batch(np.asarray(s, dtype=np.float64)[None, :], cfg))
+    return _only_row(solve_sign_full_batch(np.asarray(s, dtype=np.float64)[None, :]))
 
 
-def solve_sign_full_batch(s: np.ndarray, cfg: SolverConfig = SolverConfig()) -> MleBatch:
+def solve_sign_full_batch(s: np.ndarray) -> MleBatch:
     """solve_sign_full on every row of an (n, k) array of products."""
     s = np.asarray(s, dtype=np.float64)
-    return _chunked(lambda rows: _sign_full_rows(rows, cfg), s.shape[1], s)
+    return _chunked(_sign_full_rows, s.shape[1], s)
 
 
-def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
+def _sign_full_rows(s: np.ndarray):
     """Boundary rules, then safeguarded Newton, for each row of s.
 
     A row whose score does not fall from + to - across [-1+eps, 1-eps] takes
@@ -223,9 +207,9 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
     are evaluated.
     """
     n, k = s.shape
-    lo = -1.0 + cfg.boundary_eps
-    hi = 1.0 - cfg.boundary_eps
-    edge = (1.0 - cfg.boundary_eps) / math.sqrt(cfg.boundary_eps * (2.0 - cfg.boundary_eps))
+    lo = -1.0 + boundary_eps
+    hi = 1.0 - boundary_eps
+    edge = (1.0 - boundary_eps) / math.sqrt(boundary_eps * (2.0 - boundary_eps))
     top, bot = np.max(s, axis=1, initial=0.0), -np.min(s, axis=1, initial=0.0)
     n_pos, n_neg = np.count_nonzero(s > 0.0, axis=1), np.count_nonzero(s < 0.0, axis=1)
     ok = np.isfinite(top + bot)  # no inf or NaN, which could make 0 * inf
@@ -252,7 +236,7 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
     x = 1.0 - _SQRT_TAU * np.sum(np.maximum(-s, 0.0), axis=1) / (
         math.sqrt(k) * np.sqrt(np.sum(s * s, axis=1)))
     x = np.fmax(np.fmin(x, 0.999 * hi), 0.999 * lo)  # fmin: a NaN (inf/inf) starts high
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if not idx.size:
             break
         f, slope = _scores(x, s, slope=True)
@@ -265,43 +249,27 @@ def _sign_full_rows(s: np.ndarray, cfg: SolverConfig):
         step_ok = (slope != 0.0) & np.isfinite(slope) & (
             (a < x_new) & (x_new < b) | (x_new == x))
         x_new = np.where(step_ok, x_new, 0.5 * (a + b))
-        going = ~root & ~(np.abs(x_new - x) <= cfg.tolerance)
+        going = ~root & ~(np.abs(x_new - x) <= tolerance)
         x = np.where(root, x, x_new)
         rho[idx] = x
         idx, s, a, b, x = idx[going], s[going], a[going], b[going], x[going]
     return rho, ~inner, iterations
 
 
-def mle_full_store(store: FullStore, y: np.ndarray, yy: float,
-                   cfg: SolverConfig = SolverConfig()) -> MleBatch:
-    """Full-data MLE of every row of a full store against one query row y
-    with sum of squares yy, from the sample moments b = sum(x_j y_j)/k and
-    m = (sum x_j^2 + sum y_j^2)/k."""
-    if store.k != y.size:
-        raise ShapeError(f"k mismatch: {store.k} vs {y.size}")
-    k = store.k
-    if k < 1 or np.any(store.sumsq == 0.0) or yy == 0.0:
-        raise DomainError("degenerate sketches")
-    return solve_full_batch(sum_product(store.values, y) / k,
-                            (store.sumsq + yy) / k, k, cfg)
-
-
-def solve_full_from_moments(b: float, m: float, k: int,
-                            cfg: SolverConfig = SolverConfig()) -> MleResult:
+def solve_full_from_moments(b: float, m: float, k: int) -> MleResult:
     """Cubic-MLE core on the sample moments b = mean(xy), m = mean(x^2+y^2)."""
     return _only_row(solve_full_batch(np.array([b], dtype=np.float64),
-                                      np.array([m], dtype=np.float64), k, cfg))
+                                      np.array([m], dtype=np.float64), k))
 
 
-def solve_full_batch(b: np.ndarray, m: np.ndarray, k: int,
-                     cfg: SolverConfig = SolverConfig()) -> MleBatch:
+def solve_full_batch(b: np.ndarray, m: np.ndarray, k: int) -> MleBatch:
     """solve_full_from_moments on every pair (b[i], m[i])."""
     b = np.asarray(b, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    return _chunked(lambda bc, mc: _full_rows(bc, mc, k, cfg), 9, b, m)
+    return _chunked(lambda bc, mc: _full_rows(bc, mc, k), 9, b, m)
 
 
-def _full_rows(b: np.ndarray, m: np.ndarray, k: int, cfg: SolverConfig):
+def _full_rows(b: np.ndarray, m: np.ndarray, k: int):
     """Roots of rho^3 - b rho^2 + (m - 1) rho - b from one eigvals call on
     the stacked companion matrices np.roots builds, then per row the
     likeliest real root in [-1, 1] (ties to the smallest); with none there,
@@ -314,7 +282,7 @@ def _full_rows(b: np.ndarray, m: np.ndarray, k: int, cfg: SolverConfig):
     re = roots.real
     real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(re))
     ok = real & (re >= -1.0) & (re <= 1.0)
-    r = np.minimum(np.maximum(re, -1.0 + cfg.boundary_eps), 1.0 - cfg.boundary_eps)
+    r = np.minimum(np.maximum(re, -1.0 + boundary_eps), 1.0 - boundary_eps)
     omr2 = (1.0 - r) * (1.0 + r)
     loglik = np.where(ok, -0.5 * k * _libm(math.log, omr2)
                       - k * (m[:, None] - 2.0 * r * b[:, None]) / (2.0 * omr2), -np.inf)
@@ -322,4 +290,4 @@ def _full_rows(b: np.ndarray, m: np.ndarray, k: int, cfg: SolverConfig):
     dist = np.where(real, np.abs(np.abs(re) - 1.0), np.inf)
     nearest = np.where(real & (dist == dist.min(axis=1, keepdims=True)), re, np.inf)
     best = np.where(ok.any(axis=1), best, np.copysign(1.0, nearest.min(axis=1)))
-    return best, np.abs(best) >= 1.0 - cfg.boundary_eps, np.zeros(b.size, dtype=np.int64)
+    return best, np.abs(best) >= 1.0 - boundary_eps, np.zeros(b.size, dtype=np.int64)

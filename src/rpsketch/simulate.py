@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mle, rng, variance
 from .errors import ConfigError
-from .estimators import Estimator, SampleStats, raw_values
+from .estimators import Estimator, SampleStats, full_mle, raw_values
 
 _BLOCK_VALUES = 1 << 17  # trials per block = _BLOCK_VALUES // k
 
@@ -73,8 +73,7 @@ def _block_estimates(estimators, x: np.ndarray,
     out = {}
     for est in estimators:
         if est is Estimator.MLE_FULL:
-            out[est] = mle.solve_full_batch(st.xy / st.k, (st.xx + st.yy) / st.k,
-                                            st.k).rho_hat
+            out[est] = full_mle(st).rho_hat
         elif est is Estimator.MLE_SIGN_FULL:
             s = np.where(x >= 0.0, 1.0, -1.0) * y
             out[est] = mle.solve_sign_full_batch(s).rho_hat

@@ -4,8 +4,8 @@ The library projects, quantizes and scores whole stores at once.  These are
 the one-vector forms: a projection as one vector-matrix product, sign
 agreement by unpacked bits, exact cosine by a sparse dot product, one pair
 of the bivariate counter stream, the score of one stored row against one
-query through one-row stores, and the planted corpus drawn one member at a
-time.  The parity contract of the batch cores is that a one-row batch equals
+query through one-row stores, the full-data MLE of one pair from its
+moments, and the planted corpus drawn one member at a time.  The parity contract of the batch cores is that a one-row batch equals
 the same row of a larger batch, bit for bit.
 
 A row here is a dense 1-D array (its zeros are not stored), an (indices,
@@ -28,6 +28,7 @@ from rpsketch import (Corpus, FullStore, MleResult, ProjectionConfig, SignStore,
 from rpsketch import rng
 from rpsketch.errors import DomainError, ShapeError
 from rpsketch.estimators import SIGN_STORE_ESTIMATORS, Estimator
+from rpsketch.mle import solve_full_from_moments
 from rpsketch.projection import sum_product
 
 
@@ -101,6 +102,15 @@ def mle_row(batch, i: int = 0) -> MleResult:
     """Row i of an MleBatch as the MleResult a scalar solve returns."""
     return MleResult(float(batch.rho_hat[i]), bool(batch.at_boundary[i]),
                      int(batch.iterations[i]))
+
+
+def mle_full(x, y) -> MleResult:
+    """The full-data MLE of one pair of value rows, from its moments
+    b = sum(x_j y_j)/k and m = (sum x_j^2 + sum y_j^2)/k."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    k = x.size
+    return solve_full_from_moments(sum_product(x, y) / k,
+                                   (sum_product(x, x) + sum_product(y, y)) / k, k)
 
 
 class Score(NamedTuple):

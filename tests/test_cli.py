@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import mle_row, one_row
+from oracles import mle_full, mle_row, one_row
 from rpsketch import (ProjectionConfig, cli, estimators, load_sketches,
-                      load_sparse_text, mle, project_corpus)
+                      load_sparse_text, mle, project_corpus, projection)
 from rpsketch.cli import main
 from rpsketch.projection import _VERSION
 
@@ -89,6 +89,25 @@ class TestExitCodes:
                     str(queries), "--estimator", "s-norm", "--seed", "1"])
         assert code == 2
         assert "k = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k,code", [(cli.MAX_K, 0), (cli.MAX_K + 1, 2)])
+    def test_store_k_above_max_k_refused_before_projecting(self, k, code, tmp_path,
+                                                           monkeypatch, capsys):
+        store, queries, out = tmp_path / "store.bin", tmp_path / "q.txt", tmp_path / "o.csv"
+        store.write_bytes(b"SFRP" + struct.pack("<BBIQ", _VERSION, 0, k, 1)
+                          + bytes((k + 7) // 8))
+        queries.write_text("1:1 5:0.5 9:2 12:1\n")
+        projected, project = [], projection.project_corpus
+        monkeypatch.setattr(projection, "project_corpus",
+                            lambda *a, **kw: projected.append(1) or project(*a, **kw))
+        assert run(["estimate", "--store", str(store), "--queries", str(queries),
+                    "--estimator", "s-norm", "--seed", "1", "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err == (f"error: store has k = {k}, above the MAX_K"
+                                               f" = {cli.MAX_K} that sketch --k accepts\n")
+            assert not projected and not out.exists()
+        else:
+            assert projected and len(rows_of(out)) == 1
 
     def test_version_1_store_must_be_sketched_again(self, tmp_path, capsys):
         corpus, store = tmp_path / "c.txt", tmp_path / "store.bin"
@@ -551,12 +570,28 @@ class TestPipelines:
             for r in rows:
                 qi, x = int(r["query"]), one_row(loaded, int(r["train"]))
                 q = queries.values[qi]
-                res = mle_row(mle.mle_sign_full_store(x, q) if kind == "sign"
-                              else mle.mle_full_store(x, q, queries.sumsq[qi]))
+                res = (mle_row(mle.mle_sign_full_store(x, q)) if kind == "sign"
+                       else mle_full(x.values[0], q))
                 assert r["estimator"] == estimator
                 assert r["rho_hat"] == repr(res.rho_hat)
                 assert r["clamped"] == str(res.at_boundary)
             assert any(r["clamped"] == "True" for r in rows)  # each query meets itself
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_bench_without_dim_takes_the_larger_inferred_dim(self, swap, tmp_path):
+        # the files' largest indices differ (3 and 2), so their inferred dims do
+        texts = ["1:1 2:0.5\n3:1\n1:0.2 3:0.9\n", "1:1\n1:0.1 2:1\n"]
+        train, query = tmp_path / "train.txt", tmp_path / "query.txt"
+        for path, text in zip((train, query), texts[::-1] if swap else texts):
+            path.write_text(text)
+        outs = []
+        for dim in ([], ["--dim", "3"]):
+            outs.append(tmp_path / f"curves{len(dim)}.csv")
+            assert run(["bench", "--train", str(train), "--query", str(query),
+                        "--k", "16", "--rho0", "0.5", "--seed", "1", *dim,
+                        "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert rows_of(outs[0])
 
     def test_synth_then_bench(self, tmp_path):
         train = tmp_path / "train.txt"

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, log_ndtr
 
-from oracles import full_store, mle_row, one_row, sign_store
-from rpsketch import (DomainError, MleResult, SolverConfig, inv_mills, norm_cdf,
-                      norm_pdf)
+from oracles import full_store, mle_full, mle_row, one_row, sign_store
+from rpsketch import DomainError, MleResult, inv_mills, norm_cdf
 from rpsketch import mle, rng
-from rpsketch.errors import ConfigError, DegenerateInputError
+from rpsketch.errors import DegenerateInputError
+from rpsketch.estimators import SampleStats, full_mle
 from rpsketch.mle import (solve_full_batch, solve_full_from_moments,
                           solve_sign_full, solve_sign_full_batch)
 
@@ -30,23 +30,14 @@ def score(rho: float, x, y) -> float:
     return float(mle._scores(np.array([float(rho)]), s[None, :])[0])
 
 
-def mle_sign_full(x, y, cfg=SolverConfig()) -> MleResult:
+def mle_sign_full(x, y) -> MleResult:
     """The sign-full MLE of one pair, through one-row stores."""
-    return mle_row(mle.mle_sign_full_store(sign_store(x), np.asarray(y, dtype=np.float64), cfg))
-
-
-def mle_full(x, y, cfg=SolverConfig()) -> MleResult:
-    """The full-data MLE of one pair, through one-row stores."""
-    query = full_store(y)
-    return mle_row(mle.mle_full_store(full_store(x), query.values[0], query.sumsq[0], cfg))
+    return mle_row(mle.mle_sign_full_store(sign_store(x), np.asarray(y, dtype=np.float64)))
 
 
 class TestNormalSpecialFunctions:
     def test_cdf_at_zero(self):
         assert norm_cdf(0.0) == 0.5
-
-    def test_pdf_at_zero(self):
-        assert norm_pdf(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-16)
 
     def test_cdf_standard_quantile(self):
         # independent high-precision oracle: 0.97500000002688...
@@ -275,7 +266,7 @@ class TestSignFullMle:
         p = pair_from(x, y)
         res = mle_sign_full(*p)
         assert not res.at_boundary
-        assert res.iterations <= SolverConfig().max_iter
+        assert res.iterations <= mle.max_iter
         delta = 1e-6
         assert score(res.rho_hat - delta, *p) > 0 > score(res.rho_hat + delta, *p)
 
@@ -299,17 +290,13 @@ class TestSignFullMle:
         estimates = solve_sign_full_batch(s).rho_hat
         assert abs(estimates.var() * k / (math.pi / 2) - 1.0) < 0.05
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, 1.0, 2.5, math.nan])
-    def test_boundary_eps_outside_unit_interval_rejected(self, eps):
-        # eps >= 1 leaves no bracket (-1 + eps, 1 - eps) to search
-        with pytest.raises(ConfigError):
-            SolverConfig(boundary_eps=eps)
-
     def test_tolerance_config_respected(self):
         p = pair_from(np.random.default_rng(16).standard_normal(50),
                       np.random.default_rng(17).standard_normal(50))
-        loose = mle_sign_full(*p, SolverConfig(tolerance=1e-4))
-        tight = mle_sign_full(*p, SolverConfig(tolerance=1e-12))
+        with mock.patch.object(mle, "tolerance", 1e-4):
+            loose = mle_sign_full(*p)
+        with mock.patch.object(mle, "tolerance", 1e-12):
+            tight = mle_sign_full(*p)
         assert abs(loose.rho_hat - tight.rho_hat) < 1e-3
 
 
@@ -355,19 +342,21 @@ class TestFullMle:
         assert res.rho_hat == pytest.approx(nearest, abs=1e-6)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DomainError):
-            mle_full(np.zeros(4), np.ones(4))
+        for x, y in ((np.zeros(4), np.ones(4)), (np.ones(4), np.zeros(4))):
+            with pytest.raises(DomainError):
+                full_mle(SampleStats(x[None, :], y[None, :]))
 
     def test_result_type(self):
         v = np.array([1.0, -1.0])
         assert isinstance(mle_full(v, v), MleResult)
 
 
-def _reference_sign_full(s, cfg=SolverConfig()):
+def _reference_sign_full(s):
     """The per-row safeguarded Newton that the batched core replaced, kept
     as the oracle: (rho_hat, at_boundary, iterations).  It evaluates both
     edge scores of every row, starts at the row's s-norm estimate clipped to
-    0.999 of the edges, and ends a row whose Newton step rounds to x."""
+    0.999 of the edges, and ends a row whose Newton step rounds to x.  It
+    reads the solver constants of mle when called."""
 
     def score_at(rho):
         c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
@@ -377,7 +366,7 @@ def _reference_sign_full(s, cfg=SolverConfig()):
         c = rho / math.sqrt((1.0 - rho) * (1.0 + rho))
         return float(np.sum(mle.log_norm_cdf(c * s)))
 
-    lo, hi = -1.0 + cfg.boundary_eps, 1.0 - cfg.boundary_eps
+    lo, hi = -1.0 + mle.boundary_eps, 1.0 - mle.boundary_eps
     f_lo, f_hi = score_at(lo), score_at(hi)
     if not (f_lo > 0.0 > f_hi):
         if f_lo > 0.0 and f_hi >= 0.0:
@@ -390,7 +379,7 @@ def _reference_sign_full(s, cfg=SolverConfig()):
         math.sqrt(s.size) * math.sqrt(float(np.sum(s * s))))
     x = 0.999 * hi if math.isnan(x) else min(max(x, 0.999 * lo), 0.999 * hi)
     iterations = 0
-    while iterations < cfg.max_iter:
+    while iterations < mle.max_iter:
         omr2 = (1.0 - x) * (1.0 + x)
         cs = x / math.sqrt(omr2) * s
         h = inv_mills(cs)
@@ -409,17 +398,18 @@ def _reference_sign_full(s, cfg=SolverConfig()):
             step_ok = a < x_new < b or x_new == x
         if not step_ok:
             x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= cfg.tolerance:
+        if abs(x_new - x) <= mle.tolerance:
             return x_new, False, iterations
         x = x_new
     return x, False, iterations
 
 
-def _reference_full(b, m, k, cfg=SolverConfig()):
+def _reference_full(b, m, k):
     """The per-row np.roots cubic solve that the batched core replaced."""
+    eps = mle.boundary_eps
 
     def loglik(rho):
-        r = min(max(rho, -1.0 + cfg.boundary_eps), 1.0 - cfg.boundary_eps)
+        r = min(max(rho, -1.0 + eps), 1.0 - eps)
         omr2 = (1.0 - r) * (1.0 + r)
         return -0.5 * k * math.log(omr2) - k * (m - 2.0 * r * b) / (2.0 * omr2)
 
@@ -429,7 +419,7 @@ def _reference_full(b, m, k, cfg=SolverConfig()):
     in_range = roots[(roots >= -1.0) & (roots <= 1.0)]
     if in_range.size:
         best = max(in_range, key=loglik)
-        return float(best), bool(abs(best) >= 1.0 - cfg.boundary_eps), 0
+        return float(best), bool(abs(best) >= 1.0 - eps), 0
     nearest = roots[np.argmin(np.abs(np.abs(roots) - 1.0))]
     return math.copysign(1.0, nearest), True, 0
 
@@ -504,8 +494,9 @@ class TestBatchContracts:
 
     shapes = (st.integers(0, 2**31), st.sampled_from([1, 7, 400]),
               st.integers(1, 300))
-    configs = st.sampled_from([SolverConfig(), SolverConfig(tolerance=1e-12),
-                               SolverConfig(max_iter=3)])
+    #: solver constants patched into mle for one example
+    configs = st.sampled_from([{"tolerance": mle.tolerance}, {"tolerance": 1e-12},
+                               {"max_iter": 3}])
     chunks = st.sampled_from([97, mle._CHUNK_VALUES])
 
     @staticmethod
@@ -517,13 +508,14 @@ class TestBatchContracts:
     @settings(max_examples=30, deadline=None)
     def test_sign_full_rows_equal_scalar_calls(self, seed, n, k, cfg, chunk, first):
         s = _sign_full_rows(seed, n, k, first)
-        with mock.patch.object(mle, "_CHUNK_VALUES", chunk):
-            batch = solve_sign_full_batch(s, cfg)
-        assert batch.rho_hat.shape == (n,) and len(batch) == n
-        for i in self._rows(n):
-            one = solve_sign_full(s[i], cfg)
-            assert mle_row(batch, i) == one
-            assert _bits(*_fields(one)) == _bits(*_reference_sign_full(s[i], cfg))
+        with mock.patch.multiple(mle, **cfg):
+            with mock.patch.object(mle, "_CHUNK_VALUES", chunk):
+                batch = solve_sign_full_batch(s)
+            assert batch.rho_hat.shape == (n,) and len(batch) == n
+            for i in self._rows(n):
+                one = solve_sign_full(s[i])
+                assert mle_row(batch, i) == one
+                assert _bits(*_fields(one)) == _bits(*_reference_sign_full(s[i]))
         assert n < 2 or batch.at_boundary[1] and batch.rho_hat[1] > 0.0
         assert n < 3 or batch.at_boundary[2] and batch.rho_hat[2] < 0.0
 
@@ -538,13 +530,14 @@ class TestBatchContracts:
         m = (np.multiply(x, x).sum(axis=1) + np.multiply(y, y).sum(axis=1)) / k
         special = _SPECIAL_MOMENTS[:n]
         b[:len(special)], m[:len(special)] = zip(*special)
-        with mock.patch.object(mle, "_CHUNK_VALUES", chunk):
-            batch = solve_full_batch(b, m, k, cfg)
-        assert batch.rho_hat.shape == (n,)
-        for i in range(n):
-            one = solve_full_from_moments(b[i], m[i], k, cfg)
-            assert mle_row(batch, i) == one
-            assert _bits(*_fields(one)) == _bits(*_reference_full(b[i], m[i], k, cfg))
+        with mock.patch.multiple(mle, **cfg):
+            with mock.patch.object(mle, "_CHUNK_VALUES", chunk):
+                batch = solve_full_batch(b, m, k)
+            assert batch.rho_hat.shape == (n,)
+            for i in range(n):
+                one = solve_full_from_moments(b[i], m[i], k)
+                assert mle_row(batch, i) == one
+                assert _bits(*_fields(one)) == _bits(*_reference_full(b[i], m[i], k))
 
     def test_lab_block_equals_reference_loop(self):
         # a boundary-heavy lab block; a few of its rows change in the last
@@ -591,21 +584,22 @@ class TestBatchContracts:
         query = full_store(rng_.standard_normal(45))
         y, yy = query.values[0], query.sumsq[0]
         signs = mle.mle_sign_full_store(sign_store(*full), y)
-        moments = mle.mle_full_store(full_store(*full, y), y, yy)
+        store = full_store(*full, y)
+        moments = full_mle(SampleStats(store.values, y[None, :], xx=store.sumsq, yy=yy))
         for i, x in enumerate(full):
             assert mle_row(signs, i) == mle_sign_full(x, y)
             assert mle_row(moments, i) == mle_full(x, y)
         assert moments.at_boundary[9]
 
 
-def _midpoint_sign_full_rows(s, cfg=SolverConfig()):
+def _midpoint_sign_full_rows(s):
     """The vectorised solver before the s-norm start, kept as a second
     oracle: both edge scores of every row, every row from the midpoint 0, and
     a Newton step that rounds to x bisects.  Returns (rho, at_boundary,
     iterations)."""
     n = s.shape[0]
-    lo = -1.0 + cfg.boundary_eps
-    hi = 1.0 - cfg.boundary_eps
+    lo = -1.0 + mle.boundary_eps
+    hi = 1.0 - mle.boundary_eps
     f_lo = mle._scores(np.full(n, lo), s)
     f_hi = mle._scores(np.full(n, hi), s)
     up = (f_lo > 0.0) & (f_hi >= 0.0)
@@ -621,7 +615,7 @@ def _midpoint_sign_full_rows(s, cfg=SolverConfig()):
     s = s[idx]
     a, b = np.full(idx.size, lo), np.full(idx.size, hi)
     x = 0.5 * (a + b)
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, mle.max_iter + 1):
         if not idx.size:
             break
         f, slope = mle._scores(x, s, slope=True)
@@ -633,7 +627,7 @@ def _midpoint_sign_full_rows(s, cfg=SolverConfig()):
             x_new = x - f / slope
         step_ok = (slope != 0.0) & np.isfinite(slope) & (a < x_new) & (x_new < b)
         x_new = np.where(step_ok, x_new, 0.5 * (a + b))
-        going = ~root & ~(np.abs(x_new - x) <= cfg.tolerance)
+        going = ~root & ~(np.abs(x_new - x) <= mle.tolerance)
         x = np.where(root, x, x_new)
         rho[idx] = x
         idx, s, a, b, x = idx[going], s[going], a[going], b[going], x[going]
