@@ -19,7 +19,7 @@ import importlib
 import math
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .errors import ConfigError, RpsketchError, SketchFormatError
 from .names import Estimator
@@ -35,6 +35,8 @@ MAX_TRIALS = 10**7
 MAX_MLE_SAMPLES = 10**9
 #: the most values synth draws, (--clusters + --train + --query) * --dim
 MAX_SYNTH_VALUES = 10**7
+#: the most (query, stored sketch) pairs estimate scores and writes at once
+_BLOCK_PAIRS = 1 << 16
 
 
 #: names callers look up here, resolved in their home module at each access
@@ -166,8 +168,66 @@ def _cmd_sketch(args) -> int:
     return 0
 
 
+@contextmanager
+def _byte_sink(path):
+    """The write of --out opened for bytes, or of stdout's byte layer after
+    its text layer is flushed (a text stream without one takes the bytes
+    decoded)."""
+    if path:
+        with open(path, "wb") as fh:
+            yield fh.write
+        return
+    sys.stdout.flush()
+    buffer = getattr(sys.stdout, "buffer", None)
+    yield buffer.write if buffer else lambda data: sys.stdout.write(bytes(data).decode())
+
+
+def _score_rows(n: int, n_queries: int, per_block: int, estimator: str):
+    """render(first, res): the CSV rows query,train,estimator,rho_hat,clamped
+    of the BatchEstimate res of queries first, first + 1, ... against an
+    n-row store, as csv.writer writes them (no field needs quoting, floats
+    by repr, flags as True/False), as a uint8 array.
+
+    A block's rows are the rows of one byte matrix: the query's digits,
+    ",{train},{estimator},", the repr template and the flag (",True\\n" or
+    ",False\\n" as one padded 8-byte word), with a mask that keeps each
+    row's bytes.  The middle two are written once."""
+    import numpy as np
+
+    from .vectors import REPR_TEMPLATE, int_chars, write_reprs
+
+    width = len(str(max(n_queries - 1, 0)))
+    train, train_keep = int_chars(np.arange(n), len(str(n - 1)))
+    name = np.frombuffer(f",{estimator},".encode(), np.uint8)
+    at = width + 1 + train.shape[1] + name.size  # where the repr template starts
+    end = at + REPR_TEMPLATE.size
+    chars = np.empty((min(per_block, n_queries) * n, end + 8), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    for table, train_part in ((chars, train), (keep, train_keep)):
+        table.reshape(-1, n, table.shape[1])[:, :, width + 1:at - name.size] = train_part
+    chars[:, width], chars[:, at - name.size:at] = ord(","), name
+    chars[:, at:end] = REPR_TEMPLATE
+    flags = np.frombuffer(b",False\n ,True\n  ", ">u8")
+    flag_keep = np.frombuffer(bytes([1] * 7 + [0] + [1] * 6 + [0] * 2), ">u8")
+
+    def render(first: int, res) -> np.ndarray:
+        c, k = chars[:res.rho_hat.size], keep[:res.rho_hat.size]
+        head, head_keep = int_chars(np.arange(first, first + len(res.rho_hat)), width)
+        c.reshape(-1, n, c.shape[1])[:, :, :width] = head[:, None]
+        k.reshape(-1, n, k.shape[1])[:, :, :width] = head_keep[:, None]
+        write_reprs(res.rho_hat.ravel(), c[:, at:end], k[:, at:end])
+        clamped = res.clamped.ravel().view(np.uint8)
+        c[:, end:].view(">u8")[:, 0] = flags.take(clamped)
+        k.view(np.uint8)[:, end:].view(">u8")[:, 0] = flag_keep.take(clamped)
+        return c[k]
+
+    return render
+
+
 def _cmd_estimate(args) -> int:
-    """Score every query against the store, writing the CSV one query at a time."""
+    """Score the queries against the store in blocks of whole queries, of at
+    most _BLOCK_PAIRS pairs (or one query), and write each block's CSV rows
+    as one byte buffer."""
     estimator = _parse_estimator(args.estimator)
     _check_dim(args.dim)
 
@@ -189,22 +249,20 @@ def _cmd_estimate(args) -> int:
         _emit(args.out, header, [])
         return 0
     qs = project_corpus(queries, ProjectionConfig(store.k, args.seed), threads=args.threads)
-    # rows as csv.writer writes them: no field needs quoting, floats by repr,
-    # flags as True/False
-    mids = [f",{ti},{estimator.cli_name}," for ti in range(len(store))]
+    per_block = max(1, _BLOCK_PAIRS // len(store))
+    rows = _score_rows(len(store), len(qs), per_block, estimator.cli_name)
 
-    def rows(qi: int) -> str:  # one query per call, so memory stays one row wide
-        res = estimate_batch(store, FullStore(qs.values[qi:qi + 1], qs.sumsq[qi:qi + 1]),
-                             estimator)
-        head, flat = str(qi), (res.rho_hat.ravel().tolist(), res.clamped.ravel().tolist())
-        return "".join([head + mid + repr(r) + (",True\n" if c else ",False\n")
-                        for mid, r, c in zip(mids, *flat)])
+    def block(first: int):
+        end = first + per_block
+        return rows(first, estimate_batch(
+            store, FullStore(qs.values[first:end], qs.sumsq[first:end]), estimator))
 
-    first = rows(0)  # a store of the wrong kind raises here, before --out is opened
-    with _csv_sink(args.out) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write(first)
-        fh.writelines(map(rows, range(1, len(qs))))
+    first = block(0)  # a store of the wrong kind raises here, before --out is opened
+    with _byte_sink(args.out) as write:
+        write(",".join(header).encode() + b"\n")
+        write(first)
+        for start in range(per_block, len(qs), per_block):
+            write(block(start))
     return 0
 
 

@@ -34,6 +34,14 @@ _LAST_DIGITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - n) << 8 * (8 - n) for n 
                         dtype=np.uint64)  # low nibbles of a word's top n bytes
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _Q_MIN, _Q_MAX = -348, 347  # powers of ten in the Eisel-Lemire table
+_K_MIN, _K_MAX = -324, 292  # powers of ten 10^-k in the shortest-repr table
+_FORMAT_CHUNK = 1 << 13  # values per pass of the repr formatter
+_WRITE_PAIRS = 1 << 16  # pairs per block of save_sparse_text
+# the formatter's template row and its column groups (see write_reprs)
+REPR_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"e+000", np.uint8)
+_T_DIGITS, _T_POINT, _T_AFTER, _T_EXP = 6, 23, 24, 40
+_FREE = np.r_[_T_DIGITS:_T_POINT, _T_AFTER:_T_EXP]  # digit columns, for repr's own bytes
+_ZEROS = 0x3030303030303030  # b"0" * 8 as a word
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +114,9 @@ def _parse_chunks(path, dim: int | None):
     with open(path, "rb") as fh:
         n_pairs = n_lines = 0
         for block in iter(lambda: fh.read(_CHUNK_CHARS), b""):
-            n_pairs, n_lines = n_pairs + block.count(b":"), n_lines + block.count(b"\n")
+            b = np.frombuffer(block, np.uint8)
+            n_pairs += np.count_nonzero(b == ord(":"))
+            n_lines += np.count_nonzero(b == ord("\n"))
         fh.seek(0)
         indices, values = np.empty(n_pairs, dtype=np.int64), np.empty(n_pairs)
         line_nnz, line, nnz = np.zeros(n_lines + 1, dtype=np.int64), 0, 0
@@ -288,6 +298,208 @@ def _mul64(a, b):
     return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32), a * b
 
 
+@functools.cache
+def _repr_powers():
+    """High and low words of g = 10^e * 2^(127 - floor(log2 10^e)) rounded up,
+    in [2^127, 2^128), for e = -k, k in [_K_MIN, _K_MAX], exactly from
+    Python integers."""
+    rows = []
+    for e in range(-_K_MIN, -_K_MAX - 1, -1):
+        if e >= 0:
+            shift = 128 - (10**e).bit_length()
+            g = 10**e << shift if shift >= 0 else -(-10**e >> -shift)
+        else:
+            g = -(-(1 << 127 + (10**-e).bit_length()) // 10**-e)
+        rows.append((g >> 64, g & (1 << 64) - 1))
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+def _shortest(frac, exponent):
+    """The shortest decimals d * 10^k that round to the positive normal
+    doubles of these fraction bits and (int64) biased exponents, and of
+    those the nearest, ties to even digits.
+
+    Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020):
+    for v = c 2^q take k = floor(log10 2^q), or floor(log10 3/4 2^q) where
+    the lower neighbour is nearer, so that 10^k is at most the width of the
+    rounding interval of v.  4 v 10^-k and the interval's ends (4 c - 2 or
+    4 c - 1 and 4 c + 2, times 2^q 10^-k) are computed with 2 fraction bits,
+    rounded to odd, from the top word of a 192-bit product 4 c 2^h g with
+    the 128-bit mantissa g of 10^-k, the ends by adding multiples of 2^h g
+    to that product.  The lowest bit is set where the middle word is not
+    zero: g is at most 1 above 10^-k 2^(127 - floor(log2 10^-k)), so the
+    product at most 2^59 above the exact one, and for no double does an
+    exact product's remainder below the top word lie in (0, 2^64) or
+    (2^128 - 2^59, 2^128) with an even top word (tests/test_vectors.py
+    enumerates them).  At most one multiple of 10^(k+1) lies in the
+    interval; if none does, the result is the multiple of 10^k in it
+    nearest v."""
+    q = exponent - 1075
+    closer = (frac == 0) & (exponent > 1)
+    k = (q * 1262611 - closer * 524031) >> 22
+    shift = ((-k * 1741647 >> 19) + q + 3).astype(np.uint64)  # h + 2, h in [1, 4]
+    g_hi, g_lo = _repr_powers()
+    g_hi, g_lo = g_hi.take(k - _K_MIN), g_lo.take(k - _K_MIN)
+    cp = (frac | 1 << 52) << shift
+    top, mid = _mul64(g_hi, cp)
+    x_hi, low = _mul64(g_lo, cp)
+    mid += x_hi
+    top += mid < x_hi
+    vb = top | (mid != 0)
+    odd = frac & 1
+    shift -= np.uint64(1)  # the ends are 2 2^h g (2^h g at a nearer lower neighbour) away
+    upper = _add192(top, mid, low, g_hi, g_lo, shift, 1) - odd
+    lower = _add192(top, mid, low, g_hi, g_lo, shift - closer, -1) + odd
+    s = vb >> np.uint64(2)
+    sp = s // 10
+    ten = sp * 40
+    wp_in = ten + 40 <= upper
+    wide = (lower <= ten) != wp_in
+    u_in = lower <= s << np.uint64(2)
+    w_in = (s << np.uint64(2)) + 4 <= upper
+    mid = (s << np.uint64(2)) + 2
+    # one of 4 s and 4 s + 4 lies in the interval, which is at least 4 wide
+    s += ~u_in | w_in & ((vb > mid) | (vb == mid) & (s & 1 == 1))
+    return np.where(wide, sp + wp_in, s), k + wide
+
+
+def _add192(top, mid, low, g_hi, g_lo, shift, sign):
+    """The top word of (top, mid, low) plus sign * (g_hi, g_lo) << shift,
+    shift in [1, 5], with its lowest bit set as _shortest sets it."""
+    g2, g0 = g_hi >> 64 - shift, g_lo << shift
+    g1 = g_hi << shift | g_lo >> 64 - shift
+    if sign > 0:
+        low = low + g0
+        carry = low < g0
+        m = mid + g1
+        c = m < g1
+        m += carry
+        top = top + g2 + (c | (m < carry))
+    else:
+        borrow = low < g0
+        low = low - g0
+        m = mid - g1
+        c = mid < g1
+        c |= m < borrow
+        m -= borrow
+        top = top - g2 - c
+    return top | (m != 0)
+
+
+def _eight_digits(x):
+    """Digits of numbers below 10^8 as the bytes of words, the leading digit
+    in the top byte (SWAR, the inverse of _eight): x = 10^4 hi + lo becomes
+    hi 2^32 + lo, then each lane the same way by 100 in 16-bit lanes, then
+    by 10 in bytes, the quotients by one multiply and shift for all lanes."""
+    w = x + x // 10000 * (2**32 - 10000)
+    w += (w * 5243 >> 19 & 0x0000007F0000007F) * (2**16 - 100)  # lanes below 10^4
+    return w + (w * 103 >> 10 & 0x000F000F000F000F) * (2**8 - 10)  # lanes below 100
+
+
+def _zero_bytes(words):
+    """Trailing zero bytes of nonzero words: the byte of their lowest set
+    bit, from the exponent of that power of two, which float64 holds."""
+    return ((words & -words).astype(np.float64).view(np.int64) >> 52) - 1023 >> 3
+
+
+def _word_column(a, col):
+    """The 8 bytes from column col of each row of a uint8 matrix, as one
+    unaligned big-endian uint64 per row (so the top byte comes first)."""
+    return a[:, col:col + 8].view(">u8")[:, 0]
+
+
+def int_chars(x, width: int):
+    """(len(x), width) ASCII digits of integers in [0, 10^width), right
+    aligned with leading zeros, and masks that keep each one's digits from
+    its first nonzero one (its last, for 0)."""
+    x = np.asarray(x).astype(np.uint64)
+    digits = np.searchsorted(_POW10[1:width], x, side="right") + 1
+    words = np.empty((x.size, -(-width // 8)), dtype=">u8")
+    for j in range(words.shape[1] - 1, -1, -1):  # 8 digits a word, the last first
+        words[:, j], x = _eight_digits(x % 10**8) | _ZEROS, x // 10**8
+    chars = words.view(np.uint8)[:, 8 * words.shape[1] - width:]
+    tails = np.arange(width) >= width - np.arange(width + 1)[:, None]
+    return chars, tails.take(digits, axis=0)
+
+
+@functools.cache
+def _repr_layouts():
+    """Keep-masks of REPR_TEMPLATE, one per layout: 17 (E + 4) + n - 1 for
+    fixed notation (decimal exponent E in [-4, 15], n significant digits),
+    340 + 2 (n - 1) + [|E| >= 100] for exponent notation, and these plus
+    374 with the minus sign."""
+    masks = np.zeros((748, REPR_TEMPLATE.size), dtype=bool)
+    for layout in range(374):
+        keep = masks[layout]
+        if layout < 340:
+            e, n = layout // 17 - 4, layout % 17 + 1
+            if e < 0:  # "0.", -e - 1 zeros, the digits
+                keep[1:2 - e] = keep[_T_DIGITS:_T_DIGITS + n] = True
+            else:  # e + 1 digits, the point, at least one more digit
+                keep[_T_DIGITS:_T_DIGITS + e + 1] = keep[_T_POINT] = True
+                keep[_T_AFTER + e:_T_AFTER + max(n - 1, e + 1)] = True
+        else:  # a digit, the point and more digits if any, "e", sign, exponent
+            n, three = (layout - 340) // 2 + 1, layout % 2
+            keep[_T_DIGITS], keep[_T_POINT] = True, n > 1
+            keep[_T_AFTER:_T_AFTER + n - 1] = keep[_T_EXP:_T_EXP + 2] = True
+            keep[_T_EXP + 3 - three:] = True
+    masks[374:] = masks[:374]
+    masks[374:, 0] = True
+    return masks
+
+
+@functools.cache
+def _exponent_chars():
+    """Sign and three digits of each exponent in [-330, 330]."""
+    return np.array([[*f"{e:+04d}".encode()] for e in range(-330, 331)], dtype=np.uint8)
+
+
+def write_reprs(x, chars, keep):
+    """Write repr(x[i]) for float64 x as the bytes chars[i][keep[i]], into
+    uint8 and bool arrays (or views) of len(x) rows as wide as REPR_TEMPLATE,
+    whose chars rows hold it; only its digit and exponent columns change.
+
+    Every repr is a subsequence of the template: a minus; "0.000" for fixed
+    notation below 1; the 17 digits of the shortest decimal, padded with
+    zeros; a point; the 16 digits after the first again; and "e+000".  The
+    bytes a value keeps depend only on its layout (_repr_layouts), so its
+    mask is a row of a table.  Zeros, subnormals, infinities and nans are
+    left to repr, whose bytes go to the digit columns."""
+    for lo in range(0, x.size, _FORMAT_CHUNK):  # longer passes cost more per value
+        bits = x[lo:lo + _FORMAT_CHUNK].view(np.uint64)
+        out, mask = chars[lo:lo + bits.size], keep[lo:lo + bits.size]
+        exponent = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
+        decided = (exponent != 0) & (exponent != 0x7FF)
+        d, k = _shortest(bits & (1 << 52) - 1, np.where(decided, exponent, 1023))
+        n = 15 + (d >= 10**15) + (d >= 10**16)
+        e = k + n - 1
+        d *= _POW10.take(17 - n)  # 17 digits
+        head = d // 10**16
+        d -= head * 10**16
+        mid = d // 10**8
+        mid, low = _eight_digits(mid), _eight_digits(d - mid * 10**8)
+        tail = low != 0
+        word = np.where(tail, low, mid)
+        n = np.where(word == 0, 1, np.where(tail, 17, 9) - _zero_bytes(word))
+        mid |= _ZEROS
+        low |= _ZEROS
+        _word_column(out, _T_DIGITS)[:] = head + ord("0") << 56  # 7 bytes written next
+        _word_column(out, _T_DIGITS + 1)[:] = _word_column(out, _T_AFTER)[:] = mid
+        _word_column(out, _T_DIGITS + 9)[:] = _word_column(out, _T_AFTER + 8)[:] = low
+        fixed = (e >= -4) & (e <= 15)
+        layout = np.where(fixed, 17 * e + 67 + n, 338 + 2 * n + (np.abs(e) >= 100))
+        layout += 374 * (bits >> np.uint64(63)).astype(np.int64)
+        np.take(_repr_layouts(), layout, axis=0, out=mask, mode="clip")
+        rows = np.flatnonzero(~fixed & decided)
+        if rows.size:
+            out[rows, _T_EXP + 1:] = _exponent_chars().take(e[rows] + 330, axis=0)
+        for i in np.flatnonzero(~decided).tolist():
+            text = np.frombuffer(repr(float(x[lo + i])).encode(), np.uint8)
+            out[i, _FREE[:text.size]] = text
+            mask[i] = False
+            mask[i, _FREE[:text.size]] = True
+
+
 def load_sparse_text(path, dim: int | None = None) -> Corpus:
     """Load a sparse text corpus; every vector is unit-normalized.
 
@@ -315,10 +527,33 @@ def load_sparse_text(path, dim: int | None = None) -> Corpus:
 
 
 def save_sparse_text(path, corpus: Corpus) -> None:
-    """Write a corpus in the 1-based sparse text format (no labels)."""
-    indptr = corpus.indptr.tolist()
-    indices, values = (corpus.indices + 1).tolist(), corpus.values.tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo, hi in zip(indptr[:-1], indptr[1:]):
-            fh.write(" ".join(f"{i}:{x!r}" for i, x in
-                              zip(indices[lo:hi], values[lo:hi])) + "\n")
+    """Write a corpus in the 1-based sparse text format (no labels): each
+    row's ``index:repr(value)`` pairs joined by spaces, then a newline.
+
+    Pairs are formatted in blocks of _WRITE_PAIRS, one row of a byte matrix
+    each (index digits, ':', the repr template, a space or the row's
+    newline) whose mask keeps the pair's bytes."""
+    indptr, nnz = corpus.indptr, corpus.indices.size
+    sizes = np.diff(indptr)
+    ends = np.zeros(nnz, dtype=bool)  # the last pair of its row
+    ends[indptr[1:][sizes > 0] - 1] = True
+    empty = indptr[:-1][sizes == 0]  # the pairs that an empty row's newline precedes
+    width = len(str(int(corpus.indices.max()) + 1)) if nnz else 1
+    chars = np.empty((min(nnz, _WRITE_PAIRS), width + 2 + REPR_TEMPLATE.size), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, width] = ord(":")
+    chars[:, width + 1:-1] = REPR_TEMPLATE
+    with open(path, "wb") as fh:
+        for lo in range(0, nnz, _WRITE_PAIRS):
+            hi = min(lo + _WRITE_PAIRS, nnz)
+            c, k = chars[:hi - lo], keep[:hi - lo]
+            c[:, :width], k[:, :width] = int_chars(corpus.indices[lo:hi] + 1, width)
+            write_reprs(corpus.values[lo:hi], c[:, width + 1:-1], k[:, width + 1:-1])
+            c[:, -1] = np.where(ends[lo:hi], ord("\n"), ord(" "))
+            text = c[k]
+            before = empty[(empty >= lo) & (empty < hi)] - lo
+            if before.size:
+                offsets = np.concatenate(([0], np.cumsum(k.sum(axis=1))))
+                text = np.insert(text, offsets[before], ord("\n"))
+            fh.write(text)
+        fh.write(b"\n" * int(np.count_nonzero(empty >= nnz)))

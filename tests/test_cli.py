@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import mle_full, mle_row, one_row
-from rpsketch import (ProjectionConfig, cli, estimators, load_sketches,
+from rpsketch import (Estimator, FullStore, ProjectionConfig, cli, estimators, load_sketches,
                       load_sparse_text, mle, project_corpus, projection)
 from rpsketch.cli import main
 from rpsketch.projection import _VERSION
@@ -384,6 +384,7 @@ class TestTraceHooks:
         corpus, store, out = tmp_path / "c.txt", tmp_path / "s.sfrp", tmp_path / "o.csv"
         corpus.write_text("1:1\n2:1\n1:0.6 2:0.8\n")
         original = estimators.estimate_batch
+        monkeypatch.setattr(cli, "_BLOCK_PAIRS", 3)  # blocks of one query against 3 rows
         tracer = spans.Tracer()
         try:
             spans.install(tracer)
@@ -609,6 +610,112 @@ class TestPipelines:
         assert {r["estimator"] for r in rows} == {"sign-sign", "s-norm"}
         sweep = [int(r["L"]) for r in rows if r["estimator"] == "s-norm"]
         assert sweep == list(range(1, 31))
+
+
+def reference_scores(store_path, query_path, estimator, seed, dim) -> bytes:
+    """estimate's CSV as the row writer before query blocks wrote it: one
+    estimate_batch call per query and one f-string with repr per pair."""
+    store = load_sketches(store_path)
+    qs = project_corpus(load_sparse_text(query_path, dim), ProjectionConfig(store.k, seed))
+    mids = [f",{ti},{estimator}," for ti in range(len(store))]
+    text = ["query,train,estimator,rho_hat,clamped\n"]
+    for qi in range(len(qs)):
+        res = estimators.estimate_batch(
+            store, FullStore(qs.values[qi:qi + 1], qs.sumsq[qi:qi + 1]), Estimator(estimator))
+        text += [f"{qi}{mid}{r!r},{c}\n" for mid, r, c in
+                 zip(mids, res.rho_hat.ravel().tolist(), res.clamped.ravel().tolist())]
+    return "".join(text).encode()
+
+
+class TestEstimateBytes:
+    """estimate writes query blocks at the byte level; its bytes must be
+    those of the per-pair repr writer, for every estimator and block cut."""
+
+    SEED, DIM, K = "8", "32", "24"
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        # the store holds the queries too, so some rows clamp or sit on the boundary
+        work = tmp_path_factory.mktemp("estimate")
+        train, query = work / "train.txt", work / "query.txt"
+        assert main(["synth", "--dim", self.DIM, "--clusters", "3", "--train", "12",
+                     "--query", "5", "--seed", self.SEED, "--out-train", str(train),
+                     "--out-query", str(query)]) == 0
+        train.write_text(train.read_text() + query.read_text())
+        (work / "one.txt").write_text(query.read_text().splitlines()[2] + "\n")
+        for kind in ("sign", "full"):
+            assert main(["sketch", "--input", str(train), "--k", self.K, "--seed", self.SEED,
+                         "--kind", kind, "--dim", self.DIM,
+                         "--out", str(work / f"{kind}.sfrp")]) == 0
+        return work
+
+    def estimate(self, files, kind, estimator, queries="query.txt", threads="1", out=None):
+        argv = ["estimate", "--store", str(files / f"{kind}.sfrp"), "--queries",
+                str(files / queries), "--estimator", estimator, "--seed", self.SEED,
+                "--dim", self.DIM, "--threads", threads]
+        assert main(argv + (["--out", str(out)] if out else [])) == 0
+        return reference_scores(files / f"{kind}.sfrp", files / queries, estimator,
+                                int(self.SEED), int(self.DIM))
+
+    @pytest.mark.parametrize("block_pairs", [cli._BLOCK_PAIRS, 40])  # 40: blocks of 2, 2, 1
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("kind,estimator", [
+        ("sign", "s-norm"), ("sign", "g-norm"), ("sign", "sign-sign"), ("sign", "mle"),
+        ("full", "full-norm"), ("full", "mle-full")])
+    def test_equals_per_pair_repr_rows(self, files, kind, estimator, threads, block_pairs,
+                                       tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_PAIRS", block_pairs)
+        out = tmp_path / "scores.csv"
+        want = self.estimate(files, kind, estimator, threads=threads, out=out)
+        assert out.read_bytes() == want and want.count(b"\n") == 1 + 5 * 17
+
+    @pytest.mark.parametrize("kind,estimator", [("sign", "s-norm"), ("sign", "mle"),
+                                                ("full", "full-norm")])
+    def test_one_query(self, files, kind, estimator, tmp_path):
+        out = tmp_path / "scores.csv"
+        want = self.estimate(files, kind, estimator, queries="one.txt", out=out)
+        assert out.read_bytes() == want and want.count(b"\n") == 1 + 17
+
+    @pytest.mark.parametrize("block_pairs", [cli._BLOCK_PAIRS, 17])
+    def test_stdout(self, files, block_pairs, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_PAIRS", block_pairs)
+        print("before", end="")  # the text layer is flushed before the rows' bytes
+        want = self.estimate(files, "sign", "g-norm")
+        assert capsys.readouterr().out.encode() == b"before" + want
+
+    def test_writer_memory_does_not_grow_with_the_queries(self, tmp_path, monkeypatch):
+        # blocks of 2^12 pairs against 300 rows: from the projected queries on,
+        # the peak beyond what is then held is one block's, for 40 queries and 160
+        monkeypatch.setattr(cli, "_BLOCK_PAIRS", 2**12)
+        held, project = [], projection.project_corpus
+
+        def projected(*args, **kwargs):
+            out = project(*args, **kwargs)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(projection, "project_corpus", projected)
+        train, store, out = tmp_path / "train.txt", tmp_path / "store.sfrp", tmp_path / "o.csv"
+        extra = []
+        for n_queries in (40, 160):
+            query = tmp_path / f"query{n_queries}.txt"
+            assert main(["synth", "--dim", "64", "--clusters", "5", "--train", "300",
+                         "--query", str(n_queries), "--seed", "3", "--out-train", str(train),
+                         "--out-query", str(query)]) == 0
+            assert main(["sketch", "--input", str(train), "--k", "64", "--seed", "3",
+                         "--out", str(store)]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["estimate", "--store", str(store), "--queries", str(query),
+                             "--estimator", "s-norm", "--seed", "3", "--out", str(out)]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - held[-1])
+        assert out.stat().st_size > 160 * 300 * 20
+        assert max(extra) < 2**21, extra
+        assert extra[1] < extra[0] + 2**16, extra
 
 
 class TestDeterminism:

@@ -97,6 +97,54 @@ def test_mle_steps_load_no_scipy(tmp_path):
     assert out.splitlines() == ["simulate 0 []", "variance-table 0 []", "0"]
 
 
+def test_lab_steps_build_no_parse_or_format_table(tmp_path):
+    # the lab's steps import vectors (through projection) but neither parse
+    # nor format text, so the tables of powers of ten and the repr layouts,
+    # which the first parse or format builds, are never built
+    out = fresh("""
+        from rpsketch.cli import main
+        steps = [
+            ["variance-table", "--estimators", "s-norm", "--rho-grid", "0.95:0.95:1",
+             "--out", "factor.csv"],
+            ["simulate", "--rho", "0.95", "--k", "100", "--trials", "200", "--estimators",
+             "sign-sign,g,g-norm,s,s-norm", "--seed", "3", "--threads", "2", "--out", "mse.csv"],
+            ["simulate", "--rho", "0.95", "--k", "16", "--trials", "50",
+             "--estimators", "mle,mle-full", "--seed", "3", "--out", "mle.csv"],
+        ]
+        print([main(argv) for argv in steps])
+        vectors = sys.modules["rpsketch.vectors"]
+        print([getattr(vectors, table).cache_info().currsize for table in
+               ("_powers_of_ten", "_repr_powers", "_repr_layouts", "_exponent_chars")])
+    """, tmp_path)
+    assert out.splitlines() == ["[0, 0, 0]", "[0, 0, 0, 0]"]
+
+
+def readme_modules(subcommand: str) -> list[str]:
+    """The rpsketch modules README's table says a subcommand loads."""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) > 3 and cells[1] == f"`{subcommand}`":
+            return [f"rpsketch.{name.strip(' `')}" for name in cells[2].split(",")]
+    raise AssertionError(f"no README row for {subcommand}")
+
+
+def test_estimate_loads_exactly_the_modules_in_readme(tmp_path):
+    (tmp_path / "c.txt").write_text("1:1 3:2\n2:1\n1:0.5 2:2 3:1\n")
+    assert subprocess.run(
+        [sys.executable, "-m", "rpsketch.cli", "sketch", "--input", "c.txt", "--k", "16",
+         "--seed", "3", "--out", "store.sfrp"], cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))).returncode == 0
+    out = fresh("""
+        from rpsketch.cli import main
+        code = main(["estimate", "--store", "store.sfrp", "--queries", "c.txt",
+                     "--estimator", "s-norm", "--seed", "3", "--out", "scores.csv"])
+        print(code, sorted(m for m in sys.modules if m.startswith("rpsketch.")))
+    """, tmp_path)
+    always = ["rpsketch.cli", "rpsketch.errors", "rpsketch.names"]
+    assert out == f"0 {sorted(always + readme_modules('estimate'))}"
+
+
 def test_package_cli_shell_and_closed_form_variance_table_load_no_numpy(tmp_path):
     out = fresh("""
         import contextlib, io

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +201,28 @@ class TestLoader:
         # stable to the last bit or one ulp
         np.testing.assert_allclose(loaded.values, original.values, rtol=1e-15)
 
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_save_writes_the_per_pair_repr_bytes(self, tmp_path, monkeypatch, block):
+        # empty rows (first, inner, repeated, last), indices of 1-19 digits,
+        # and values of every kind, in blocks of pairs that cut rows anywhere
+        monkeypatch.setattr(vectors, "_WRITE_PAIRS", block)
+        rng = np.random.default_rng(block)
+        sizes = np.array([0, 3, 0, 0, 1, 40, 2, 0, 5, 0])
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        indices = np.concatenate([np.sort(rng.choice(2**62, n, replace=False)) for n in sizes])
+        indices[:3] = [0, 9, 10**18]
+        values = rng.integers(0, 2**64, indices.size, dtype=np.uint64).view(np.float64)
+        values[:4] = [0.5, -0.0, 1e16, np.nan]
+        corpus = Corpus(indptr, indices.astype(np.int64), values, 2**62)
+        p = tmp_path / "c.txt"
+        save_sparse_text(p, corpus)
+        want = "".join(" ".join(f"{i + 1}:{x!r}" for i, x in zip(
+            indices[lo:hi].tolist(), values[lo:hi].tolist())) + "\n"
+            for lo, hi in zip(indptr[:-1], indptr[1:]))
+        assert p.read_bytes() == want.encode()
+        save_sparse_text(p, Corpus(np.zeros(3, np.int64), *EMPTY, 4))
+        assert p.read_bytes() == b"\n\n"
 
 def _reference_load(path, dim=None):
     """The token-by-token loader as it stood before the chunked parser, as
@@ -526,3 +550,163 @@ class TestDecimalKernel:
         beyond = (q < vectors._Q_MIN) | (q > vectors._Q_MAX)
         assert ((np.abs(want) <= 2.0**-1022) | np.isinf(want) | beyond)[~decided].all()
         assert decided.mean() > 0.9
+
+
+def _reprs(x):
+    """write_reprs of float64 x, joined by newlines, as bytes."""
+    chars = np.tile(vectors.REPR_TEMPLATE, (x.size, 1))
+    keep = np.empty(chars.shape, bool)
+    vectors.write_reprs(x, chars, keep)
+    chars = np.concatenate([chars, np.full((x.size, 1), ord("\n"), np.uint8)], axis=1)
+    keep = np.concatenate([keep, np.ones((x.size, 1), bool)], axis=1)
+    return chars[keep].tobytes()
+
+
+def _assert_reprs(x):
+    got, want = _reprs(x), "".join(f"{v!r}\n" for v in x.tolist()).encode()
+    if got != want:
+        bad = [(w, g) for w, g in zip(want.split(), got.split()) if w != g]
+        raise AssertionError(f"{len(bad)} of {x.size} differ from repr, e.g. {bad[:5]}")
+
+
+def _formatter_inputs():
+    """Doubles from every binade (subnormals and the non-finite included) with
+    both signs; exact powers of two and their neighbours, where the rounding
+    interval is asymmetric; the nearest doubles to decimals of 1-17 digits;
+    integers near 10^15, 10^16, 10^17 and 2^53; both sides of the switches to
+    exponent notation at 1e-4 and 1e16; zeros, extremes, inf and nan; and
+    random bit patterns."""
+    rng = np.random.default_rng(2026)
+    u64 = np.uint64
+    exponents = np.repeat(np.arange(2048, dtype=u64), 100)
+    binades = exponents << u64(52) | rng.integers(0, 2**52, exponents.size, dtype=u64)
+    binades |= rng.integers(0, 2, exponents.size, dtype=u64) << u64(63)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    digits = rng.integers(1, 18, 260_000)
+    mantissa = rng.integers(10 ** (digits - 1), 10**digits).astype(np.float64)  # exact
+    scale = 10.0 ** rng.integers(0, 23, digits.size)  # exact; one rounding per value
+    decimals = np.where(rng.random(digits.size) < 0.5, mantissa / scale, mantissa * scale)
+    near = np.array([10**15, 10**16, 10**17, 2**53], dtype=np.float64)
+    integers = (near[:, None] + np.arange(-3000, 3000)).ravel()  # rounded where they must be
+    switches = np.array([1e-4, 1e-5, 1e16, 1e15, 1e17])
+    steps = np.arange(-500, 501)
+    around = (switches.view(u64)[:, None].astype(np.int64) + steps).ravel().view(np.float64)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, sys.float_info.max,
+                        -sys.float_info.max, sys.float_info.min, 5e-324, 9.999999999999999e-05,
+                        1e-4, 0.0001000000000000001, 9999999999999998.0, 1e16, 1.0, -1.0])
+    random_bits = rng.integers(0, 2**64, 230_000, dtype=u64, endpoint=False)
+    x = np.concatenate([binades.view(np.float64), powers, -powers, decimals, -decimals,
+                        integers, around, -around, special, random_bits.view(np.float64)])
+    return x
+
+
+def _residues_in(a, m, n_lo, n_hi, r_lo, r_hi):
+    """Every n in [n_lo, n_hi] with n a mod m in [r_lo, r_hi], for coprime
+    a, m > 0: the points of the lattice {(n H, (n a - t m) W)} in a box made
+    square by the scales H and W, found along the lines of a Lagrange-reduced
+    basis, exactly with Python integers."""
+    if r_lo > r_hi:
+        return []
+    width, height, base = n_hi - n_lo + 1, r_hi - r_lo + 1, n_lo * a % m
+    u, v = (height, a * width), (0, m * width)
+    while True:  # Lagrange reduction
+        if u[0] ** 2 + u[1] ** 2 > v[0] ** 2 + v[1] ** 2:
+            u, v = v, u
+        uu = u[0] ** 2 + u[1] ** 2
+        step = (2 * (u[0] * v[0] + u[1] * v[1]) + uu) // (2 * uu)
+        if not step:
+            break
+        v = (v[0] - step * u[0], v[1] - step * u[1])
+    det = u[0] * v[1] - u[1] * v[0]
+    box = ((0, width * height - 1), ((r_lo - base) * width, (r_hi + 1 - base) * width - 1))
+    ys = [Fraction(u[0] * y1 - u[1] * x0, det) for x0 in box[0] for y1 in box[1]]
+    found = []
+    for y in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
+        lo, hi = -math.inf, math.inf
+        for axis, (b_lo, b_hi) in enumerate(box):
+            if u[axis] == 0:
+                lo, hi = (lo, hi) if b_lo <= y * v[axis] <= b_hi else (1, 0)
+                continue
+            ends = sorted((Fraction(b_lo - y * v[axis], u[axis]),
+                           Fraction(b_hi - y * v[axis], u[axis])))
+            lo, hi = max(lo, math.ceil(ends[0])), min(hi, math.floor(ends[1]))
+        assert hi - lo < 1000  # a handful at most, or the sticky test below fails anyway
+        for x in range(lo, hi + 1):
+            n0, r = x * u[0] + y * v[0], x * u[1] + y * v[1]
+            if n0 % height == 0 and r % width == 0:
+                found.append(n_lo + n0 // height)
+    return sorted(set(found))
+
+
+class TestReprFormatter:
+    def test_matches_repr_byte_for_byte(self):
+        x = _formatter_inputs()
+        assert x.size >= 10**6
+        _assert_reprs(x)
+
+    @given(st.lists(st.floats(), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        _assert_reprs(np.array(values, dtype=np.float64))
+
+    def test_sticky_word_decides_every_double(self):
+        # _shortest sets the lowest bit of its top words where the middle
+        # word is not zero.  Its products are n 2^h g, n in {4c - 2, 4c, 4c +
+        # 2} (and 4c - 1 at a nearer lower neighbour), and g rounded up puts
+        # them at most 2^59 above the exact n 2^h 10^-k 2^(127 - floor(log2
+        # 10^-k)).  That misreads only an exact product whose remainder below
+        # the top word lies in (0, 2^64) or (2^128 - 2^59, 2^128), and then
+        # only where its top word is even.  For every binary exponent, the
+        # multipliers with such a remainder are found by lattice reduction.
+        misread, near = [], 0
+        for q in range(-1074, 972):
+            for closer in (False, True):
+                if closer and q == -1074:
+                    continue  # the least binade has no nearer lower neighbour
+                k = (q * 1262611 - 524031 * closer) >> 22
+                h = q + (-k * 1741647 >> 19) + 1
+                twos = -k + h - 1 - (-k * 1741647 >> 19)  # 4 v 10^-k = n 10^-k 2^twos
+                a = 5 ** max(-k, 0) * 2 ** max(twos, 0)
+                m = 5 ** max(k, 0) * 2 ** max(-twos, 0)
+                zones = ((1, (m - 1) >> 64), (m - ((m - 1) >> 69), m - 1))
+                if closer:  # c = 2^52 only
+                    ns = [n for n in (2**54 - 1, 2**54, 2**54 + 2)
+                          if any(lo <= n * a % m <= hi for lo, hi in zones)]
+                else:
+                    ns = [n for lo, hi in zones
+                          for n in _residues_in(a, m, 2**54 - 2, 2**55 - 2, lo, hi)
+                          if n % 4 != 1 and n % 4 != 3]
+                near += len(ns)
+                misread += [(q, n) for n in ns if n * a // m % 2 == 0]
+        assert misread == [] and near == 1  # 4 c for c = 8887055249355788, q = 664
+
+
+    def test_decimal_exponent_of_every_binade(self):
+        # k = floor(log10 2^q), or floor(log10 3/4 2^q), by integer arithmetic
+        for q in range(-1074, 972):
+            for shift, num, den in ((0, 1, 1), (524031, 3, 4)):
+                k = (q * 1262611 - shift) >> 22
+                lhs, rhs = num * 2 ** max(q, 0), den * 2 ** max(-q, 0)  # 3/4 2^q = lhs/rhs
+                assert 10 ** max(k, 0) * rhs <= lhs * 10 ** max(-k, 0)
+                assert lhs * 10 ** max(-k - 1, 0) < 10 ** max(k + 1, 0) * rhs, q
+
+    def test_power_table(self):
+        hi, lo = vectors._repr_powers()
+        for k in range(vectors._K_MIN, vectors._K_MAX + 1):
+            g = int(hi[k - vectors._K_MIN]) << 64 | int(lo[k - vectors._K_MIN])
+            assert 2**127 <= g < 2**128
+            # g - 1 < 10^-k 2^(127 - floor(log2 10^-k)) <= g, where floor(log2 10^-k) is
+            # the exponent the kernel computes
+            e2 = 127 - (-k * 1741647 >> 19)
+            num, den = 10 ** max(-k, 0) * 2 ** max(e2, 0), 10 ** max(k, 0) * 2 ** max(-e2, 0)
+            assert (g - 1) * den < num <= g * den, k
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 16, 17, 19, 24])
+    def test_int_chars(self, width):
+        top = min(10**width, 2**63)
+        ends = np.arange(min(top, 1000))
+        x = np.unique(np.concatenate([ends, top - 1 - ends,
+                                      np.random.default_rng(width).integers(0, top, 2000)]))
+        chars, keep = vectors.int_chars(x, width)
+        assert [bytes(c[k]).decode() for c, k in zip(chars, keep)] == [str(v) for v in x.tolist()]
