@@ -15,7 +15,6 @@ low-similarity regimes.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from typing import Sequence
 
@@ -27,8 +26,6 @@ from .estimators import Estimator, estimate_batch
 from .projection import (FullStore, ProjectionConfig, SignStore, project_corpus,
                          sign_quantize)
 from .vectors import Corpus
-
-log = logging.getLogger(__name__)
 
 #: a precision-recall curve as columns: L (int), precision and recall (float64)
 Curve = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -127,7 +124,9 @@ def pr_curve(rankings: Sequence[np.ndarray],
         raise ConfigError("L grid must lie within 1..train size")
     kept = [q for q, rel in enumerate(relevance) if len(rel)]
     if not kept:
-        log.warning("every query had an empty relevance set; empty curve")
+        import logging  # only here: most runs warn of nothing
+
+        logging.getLogger(__name__).warning("every query had an empty relevance set; empty curve")
         return _EMPTY_CURVE
     sizes = np.array([len(relevance[q]) for q in kept])
     rel = np.concatenate([relevance[q] for q in kept])

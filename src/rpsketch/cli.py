@@ -378,85 +378,83 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+#: each subcommand's help line, runner and options, listed after the shared
+#: --seed, --out and --threads in the order --help shows them
+_COMMANDS = {
+    "sketch": ("project a corpus and store its sketches", _cmd_sketch, {
+        "--input": dict(required=True),
+        "--k": dict(type=int, required=True),
+        "--kind": dict(choices=["sign", "full"], default="sign"),
+        "--dim": dict(type=int, default=None)}),
+    "estimate": ("score stored sketches against queries", _cmd_estimate, {
+        "--store": dict(required=True),
+        "--queries": dict(required=True),
+        "--estimator": dict(required=True),
+        "--dim": dict(type=int, default=None)}),
+    "variance-table": ("closed-form variance factors", _cmd_variance_table, {
+        "--estimators": dict(required=True),
+        "--rho-grid": dict(required=True, help="start:stop:step"),
+        "--mle-samples": dict(type=int, default=1_000_000)}),
+    "simulate": ("empirical bias/variance/MSE", _cmd_simulate, {
+        "--rho": dict(type=float, required=True),
+        "--k": dict(type=int, required=True),
+        "--trials": dict(type=int, default=100_000),
+        "--estimators": dict(required=True)}),
+    "mse-ratio": ("sign-sign over normalized MSE ratios", _cmd_mse_ratio, {
+        "--rho": dict(type=float, required=True),
+        "--k-grid": dict(default="10,20,50,100,200,500,1000"),
+        "--trials": dict(type=int, default=100_000)}),
+    "histogram": ("histogram of raw estimates", _cmd_histogram, {
+        "--rho": dict(type=float, required=True),
+        "--k": dict(type=int, required=True),
+        "--trials": dict(type=int, default=100_000),
+        "--estimator": dict(required=True),
+        "--bins": dict(type=int, default=50)}),
+    "bench": ("precision-recall ranking benchmark", _cmd_bench, {
+        "--train": dict(required=True),
+        "--query": dict(required=True),
+        "--k": dict(required=True, help="comma-separated k values"),
+        "--rho0": dict(required=True, help="comma-separated thresholds"),
+        "--estimators": dict(default="sign-sign,g-norm,s-norm"),
+        "--l-grid": dict(default=None),
+        "--dim": dict(type=int, default=None)}),
+    "synth": ("generate a planted-cluster corpus", _cmd_synth, {
+        "--dim": dict(type=int, default=512),
+        "--clusters": dict(type=int, default=10),
+        "--train": dict(type=int, default=1000),
+        "--query": dict(type=int, default=100),
+        "--out-train": dict(required=True),
+        "--out-query": dict(required=True),
+        "--levels": dict(default=None,
+                         help="noise levels as value:slots pairs, e.g. 0.05:4,0.3:3")}),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of the one named `command` alone;
+    either gives that subcommand the same help, usage and errors."""
     parser = _Parser(prog="rpsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, run, seed_required=True):
+    for name, (help_line, run, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
         p.set_defaults(run=run)
-        p.add_argument("--seed", type=int, required=seed_required, default=0,
+        p.add_argument("--seed", type=int, default=0,
+                       required=name != "variance-table",  # its closed forms draw nothing
                        help="64-bit seed; mandatory for stochastic commands")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker cap; never changes the output bytes")
-
-    p = sub.add_parser("sketch", help="project a corpus and store its sketches")
-    common(p, _cmd_sketch)
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kind", choices=["sign", "full"], default="sign")
-    p.add_argument("--dim", type=int, default=None)
-
-    p = sub.add_parser("estimate", help="score stored sketches against queries")
-    common(p, _cmd_estimate)
-    p.add_argument("--store", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--estimator", required=True)
-    p.add_argument("--dim", type=int, default=None)
-
-    p = sub.add_parser("variance-table", help="closed-form variance factors")
-    common(p, _cmd_variance_table, seed_required=False)
-    p.add_argument("--estimators", required=True)
-    p.add_argument("--rho-grid", required=True, help="start:stop:step")
-    p.add_argument("--mle-samples", type=int, default=1_000_000)
-
-    p = sub.add_parser("simulate", help="empirical bias/variance/MSE")
-    common(p, _cmd_simulate)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--estimators", required=True)
-
-    p = sub.add_parser("mse-ratio", help="sign-sign over normalized MSE ratios")
-    common(p, _cmd_mse_ratio)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--k-grid", default="10,20,50,100,200,500,1000")
-    p.add_argument("--trials", type=int, default=100_000)
-
-    p = sub.add_parser("histogram", help="histogram of raw estimates")
-    common(p, _cmd_histogram)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--estimator", required=True)
-    p.add_argument("--bins", type=int, default=50)
-
-    p = sub.add_parser("bench", help="precision-recall ranking benchmark")
-    common(p, _cmd_bench)
-    p.add_argument("--train", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--k", required=True, help="comma-separated k values")
-    p.add_argument("--rho0", required=True, help="comma-separated thresholds")
-    p.add_argument("--estimators", default="sign-sign,g-norm,s-norm")
-    p.add_argument("--l-grid", default=None)
-    p.add_argument("--dim", type=int, default=None)
-
-    p = sub.add_parser("synth", help="generate a planted-cluster corpus")
-    common(p, _cmd_synth)
-    p.add_argument("--dim", type=int, default=512)
-    p.add_argument("--clusters", type=int, default=10)
-    p.add_argument("--train", type=int, default=1000)
-    p.add_argument("--query", type=int, default=100)
-    p.add_argument("--out-train", required=True)
-    p.add_argument("--out-query", required=True)
-    p.add_argument("--levels", default=None,
-                   help="noise levels as value:slots pairs, e.g. 0.05:4,0.3:3")
-
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a step builds its own subcommand's parser alone
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if not args.command:
@@ -464,6 +462,8 @@ def main(argv=None) -> int:
             return 1
         if args.threads < 1:
             raise UsageError(f"--threads must be >= 1, not {args.threads}")
+        if not 0 <= args.seed < 2**64:
+            raise UsageError(f"--seed must lie in [0, 2**64), not {args.seed}")
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ Grids are filled in place, in pieces, for a few piece-sized buffers each.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,6 +30,8 @@ def ordered_map(fn, tasks, threads: int = 1) -> list:
     tasks = list(tasks)
     if min(threads, len(tasks)) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # it loads logging: only for a pool
+
     with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 

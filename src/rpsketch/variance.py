@@ -12,13 +12,14 @@ rho = 1 - 1e-15.
 
 The sign-full MLE has no closed-form factor; its Fisher information is
 integrated by deterministic Monte Carlo instead.  Only that integration
-needs numpy, so it is imported there: the closed forms run on math alone.
+needs numpy, so it is imported there: the closed forms run on math alone,
+and their records are named tuples, which cost no import of dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigError, ContractError, DomainError
 from .names import Estimator
@@ -26,24 +27,21 @@ from .names import Estimator
 _FISHER_BLOCK = 1 << 20
 
 
-@dataclass(frozen=True)
-class VarianceFactor:
-    """A variance factor value tagged by estimator and evaluation point."""
+class VarianceFactor(namedtuple("VarianceFactor", "estimator rho value mc_stderr",
+                                defaults=(None,))):
+    """A variance factor value tagged by estimator and evaluation point;
+    mc_stderr is set only for Monte Carlo factors."""
 
-    estimator: Estimator
-    rho: float
-    value: float
-    mc_stderr: float | None = None  # set only for Monte Carlo factors
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FisherConfig:
-    samples: int = 1_000_000
-    seed: int = 0
+class FisherConfig(namedtuple("FisherConfig", "samples seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.samples < 10_000:
+    def __new__(cls, samples: int = 1_000_000, seed: int = 0):
+        if samples < 10_000:
             raise ConfigError("need at least 1e4 samples")
+        return super().__new__(cls, samples, seed)
 
 
 def _one_minus_rho_sq(rho: float) -> float:

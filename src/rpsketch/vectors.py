@@ -11,15 +11,12 @@ In memory everything is 0-based.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SparseTextError
-
-log = logging.getLogger(__name__)
 
 _CHUNK_CHARS = 1 << 18  # text is parsed in chunks of whole lines of about this many bytes
 _PAD = b" " * 24  # around a chunk: separators, and room to read 24 bytes before an offset
@@ -513,7 +510,9 @@ def load_sparse_text(path, dim: int | None = None) -> Corpus:
     if dim is None:
         dim = int(indices.max()) + 1 if indices.size else 0
     if skipped:
-        log.warning("skipped %d empty vector line(s) in %s", skipped, path)
+        import logging  # only here: most runs warn of nothing
+
+        logging.getLogger(__name__).warning("skipped %d empty vector line(s) in %s", skipped, path)
     for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
         # in place, with the arithmetic and errors of normalize() in tests/oracles.py
         row = values[lo:hi]

@@ -65,6 +65,29 @@ class TestExitCodes:
                     "--estimators", "g", "--seed", "1", "--threads", threads]) == 1
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1", str(2**64 + 7)])
+    @pytest.mark.parametrize("argv", [
+        ["sketch", "--input", "absent.txt", "--k", "8", "--out", "store.sfrp"],
+        ["simulate", "--rho", "0.5", "--k", "8", "--trials", "10", "--estimators", "g"],
+        ["variance-table", "--estimators", "g", "--rho-grid", "0:0:1"],
+    ])
+    def test_seed_outside_64_bits_refused_before_reading(self, argv, seed, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--seed", seed]) == 1
+        assert capsys.readouterr().err == f"error: --seed must lie in [0, 2**64), not {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_64_bits_run(self, seed, tmp_path):
+        corpus, store = tmp_path / "c.txt", tmp_path / "store.sfrp"
+        corpus.write_text("1:1 3:2\n2:1\n1:0.5 2:2 3:1\n")
+        assert run(["sketch", "--input", str(corpus), "--k", "16", "--seed", str(seed),
+                    "--out", str(store)]) == 0
+        projection.save_sketches(tmp_path / "lib.sfrp", projection.sign_quantize(
+            project_corpus(load_sparse_text(corpus), ProjectionConfig(16, seed))))
+        assert store.read_bytes() == (tmp_path / "lib.sfrp").read_bytes()
+
     def test_missing_file(self, tmp_path, capsys):
         code = run(["sketch", "--input", str(tmp_path / "absent.txt"),
                     "--k", "8", "--seed", "1",
@@ -364,6 +387,35 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: cannot normalize a vector of norm inf\n"
         assert not out_train.exists()
+
+
+class TestOneSubcommandParser:
+    """main builds only the parser of the subcommand it runs; help, usage and
+    errors must read as those of the full parser."""
+
+    @pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli._COMMANDS)])
+    def test_help_text(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert capsys.readouterr().out == text
+        assert text.startswith(f"usage: {' '.join(['rpsketch', *argv[:-1]])} [-h]")
+
+    @pytest.mark.parametrize("argv", [
+        ["sketch", "--k", "x"],
+        ["nope"],
+        ["sketch", "--input", "c.txt", "--k", "8", "--seed", "1", "--out", "s", "extra"],
+        ["estimate", "--store", "s"],
+        ["simulate", "--rho", "0.5", "--k", "8", "--estimators", "g", "--seed", "x"],
+    ])
+    def test_bad_argument(self, argv, capsys):
+        with pytest.raises(cli.UsageError) as exc:
+            cli.build_parser().parse_args(argv)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 class TestTraceHooks:

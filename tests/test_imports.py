@@ -10,7 +10,10 @@ closed-form variance factors need none of it: the package's public names
 and each subcommand's modules load on first use.  Each check runs in a
 fresh interpreter, because this test process has long since imported scipy
 and numpy (the tests use them as oracles); a static check guards imports on
-paths the steps below do not run.
+paths the steps below do not run.  A step builds only its own subcommand's
+parser, the closed-form step loads no dataclasses or logging, and a step
+that warns of nothing loads no logging; cold runs check that the warnings
+still reach stderr.
 """
 
 import ast
@@ -37,14 +40,24 @@ def loaded(*names):
 """
 
 
+def run_fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """A new interpreter that finds rpsketch in src/, run with args in cwd."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
 def fresh(code: str, cwd: Path) -> str:
     """stdout of code run in a new interpreter that finds rpsketch in src/."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PRELUDE + textwrap.dedent(code)],
-                          cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_fresh(["-c", PRELUDE + textwrap.dedent(code)], cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def cold_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    """A cold `python -m rpsketch.cli` step run in cwd, its output captured."""
+    return run_fresh(["-m", "rpsketch.cli", *argv], cwd)
 
 
 def test_package_and_closed_form_steps_load_no_scipy(tmp_path):
@@ -130,11 +143,8 @@ def readme_modules(subcommand: str) -> list[str]:
 
 def test_estimate_loads_exactly_the_modules_in_readme(tmp_path):
     (tmp_path / "c.txt").write_text("1:1 3:2\n2:1\n1:0.5 2:2 3:1\n")
-    assert subprocess.run(
-        [sys.executable, "-m", "rpsketch.cli", "sketch", "--input", "c.txt", "--k", "16",
-         "--seed", "3", "--out", "store.sfrp"], cwd=tmp_path, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))).returncode == 0
+    assert cold_cli("sketch", "--input", "c.txt", "--k", "16", "--seed", "3",
+                    "--out", "store.sfrp", cwd=tmp_path).returncode == 0
     out = fresh("""
         from rpsketch.cli import main
         code = main(["estimate", "--store", "store.sfrp", "--queries", "c.txt",
@@ -161,7 +171,8 @@ def test_package_cli_shell_and_closed_form_variance_table_load_no_numpy(tmp_path
         code = rpsketch.cli.main(["variance-table", "--estimators",
                                   "sign-sign,full,full-norm,mle-full,g,g-norm,s,s-norm",
                                   "--rho-grid", "-0.9:0.9:0.3", "--out", "factors.csv"])
-        print(code, loaded("numpy", "rpsketch.estimators", "rpsketch.mle"))
+        print(code, loaded("numpy", "rpsketch.estimators", "rpsketch.mle",
+                           "dataclasses", "inspect", "logging"))
     """, tmp_path)
     assert out.splitlines() == ["[]", "[]", "0 []", "s-norm []", "0 []"]
     assert len((tmp_path / "factors.csv").read_text().splitlines()) == 1 + 8 * 7
@@ -194,6 +205,34 @@ def test_readme_cli_commands_parse_without_numpy(tmp_path):
     assert sorted(set(parsed)) == subcommands
 
 
+def test_readme_cli_commands_parse_alike_with_their_own_parser():
+    # main builds only the named subcommand's parser; it must parse as the full one does
+    from rpsketch.cli import build_parser
+
+    full = build_parser()
+    for argv in readme_cli_commands():
+        assert build_parser(argv[0]).parse_args(argv) == full.parse_args(argv), argv
+
+
+def test_cold_sketch_still_warns_of_skipped_lines(tmp_path):
+    (tmp_path / "c.txt").write_text("1:1 3:2\n\n2:1\n\n1:0.5 2:2 3:1\n")
+    proc = cold_cli("sketch", "--input", "c.txt", "--k", "16", "--seed", "3",
+                    "--out", "store.sfrp", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "skipped 2 empty vector line(s) in c.txt\n")
+
+
+def test_cold_bench_still_warns_of_an_empty_curve(tmp_path):
+    # no training row lies within rho0 = 0.9 of the query, for any estimator
+    (tmp_path / "train.txt").write_text("1:1\n2:1\n")
+    (tmp_path / "query.txt").write_text("3:1\n")
+    proc = cold_cli("bench", "--train", "train.txt", "--query", "query.txt", "--k", "8",
+                    "--rho0", "0.9", "--estimators", "sign-sign,s-norm", "--seed", "3",
+                    "--out", "curves.csv", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == "every query had an empty relevance set; empty curve\n" * 2
+    assert (tmp_path / "curves.csv").read_text() == "estimator,rho0,k,L,precision,recall\n"
+
+
 def test_mle_variance_table_loads_numpy_when_it_runs(tmp_path):
     out = fresh("""
         from rpsketch.cli import main
@@ -211,12 +250,13 @@ def test_serving_steps_load_only_the_modules_they_run(tmp_path):
     out = fresh("""
         from rpsketch.cli import main
         lab = ["rpsketch.simulate", "rpsketch.variance", "rpsketch.bench"]
+        # c.txt has no blank line, so nothing warns and logging stays unloaded
         print(main(["sketch", "--input", "c.txt", "--k", "16", "--seed", "3",
                     "--out", "store.sfrp"]),
-              loaded("rpsketch.estimators", "rpsketch.mle", *lab))
+              loaded("rpsketch.estimators", "rpsketch.mle", *lab, "logging"))
         print(main(["estimate", "--store", "store.sfrp", "--queries", "c.txt",
                     "--estimator", "s-norm", "--seed", "3", "--out", "scores.csv"]),
-              loaded(*lab))
+              loaded(*lab, "logging"))
     """, tmp_path)
     assert out.splitlines() == ["0 []", "0 []"]
     assert len((tmp_path / "scores.csv").read_text().splitlines()) == 1 + 3 * 3

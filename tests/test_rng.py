@@ -1,5 +1,6 @@
 """The grid kernel against the broadcasting reference rng.normals."""
 
+import concurrent.futures
 import math
 import sys
 import threading
@@ -168,12 +169,12 @@ class TestOrderedMap:
             seen.add(threading.get_ident())
             return t
 
-        monkeypatch.setattr(rng, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         assert rng.ordered_map(task, [3, 1, 2], threads=64) == [3, 1, 2]
         assert asked == [3]
         assert len(seen) <= 3
 
     def test_one_task_or_thread_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(rng, "ThreadPoolExecutor", None)  # never built
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # never built
         assert rng.ordered_map(lambda t: t + 1, [1], threads=8) == [2]
         assert rng.ordered_map(lambda t: t + 1, [1, 2], threads=1) == [2, 3]
