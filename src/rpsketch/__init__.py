@@ -14,10 +14,8 @@ _EXPORTS = {
                    "project_corpus", "save_sketches", "sign_array", "sign_quantize"),
     "names": ("Estimator",),
     "estimators": ("BatchEstimate", "estimate_batch"),
-    "mle": ("MleBatch", "MleResult", "inv_mills", "norm_cdf"),
-    "variance": ("FisherConfig", "VarianceFactor", "half_gaussian_cdf_integrals",
-                 "mle_variance_factor", "sign_sign_variance_asymptote", "v_factor",
-                 "variance_ratio_constants"),
+    "mle": ("MleBatch", "MleResult", "inv_mills"),
+    "variance": ("FisherConfig", "VarianceFactor", "mle_variance_factor", "v_factor"),
     "simulate": ("Histogram", "MseReport", "RatioPoint", "SimConfig", "run_histogram",
                  "run_mse", "run_mse_ratio"),
     "bench": ("benchmark_grid", "interpolated_precision", "make_clustered_corpus",

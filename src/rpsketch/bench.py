@@ -38,6 +38,15 @@ def check_rho0(*rho0s: float) -> None:
         raise ConfigError(f"rho0 must lie in (0, 1], got {bad}")
 
 
+def check_l_grid(l_grid: Sequence[int], n: int) -> np.ndarray:
+    """The L grid sorted; ConfigError unless it is nonempty, within 1..n and
+    free of repeats."""
+    ls = np.asarray(sorted(l_grid))
+    if ls.size == 0 or ls[-1] > n or ls[0] < 1 or (np.diff(ls) == 0).any():
+        raise ConfigError("L grid must hold distinct values within 1..train size")
+    return ls
+
+
 def _by_column(corpus: Corpus) -> tuple[np.ndarray, ...]:
     """Nonzeros by column, rows ascending: rows, columns, values, column offsets, lengths."""
     order = np.argsort(corpus.indices, kind="stable")
@@ -119,14 +128,9 @@ def pr_curve(rankings: Sequence[np.ndarray],
     n = len(rankings[0])
     if any(len(ranked) != n for ranked in rankings):
         raise ShapeError("rankings differ in length")
-    ls = np.arange(1, n + 1) if l_grid is None else np.asarray(sorted(l_grid))
-    if ls.size == 0 or ls[-1] > n or ls[0] < 1:
-        raise ConfigError("L grid must lie within 1..train size")
+    ls = np.arange(1, n + 1) if l_grid is None else check_l_grid(l_grid, n)
     kept = [q for q, rel in enumerate(relevance) if len(rel)]
     if not kept:
-        import logging  # only here: most runs warn of nothing
-
-        logging.getLogger(__name__).warning("every query had an empty relevance set; empty curve")
         return _EMPTY_CURVE
     sizes = np.array([len(relevance[q]) for q in kept])
     rel = np.concatenate([relevance[q] for q in kept])
@@ -157,11 +161,21 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     """One curve per (estimator, rho0, k) of the grid.
 
     Ground truth depends only on rho0 and rankings only on (k, estimator),
-    so both are computed once and reused across the grid.
+    so both are computed once and reused across the grid, after the checks
+    of the thresholds and the L grid.  A rho0 no pair reaches warns once.
     """
     check_rho0(*rho0s)
+    if l_grid is not None:
+        check_l_grid(l_grid, len(train))
     sims = exact_cosines(train, queries)
     relevance = {r0: _relevant(sims, r0) for r0 in rho0s}
+    for r0, rel in relevance.items():
+        if rel and not any(map(len, rel)):
+            import logging  # only here: most runs warn of nothing
+
+            logging.getLogger(__name__).warning(
+                "every query had an empty relevance set at rho0 %r; its curves are empty",
+                float(r0))
     rows: list[tuple[Estimator, float, int, Curve]] = []
     for k in ks:
         pcfg = ProjectionConfig(k=int(k), seed=seed)

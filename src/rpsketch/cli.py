@@ -141,14 +141,8 @@ def _parse_levels(spec: str) -> list[tuple[float, int]]:
     return levels
 
 
-def _csv_sink(path):
-    if path:
-        return open(path, "w", encoding="utf-8", newline="")
-    return nullcontext(sys.stdout)
-
-
 def _emit(path, header, rows):
-    with _csv_sink(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

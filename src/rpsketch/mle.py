@@ -94,11 +94,6 @@ def _by_piece(combine, t):
     return float(res[0]) if t.ndim == 0 else res.reshape(t.shape)
 
 
-def norm_cdf(t):
-    """Standard normal CDF: q = Phi(-|t|) = erfcx(|t|/sqrt2) exp(-t^2/2) / 2, or 1 - q."""
-    return _by_piece(lambda t, e, g: np.where(t > 0.0, 1.0 - 0.5 * e * g, 0.5 * e * g), t)
-
-
 def log_norm_cdf(t):
     """log Phi(t): log(erfcx(-t/sqrt2)/2) - t^2/2, or log1p(-Phi(-t)) for t > 0."""
     return _by_piece(lambda t, e, g: np.where(

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-MASK64 = 0xFFFFFFFFFFFFFFFF
+from .errors import ConfigError
 
 _GAMMA_MAJOR = np.uint64(0x9E3779B97F4A7C15)
 _GAMMA_MINOR = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -48,10 +48,11 @@ def _mix64(z) -> np.ndarray:
     return z
 
 
-def _seed_word(seed) -> np.uint64 | np.ndarray:
-    if isinstance(seed, (int, np.integer)):
-        return np.uint64(int(seed) & MASK64)
-    return np.asarray(seed, dtype=np.uint64)
+def _seed_word(seed) -> np.uint64:
+    """The seed as a 64-bit word: ConfigError unless it is an integer in [0, 2^64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    return np.uint64(seed)
 
 
 def _keys(seed, major) -> np.ndarray:
@@ -59,17 +60,6 @@ def _keys(seed, major) -> np.ndarray:
     with np.errstate(over="ignore"):
         key = _mix64(np.array(_seed_word(seed), dtype=np.uint64))
         return _mix64(key + _GAMMA_MAJOR * np.asarray(major, dtype=np.uint64))
-
-
-def uniforms(seed, major, minor) -> np.ndarray:
-    """Uniform deviates in (0, 1], broadcast over inputs.
-
-    Each output is ((h >> 11) + 0.5) * 2**-53 for the mixed word h.  It is
-    never 0, so its logarithm is finite; only the top word rounds to 1.
-    """
-    with np.errstate(over="ignore"):
-        h = _mix64(_keys(seed, major) + _GAMMA_MINOR * np.asarray(minor, dtype=np.uint64))
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U53_SCALE
 
 
 def _box_muller(radius: np.ndarray, angle: np.ndarray, out_cos: np.ndarray,
@@ -90,15 +80,6 @@ def _box_muller(radius: np.ndarray, angle: np.ndarray, out_cos: np.ndarray,
     width = out_sin.shape[-1]
     np.add(r[..., :width] * sin[..., :width], (r_sin * cos)[..., :width], out=out_sin)
     np.subtract(r * cos, r_sin * sin, out=out_cos)
-
-
-def normals(seed, major, minor) -> np.ndarray:
-    """Standard normal deviates, broadcast over (seed, major, minor)."""
-    minor = np.asarray(minor, dtype=np.uint64)
-    radius, angle = (uniforms(seed, major, minor & ~np.uint64(1) | np.uint64(b)) for b in (0, 1))
-    cos, sin = np.empty(radius.shape), np.empty(radius.shape)
-    _box_muller(radius.reshape(-1), angle.reshape(-1), cos.reshape(-1), sin.reshape(-1))
-    return np.where(minor & np.uint64(1), sin, cos)
 
 
 def _pieces(rows: int, cols: int) -> list[tuple[slice, slice]]:
@@ -123,7 +104,7 @@ def _fill_pairs(keys: np.ndarray, rows: slice, first: int, out_cos: np.ndarray,
 
 
 def normal_grid(seed: int, majors, k: int, *, threads: int = 1) -> np.ndarray:
-    """normals(seed, majors[:, None], arange(k)[None, :]): one row per major counter."""
+    """(len(majors), k) standard normals: row i holds minors 0..k-1 of major counter majors[i]."""
     keys = _keys(seed, majors)
     out = np.empty((keys.shape[0], k))
 

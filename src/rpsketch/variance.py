@@ -1,4 +1,4 @@
-"""Closed-form asymptotic variance factors and their supporting constants.
+"""Closed-form asymptotic variance factors and the sign-full MLE's Monte Carlo factor.
 
 A variance factor V(rho) is the estimator's asymptotic variance times k, the
 common currency for comparing estimators.  All closed forms evaluate 1-rho^2
@@ -172,47 +172,3 @@ def mle_variance_factor(rho: float, cfg: FisherConfig = FisherConfig(), *,
     value = 1.0 / info
     stderr = math.sqrt(var_info) / info**2
     return VarianceFactor(Estimator.MLE_SIGN_FULL, rho, value, stderr)
-
-
-def half_gaussian_cdf_integrals(rho: float) -> tuple[float, float, float]:
-    """Closed forms of int_0^inf t^m e^{-t^2/2} Phi(c t) dt for m = 1, 3, 2.
-
-    c = rho/sqrt(1-rho^2); the m=2 case is built on the wedge term of _v_s
-    (see _wedge for its angle convention).  Returned in the order
-    (m=1, m=3, m=2).
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError("rho must lie in [-1, 1]")
-    i1 = (1.0 + rho) / 2.0
-    i2 = (2.0 + 3.0 * rho - rho**3) / 2.0
-    if rho >= 0.0:
-        i3 = math.sqrt(math.pi / 2.0) - _wedge(rho) / math.sqrt(2.0 * math.pi)
-    else:  # pi - wedge(rho) = wedge(-rho): no cancellation as rho -> -1
-        i3 = _wedge(-rho) / math.sqrt(2.0 * math.pi)
-    return i1, i2, i3
-
-
-def sign_sign_variance_asymptote(rho: float) -> float:
-    """High-similarity rate 2*sqrt(2)*pi*(1-|rho|)^{3/2} of the sign-sign factor."""
-    return 2.0 * math.sqrt(2.0) * math.pi * (1.0 - abs(rho)) ** 1.5
-
-
-def variance_ratio_constants() -> dict[str, float]:
-    """Reference ratios V_est/V_sign-sign at rho=0 and their rho->1 limits.
-
-    The rho=0 entries come from the closed forms (the sign-full MLE factor
-    at rho=0 is exactly pi/2).  The high-similarity limits of the mismatch
-    estimators are the exact constant 4/(3*pi); the moment estimators
-    diverge there relative to sign-sign.
-    """
-    v1_zero = v_factor(Estimator.SIGN_SIGN, 0.0).value
-    limit = 4.0 / (3.0 * math.pi)
-    return {
-        "mle_over_sign_sign_at_zero": (math.pi / 2.0) / v1_zero,
-        "g_over_sign_sign_at_zero": v_factor(Estimator.G, 0.0).value / v1_zero,
-        "g_norm_over_sign_sign_at_zero": v_factor(Estimator.G_NORM, 0.0).value / v1_zero,
-        "s_over_sign_sign_at_zero": v_factor(Estimator.S, 0.0).value / v1_zero,
-        "s_norm_over_sign_sign_at_zero": v_factor(Estimator.S_NORM, 0.0).value / v1_zero,
-        "s_over_sign_sign_limit_high": limit,
-        "s_norm_over_sign_sign_limit_high": limit,
-    }

@@ -30,8 +30,7 @@ _KIND[[*b"\n\r:+-.eE"]] = _NL, _CR, _COLON, _SIGN, _SIGN, _DOT, _EXP, _EXP
 _LAST_DIGITS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - n) << 8 * (8 - n) for n in range(9)],
                         dtype=np.uint64)  # low nibbles of a word's top n bytes
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
-_Q_MIN, _Q_MAX = -348, 347  # powers of ten in the Eisel-Lemire table
-_K_MIN, _K_MAX = -324, 292  # powers of ten 10^-k in the shortest-repr table
+_Q_MIN, _Q_MAX = -348, 347  # powers of ten in the table of the parser and the formatter
 _FORMAT_CHUNK = 1 << 13  # values per pass of the repr formatter
 _WRITE_PAIRS = 1 << 16  # pairs per block of save_sparse_text
 # the formatter's template row and its column groups (see write_reprs)
@@ -233,9 +232,9 @@ def _digits(words, end, n):
 @functools.cache
 def _powers_of_ten():
     """High and low words of the 128-bit mantissas of 10^q, q in [_Q_MIN,
-    _Q_MAX]: 5^q scaled into [2^127, 2^128), truncated for q >= 0 and rounded
-    up for q < 0 (so that a decimal halfway case computes at its midpoint or
-    just above it), exactly from Python integers."""
+    _Q_MAX], for the parser and _repr_mantissas: 5^q scaled into [2^127, 2^128),
+    truncated for q >= 0 and rounded up for q < 0 (so that a decimal halfway case
+    computes at its midpoint or just above it), exactly from Python integers."""
     rows = []
     for q in range(_Q_MIN, _Q_MAX + 1):
         if q >= 0:
@@ -295,20 +294,13 @@ def _mul64(a, b):
     return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32), a * b
 
 
-@functools.cache
-def _repr_powers():
-    """High and low words of g = 10^e * 2^(127 - floor(log2 10^e)) rounded up,
-    in [2^127, 2^128), for e = -k, k in [_K_MIN, _K_MAX], exactly from
-    Python integers."""
-    rows = []
-    for e in range(-_K_MIN, -_K_MAX - 1, -1):
-        if e >= 0:
-            shift = 128 - (10**e).bit_length()
-            g = 10**e << shift if shift >= 0 else -(-10**e >> -shift)
-        else:
-            g = -(-(1 << 127 + (10**-e).bit_length()) // 10**-e)
-        rows.append((g >> 64, g & (1 << 64) - 1))
-    return np.array(rows, dtype=np.uint64).T.copy()
+def _repr_mantissas(k):
+    """High and low words of g = 10^-k * 2^(127 - floor(log2 10^-k)) rounded
+    up, in [2^127, 2^128), for int64 k in [-324, 292]: 10^-k in _powers_of_ten,
+    plus 1 for -k > 55, where 5^-k needs more than 128 bits and the table
+    truncates (and no low word is all ones, so nothing carries)."""
+    hi, lo = _powers_of_ten()
+    return hi.take(-k - _Q_MIN), lo.take(-k - _Q_MIN) + (k < -55)
 
 
 def _shortest(frac, exponent):
@@ -335,8 +327,7 @@ def _shortest(frac, exponent):
     closer = (frac == 0) & (exponent > 1)
     k = (q * 1262611 - closer * 524031) >> 22
     shift = ((-k * 1741647 >> 19) + q + 3).astype(np.uint64)  # h + 2, h in [1, 4]
-    g_hi, g_lo = _repr_powers()
-    g_hi, g_lo = g_hi.take(k - _K_MIN), g_lo.take(k - _K_MIN)
+    g_hi, g_lo = _repr_mantissas(k)
     cp = (frac | 1 << 52) << shift
     top, mid = _mul64(g_hi, cp)
     x_hi, low = _mul64(g_lo, cp)

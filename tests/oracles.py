@@ -5,8 +5,12 @@ the one-vector forms: a projection as one vector-matrix product, sign
 agreement by unpacked bits, exact cosine by a sparse dot product, one pair
 of the bivariate counter stream, the score of one stored row against one
 query through one-row stores, the full-data MLE of one pair from its
-moments, and the planted corpus drawn one member at a time.  The parity contract of the batch cores is that a one-row batch equals
-the same row of a larger batch, bit for bit.
+moments, and the planted corpus drawn one member at a time.  They also hold
+the references that only tests call: the counter stream's uniforms and
+normals broadcast over (seed, major, minor), the normal CDF of the MLE's
+erfcx kernel, and the half-line Gaussian integrals of the variance theory.
+The parity contract of the batch cores is that a one-row batch equals the
+same row of a larger batch, bit for bit.
 
 A row here is a dense 1-D array (its zeros are not stored), an (indices,
 values) pair of 0-based increasing indices and nonzero values, or a
@@ -25,11 +29,12 @@ import numpy as np
 
 from rpsketch import (Corpus, FullStore, MleResult, ProjectionConfig, SignStore,
                       estimate_batch, sign_quantize)
-from rpsketch import rng
+from rpsketch import mle, rng
 from rpsketch.errors import DomainError, ShapeError
 from rpsketch.estimators import SIGN_STORE_ESTIMATORS, Estimator
 from rpsketch.mle import solve_full_from_moments
 from rpsketch.projection import sum_product
+from rpsketch.variance import _wedge
 
 
 def _row(u) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -60,9 +65,31 @@ def rows(c: Corpus) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(c.indices[lo:hi], c.values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def uniforms(seed, major, minor) -> np.ndarray:
+    """Uniform deviates in (0, 1] of the counter stream, broadcast over
+    (seed, major, minor), seeds included: ((h >> 11) + 0.5) * 2**-53 for the
+    hash chain's word h.  It is never 0, so its logarithm is finite; only
+    the top word rounds to 1."""
+    with np.errstate(over="ignore"):
+        h = rng._mix64(np.array(seed, dtype=np.uint64))
+        h = rng._mix64(h + rng._GAMMA_MAJOR * np.asarray(major, dtype=np.uint64))
+        h = rng._mix64(h + rng._GAMMA_MINOR * np.asarray(minor, dtype=np.uint64))
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * rng._U53_SCALE
+
+
+def normals(seed, major, minor) -> np.ndarray:
+    """Standard normal deviates, broadcast over (seed, major, minor): minors
+    2p and 2p + 1 are the cosine and sine of one Box–Muller pair."""
+    minor = np.asarray(minor, dtype=np.uint64)
+    radius, angle = (uniforms(seed, major, minor & ~np.uint64(1) | np.uint64(b)) for b in (0, 1))
+    cos, sin = np.empty(radius.shape), np.empty(radius.shape)
+    rng._box_muller(radius.reshape(-1), angle.reshape(-1), cos.reshape(-1), sin.reshape(-1))
+    return np.where(minor & np.uint64(1), sin, cos)
+
+
 def gaussian_entry(seed: int, row: int, col: int) -> float:
     """Standard-normal entry (row, col) of the implicit projection matrix."""
-    return float(rng.normals(seed, row, col))
+    return float(normals(seed, row, col))
 
 
 def project(u, cfg: ProjectionConfig) -> np.ndarray:
@@ -163,7 +190,7 @@ def cosine(u, v) -> float:
 
 def sample_pair(rho: float, seed: int, trial: int, j: int) -> tuple[float, float]:
     """Pair j of trial `trial`, from minor counters 2j and 2j+1 as in rng.bivariate_block."""
-    x, z = rng.normals(seed, trial, [2 * j, 2 * j + 1])
+    x, z = normals(seed, trial, [2 * j, 2 * j + 1])
     return float(x), float(np.sqrt((1.0 - rho) * (1.0 + rho)) * z + rho * x)
 
 
@@ -207,3 +234,27 @@ def sign_sign_moments(rho: float, k: int) -> tuple[float, float]:
     values, probs = sign_sign_law(rho, k)
     mean = math.fsum(w * v for v, w in zip(values, probs))
     return mean - rho, math.fsum(w * (v - mean) ** 2 for v, w in zip(values, probs))
+
+
+def norm_cdf(t):
+    """Standard normal CDF from the MLE's erfcx kernel: q = Phi(-|t|) =
+    erfcx(|t|/sqrt2) exp(-t^2/2) / 2, or 1 - q."""
+    return mle._by_piece(lambda t, e, g: np.where(t > 0.0, 1.0 - 0.5 * e * g, 0.5 * e * g), t)
+
+
+def half_gaussian_cdf_integrals(rho: float) -> tuple[float, float, float]:
+    """Closed forms of int_0^inf t^m e^{-t^2/2} Phi(c t) dt for m = 1, 3, 2.
+
+    c = rho/sqrt(1-rho^2); the m=2 case is built on the wedge term of the
+    s factor (see variance._wedge for its angle convention).  Returned in
+    the order (m=1, m=3, m=2).
+    """
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError("rho must lie in [-1, 1]")
+    i1 = (1.0 + rho) / 2.0
+    i2 = (2.0 + 3.0 * rho - rho**3) / 2.0
+    if rho >= 0.0:
+        i3 = math.sqrt(math.pi / 2.0) - _wedge(rho) / math.sqrt(2.0 * math.pi)
+    else:  # pi - wedge(rho) = wedge(-rho): no cancellation as rho -> -1
+        i3 = _wedge(-rho) / math.sqrt(2.0 * math.pi)
+    return i1, i2, i3

@@ -20,12 +20,10 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from oracles import matching_bits, project, sign_store
-from rpsketch import (Estimator, FisherConfig, SimConfig,
-                      benchmark_grid, half_gaussian_cdf_integrals,
+from oracles import half_gaussian_cdf_integrals, matching_bits, project, sign_store
+from rpsketch import (Estimator, FisherConfig, SimConfig, benchmark_grid,
                       interpolated_precision, make_clustered_corpus,
-                      mle_variance_factor, run_mse, run_mse_ratio,
-                      sign_sign_variance_asymptote, v_factor)
+                      mle_variance_factor, run_mse, run_mse_ratio, v_factor)
 from rpsketch import rng
 from rpsketch.cli import main as cli_main
 from rpsketch.mle import solve_sign_full_batch
@@ -232,8 +230,9 @@ def test_criterion_08_crossover_constants():
 def test_criterion_09_sign_sign_rate():
     failures = []
     rho = 1.0 - 1e-4
+    # the high-similarity rate 2 sqrt(2) pi (1-rho)^{3/2} of V_sign-sign
     ratio = v_factor(Estimator.SIGN_SIGN, rho).value / \
-        sign_sign_variance_asymptote(rho)
+        (2 * math.sqrt(2) * PI * (1 - rho) ** 1.5)
     _check(failures, 0.98 <= ratio <= 1.02, f"rate ratio {ratio:.5f}")
     _criterion(9, "high-similarity rate of the sign-sign factor", failures)
 

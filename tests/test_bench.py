@@ -11,6 +11,7 @@ from oracles import clustered_corpus, corpus, cosine, full_store, normalize, row
 from rpsketch import (Corpus, Estimator, ProjectionConfig, benchmark_grid,
                       interpolated_precision, make_clustered_corpus, pr_curve,
                       project_corpus, rank_queries, sign_quantize)
+from rpsketch import bench
 from rpsketch.bench import _relevant, exact_cosines
 from rpsketch.errors import ConfigError, ContractError, DomainError, ShapeError
 
@@ -289,6 +290,11 @@ class TestPrCurve:
         with pytest.raises(ConfigError):
             pr_curve([np.array([0, 1])], [np.array([0])], l_grid=[5])
 
+    def test_repeated_l_refused(self):
+        # a repeated L used to give its curve point twice
+        with pytest.raises(ConfigError, match="distinct"):
+            pr_curve([np.array([0, 1])], [np.array([0])], l_grid=[1, 2, 1])
+
     def test_negative_relevance_index_rejected(self):
         # -1 used to wrap to item 2 and report recall 1.0 at L = 3
         with pytest.raises(ShapeError):
@@ -370,6 +376,31 @@ class TestBenchmark:
             benchmark_grid(train, queries, [0], [0.5], [Estimator.S], seed=1)
         with pytest.raises(ConfigError):
             benchmark_grid(train, queries, [1], [0.0], [Estimator.S], seed=1)
+
+    @pytest.mark.parametrize("l_grid", [[0, 2], [1, 1, 2], [5], []])
+    def test_bad_l_grid_refused_before_any_work(self, l_grid, monkeypatch):
+        train, queries = make_clustered_corpus(3, dim=8, n_clusters=1, n_train=4,
+                                               n_queries=1)
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the L grid was checked")
+
+        monkeypatch.setattr(bench, "exact_cosines", never)
+        monkeypatch.setattr(bench, "project_corpus", never)
+        with pytest.raises(ConfigError, match="L grid"):
+            benchmark_grid(train, queries, [8], [0.5], [Estimator.S], seed=1, l_grid=l_grid)
+
+    def test_one_warning_per_rho0_without_relevant_pairs(self, caplog):
+        # 1:1 and 2:1 against 3:1: every cosine is 0, so no rho0 in (0, 1] is reached
+        train = corpus([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])], 3)
+        queries = corpus([np.array([0.0, 0.0, 1.0])], 3)
+        estimators = (Estimator.SIGN_SIGN, Estimator.G_NORM, Estimator.S_NORM)
+        with caplog.at_level("WARNING", logger="rpsketch.bench"):
+            rows = benchmark_grid(train, queries, [8, 16], [0.9, 0.5, 0.9], estimators, seed=3)
+        assert len(rows) == 18 and all(curve[0].size == 0 for *_, curve in rows)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"every query had an empty relevance set at rho0 {r0}; its curves are empty"
+            for r0 in (0.9, 0.5)]
 
     @pytest.mark.parametrize("rho0", [-1.0, 0.0, 2.0, math.nan])
     def test_grid_rejects_rho0_outside_unit_interval(self, rho0):

@@ -298,6 +298,21 @@ class TestExitCodes:
             f"error: rho0 must lie in (0, 1], got {float(rho0)}\n"
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("l_grid", ["0,2", "2,3", "1,1,2"])
+    def test_bad_l_grid_exits_2_and_writes_nothing(self, l_grid, tmp_path, monkeypatch,
+                                                    capsys):
+        # --l-grid 0,2 used to run exact_cosines and the projections first, and
+        # 1,1,2 to write every curve point twice
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "train.txt").write_text("1:1\n2:1\n")
+        (tmp_path / "query.txt").write_text("1:1\n")
+        code = run(["bench", "--train", "train.txt", "--query", "query.txt", "--k", "8",
+                    "--rho0", "0.5", "--l-grid", l_grid, "--seed", "1", "--out", "c.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: L grid must hold distinct values within 1..train size\n")
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("text,message", [
         (b"1:1 2:0.5\n99999999999999999999:1\n", "error: line 2: index 99999999999999999999"),
         (b"1:1\n1:1 2:\xff\n", "error: line 2: not UTF-8 text"),

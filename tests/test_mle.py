@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, log_ndtr
 
-from oracles import full_store, mle_full, mle_row, one_row, sign_store
-from rpsketch import DomainError, MleResult, inv_mills, norm_cdf
+from oracles import full_store, mle_full, mle_row, norm_cdf, one_row, sign_store
+from rpsketch import DomainError, MleResult, inv_mills
 from rpsketch import mle, rng
 from rpsketch.errors import DegenerateInputError
 from rpsketch.estimators import SampleStats, full_mle

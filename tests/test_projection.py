@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (corpus, full_store, gaussian_entry, matching_bits, normalize, project,
-                     sign_store)
+from oracles import (corpus, full_store, gaussian_entry, matching_bits, normalize, normals,
+                     project, sign_store)
 from rpsketch import (DomainError, FullStore, ProjectionConfig,
                       ShapeError, SignStore, SketchFormatError, load_sketches,
                       project_corpus, save_sketches, sign_array, sign_quantize)
@@ -69,8 +69,8 @@ class TestProject:
         rho = 0.6
         n = 100_000
         seeds = np.arange(n, dtype=np.uint64)
-        r00 = rng.normals(seeds, 0, 0)
-        r10 = rng.normals(seeds, 1, 0)
+        r00 = normals(seeds, 0, 0)
+        r10 = normals(seeds, 1, 0)
         x = r00  # u = (1, 0)
         y = rho * r00 + math.sqrt(1 - rho * rho) * r10  # v = (rho, sqrt(1-rho^2))
         tol = 4.0 * math.sqrt((1 + rho * rho) / n)
@@ -289,6 +289,16 @@ class TestConfig:
     def test_k_validated(self):
         with pytest.raises(ConfigError):
             ProjectionConfig(k=0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 1.0])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # it used to be reduced modulo 2^64, so -1 named the stream of 2^64 - 1
+        with pytest.raises(ConfigError):
+            ProjectionConfig(k=8, seed=seed)
+
+    def test_seed_kept_as_given(self):
+        assert ProjectionConfig(k=8, seed=2**64 - 1).seed == 2**64 - 1
+        assert type(ProjectionConfig(k=8, seed=np.uint64(5)).seed) is int
 
     def test_sumsq_consistency_enforced(self):
         with pytest.raises(SketchFormatError):

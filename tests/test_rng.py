@@ -1,6 +1,7 @@
-"""The grid kernel against the broadcasting reference rng.normals."""
+"""The grid kernels against the broadcasting reference normals of tests/oracles.py."""
 
 import concurrent.futures
+import hashlib
 import math
 import sys
 import threading
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import normals, uniforms
 from rpsketch import rng
+from rpsketch.errors import ConfigError
 
 
 def bits(a):
@@ -22,8 +25,8 @@ def bits(a):
 def reference_pairs(rho, seed, major_start, n_major, k):
     majors = np.arange(major_start, major_start + n_major, dtype=np.uint64)[:, None]
     minors = 2 * np.arange(k, dtype=np.uint64)[None, :]
-    x = rng.normals(seed, majors, minors)
-    z = rng.normals(seed, majors, minors + np.uint64(1))
+    x = normals(seed, majors, minors)
+    z = normals(seed, majors, minors + np.uint64(1))
     return x, rho * x + np.sqrt((1.0 - rho) * (1.0 + rho)) * z
 
 
@@ -43,7 +46,7 @@ class TestNormalGrid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rng, "_CHUNK_VALUES", chunk)
             grid = rng.normal_grid(seed, majors, k, threads=workers)
-        ref = rng.normals(seed, majors[:, None], np.arange(k, dtype=np.uint64)[None, :])
+        ref = normals(seed, majors[:, None], np.arange(k, dtype=np.uint64)[None, :])
         assert bits(grid) == bits(ref)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
@@ -51,7 +54,7 @@ class TestNormalGrid:
         # write shows as a difference from the reference
         monkeypatch.setattr(rng, "_CHUNK_VALUES", 7)
         majors = np.arange(60, dtype=np.uint64)
-        ref = rng.normals(2, majors[:, None], np.arange(37, dtype=np.uint64)[None, :])
+        ref = normals(2, majors[:, None], np.arange(37, dtype=np.uint64)[None, :])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -62,15 +65,34 @@ class TestNormalGrid:
 
     def test_one_wide_row_spans_chunks(self):
         k = 3 * rng._CHUNK_VALUES + 5
-        ref = rng.normals(5, 2**63 + 1, np.arange(k))[None, :]
+        ref = normals(5, 2**63 + 1, np.arange(k))[None, :]
         for workers in (1, 2, 3):
             assert bits(rng.normal_grid(5, [2**63 + 1], k, threads=workers)) == bits(ref)
 
     def test_rows_of_chunk_width_and_one_more(self):
         for k in (rng._CHUNK_VALUES, rng._CHUNK_VALUES + 1):
             grid = rng.normal_grid(9, [4, 0], k)
-            ref = rng.normals(9, np.array([[4], [0]]), np.arange(k)[None, :])
+            ref = normals(9, np.array([[4], [0]]), np.arange(k)[None, :])
             assert bits(grid) == bits(ref)
+
+
+class TestSeedContract:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 1.0, np.int64(-1)])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # it used to be reduced modulo 2^64: 2^64 + 7 drew the stream of seed 7
+        with pytest.raises(ConfigError):
+            rng.normal_grid(seed, [0], 4)
+        with pytest.raises(ConfigError):
+            rng.bivariate_block(0.5, seed, 0, 1, 4)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "a06d21e9bd7d0efa9e8b438a9d0a7437a29622eeafafa8c8e2b90ef1ce436011"),
+        (2**64 - 1, "393ce922503e6cfb9c5ba0e91c88b754bfafc1e33286dc52a8454f836ad3da69")])
+    def test_end_seeds_keep_their_bits(self, seed, digest):
+        # digests of the streams as drawn before seeds were range-checked
+        grid = rng.normal_grid(seed, np.arange(3), 5)
+        x, y = rng.bivariate_block(0.3, seed, 2, 2, 3)
+        assert hashlib.sha256(grid.tobytes() + x.tobytes() + y.tobytes()).hexdigest() == digest
 
 
 class TestBivariateBlock:
@@ -114,8 +136,8 @@ class TestDistribution:
 
     def test_pairs_are_r_cos_and_r_sin_of_their_uniforms(self):
         minors = np.arange(0, 200_000, 2, dtype=np.uint64)
-        r = np.sqrt(-2.0 * np.log(rng.uniforms(4, 9, minors)))
-        theta = 2.0 * math.pi * rng.uniforms(4, 9, minors + np.uint64(1))
+        r = np.sqrt(-2.0 * np.log(uniforms(4, 9, minors)))
+        theta = 2.0 * math.pi * uniforms(4, 9, minors + np.uint64(1))
         z = rng.normal_grid(4, [9], 200_000)[0]
         np.testing.assert_allclose(z[0::2], r * np.cos(theta), rtol=0, atol=1e-14)
         np.testing.assert_allclose(z[1::2], r * np.sin(theta), rtol=0, atol=1e-14)

@@ -280,3 +280,25 @@ class TestExactSmallK:
         assert len(groups) >= 2
         for count, mean in groups:
             assert abs(count - mean) <= 4 * math.sqrt(mean * (1 - mean / n)), (count, mean)
+
+
+class TestMeansOfIidTerms:
+    """full, g and s are means of k iid terms, so at every k they are unbiased
+    and their variance is exactly V/k (criterion 4 checks k = 1000 only)."""
+
+    TRIALS = 50_000
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("k", [10, 20, 50])
+    def test_run_mse_within_four_standard_errors(self, rho, k):
+        # the variance's standard error comes from the fourth central moment
+        # of the same draws, which _simulate_raw repeats
+        n = self.TRIALS
+        cfg = SimConfig(rho, k, n, 19, (Estimator.FULL, Estimator.G, Estimator.S))
+        raws = simulate._simulate_raw(cfg)
+        for rep in run_mse(cfg):
+            var = v_factor(rep.estimator, rho).value / k
+            r = raws[rep.estimator]
+            fourth = float(np.mean((r - r.mean()) ** 4))
+            assert abs(rep.bias) <= 4 * math.sqrt(var / n), rep
+            assert abs(rep.variance - var) <= 4 * math.sqrt((fourth - rep.variance**2) / n), rep

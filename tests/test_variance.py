@@ -5,10 +5,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from rpsketch import (DomainError, Estimator, FisherConfig,
-                      half_gaussian_cdf_integrals, mle_variance_factor,
-                      sign_sign_variance_asymptote, v_factor,
-                      variance_ratio_constants)
+from oracles import half_gaussian_cdf_integrals
+from rpsketch import DomainError, Estimator, FisherConfig, mle_variance_factor, v_factor
 from rpsketch import rng, variance
 from rpsketch.errors import ConfigError, ContractError
 from rpsketch.mle import inv_mills
@@ -107,23 +105,6 @@ class TestIntegralClosedForms:
 
 
 class TestRatioConstants:
-    def test_at_zero(self):
-        table = variance_ratio_constants()
-        assert table["mle_over_sign_sign_at_zero"] == pytest.approx(2 / PI, abs=1e-12)
-        assert table["g_over_sign_sign_at_zero"] == pytest.approx(2 / PI, abs=1e-12)
-        assert table["g_norm_over_sign_sign_at_zero"] == pytest.approx(2 / PI, abs=1e-12)
-        assert table["s_over_sign_sign_at_zero"] == pytest.approx(
-            4 / PI - 4 / PI**2, abs=1e-12)
-        assert table["s_norm_over_sign_sign_at_zero"] == pytest.approx(
-            4 / PI - 6 / PI**2, abs=1e-12)
-
-    def test_high_similarity_limits(self):
-        table = variance_ratio_constants()
-        assert table["s_over_sign_sign_limit_high"] == pytest.approx(
-            4 / (3 * PI), abs=1e-15)
-        assert table["s_norm_over_sign_sign_limit_high"] == pytest.approx(
-            4 / (3 * PI), abs=1e-15)
-
     def test_high_similarity_convergence_law(self):
         """The finite-rho ratio approaches 4/(3pi) at a sqrt(1-rho) rate.
 
@@ -176,21 +157,17 @@ class TestRatioConstants:
 
 
 class TestAsymptote:
-    def test_limit_is_zero(self):
-        assert sign_sign_variance_asymptote(1.0) == 0.0
+    """The sign-sign factor against its high-similarity rate 2 sqrt(2) pi (1-rho)^{3/2}."""
 
     def test_ratio_near_one(self):
         rho = 0.9999
-        ratio = v(Estimator.SIGN_SIGN, rho) / sign_sign_variance_asymptote(rho)
+        ratio = v(Estimator.SIGN_SIGN, rho) / (2 * math.sqrt(2) * PI * (1 - rho) ** 1.5)
         assert abs(ratio - 1.0) < 0.02
 
     def test_ratio_further_out(self):
         rho = 0.99
-        ratio = v(Estimator.SIGN_SIGN, rho) / sign_sign_variance_asymptote(rho)
+        ratio = v(Estimator.SIGN_SIGN, rho) / (2 * math.sqrt(2) * PI * (1 - rho) ** 1.5)
         assert abs(ratio - 1.0) < 0.15
-
-    def test_symmetric_in_rho(self):
-        assert sign_sign_variance_asymptote(-0.9) == sign_sign_variance_asymptote(0.9)
 
 
 class TestOrderings:

@@ -692,9 +692,10 @@ class TestReprFormatter:
                 assert lhs * 10 ** max(-k - 1, 0) < 10 ** max(k + 1, 0) * rhs, q
 
     def test_power_table(self):
-        hi, lo = vectors._repr_powers()
-        for k in range(vectors._K_MIN, vectors._K_MAX + 1):
-            g = int(hi[k - vectors._K_MIN]) << 64 | int(lo[k - vectors._K_MIN])
+        ks = np.arange(-324, 293)  # the k of every positive normal double
+        hi, lo = vectors._repr_mantissas(ks)
+        for k, g_hi, g_lo in zip(ks.tolist(), hi.tolist(), lo.tolist()):
+            g = g_hi << 64 | g_lo
             assert 2**127 <= g < 2**128
             # g - 1 < 10^-k 2^(127 - floor(log2 10^-k)) <= g, where floor(log2 10^-k) is
             # the exponent the kernel computes
