@@ -24,12 +24,13 @@ from . import rng
 from .errors import ConfigError, DomainError, ShapeError
 from .estimators import Estimator, estimate_batch
 from .projection import (FullStore, ProjectionConfig, SignStore, project_corpus,
-                         sign_quantize)
+                         sign_quantize, union_rows)
 from .vectors import Corpus
 
 #: a precision-recall curve as columns: L (int), precision and recall (float64)
 Curve = tuple[np.ndarray, np.ndarray, np.ndarray]
 _EMPTY_CURVE: Curve = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
+_FOLD_VALUES = 1 << 16  # running sums and products per fold of full columns
 
 
 def check_rho0(*rho0s: float) -> None:
@@ -56,15 +57,40 @@ def _by_column(corpus: Corpus) -> tuple[np.ndarray, ...]:
     return rows, cols, corpus.values[order], start, np.diff(start, append=cols.size)
 
 
+def _fold(out: np.ndarray, q: np.ndarray, t: np.ndarray) -> None:
+    """out[i, j] += q[c, i] * t[c, j] for c = 0, 1, ... in order: one
+    np.add.reduce over axis 0 per block of rows of out and of columns c,
+    of the block's running sums stacked on its products, in one buffer of
+    about _FOLD_VALUES values (two rows of out when one is wider than half
+    of that)."""
+    n_q, n_t = out.shape
+    cols = min(len(q), max(1, _FOLD_VALUES // n_t - 1))
+    step = min(n_q, max(1, _FOLD_VALUES // ((cols + 1) * n_t)))
+    buf = np.empty((cols + 1) * step * n_t)
+    for lo in range(0, len(q), cols):
+        qc, tc = q[lo:lo + cols], t[lo:lo + cols]
+        for r in range(0, n_q, step):
+            sums = out[r:r + step]
+            stack = buf[:(len(tc) + 1) * sums.size].reshape(len(tc) + 1, *sums.shape)
+            stack[0] = sums
+            np.multiply(qc[:, r:r + step, None], tc[:, None, :], out=stack[1:])
+            if sums.size > 1:  # an outer axis is reduced in order
+                np.add.reduce(stack, axis=0, out=sums)
+            else:  # a lone value would be summed pairwise; accumulate adds in order
+                sums[...] = np.add.accumulate(stack, axis=0)[-1]
+
+
 def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
     """(n_queries, n_train) matrix of exact cosines (vectors are unit norm).
 
     Each cosine adds its products onto 0.0 in ascending index order, as a
     sparse product does, but only where both supports hold the index: a
-    skipped product is +-0, which leaves a nonzero or +0 sum unchanged.  An
-    index that every row on both sides holds adds one outer product; the
-    products of each run of other indices between two such are gathered from
-    the column view and added with np.add.at, which applies them in order."""
+    skipped product is +-0, which leaves a nonzero or +0 sum unchanged.
+    Each run of consecutive indices that every row on both sides holds is
+    folded onto the running sums by _fold; the products of each run of
+    other indices between two such are gathered from the column view and
+    added with np.add.at, which applies them in order.  Beyond the output
+    and O(nnz) of column views, this holds about _FOLD_VALUES values."""
     if train.dim != queries.dim:
         raise ShapeError(f"dim mismatch: {train.dim} vs {queries.dim}")
     n_t, n_q = len(train), len(queries)
@@ -79,8 +105,10 @@ def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
     lens = np.where(t_cols[t_start[at]] == q_cols, t_count[at], 0)  # products per query nonzero
     ends = np.cumsum(lens)
     full = q_start[(q_count == n_q) & (lens[q_start] == n_t)]
-    flat, buf, done = out.reshape(-1), np.empty_like(out), 0
-    for a in [*full, q_cols.size]:
+    first = np.flatnonzero(np.diff(full, prepend=-1 - n_q) != n_q)  # where runs start
+    flat, done = out.reshape(-1), 0
+    runs = zip(full[first].tolist(), np.diff(first, append=full.size).tolist())
+    for a, c in [*runs, (q_cols.size, 0)]:
         while done < a:  # the run [done, a), in pieces of at most nnz(train) products
             b = np.searchsorted(ends, ends[done] - lens[done] + t_vals.size, "right")
             b = min(a, max(done + 1, b))
@@ -90,11 +118,10 @@ def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
             np.add.at(flat, np.repeat(q_rows[done:b] * n_t, n) + t_rows[idx],
                       t_vals[idx] * np.repeat(q_vals[done:b], n))
             done = b
-        if a < q_cols.size:  # an index that every row holds, rows in order
-            lo = t_start[at[a]]
-            np.multiply(q_vals[a:a + n_q, None], t_vals[None, lo:lo + n_t], out=buf)
-            out += buf
-            done = a + n_q
+        if c:  # c indices that every row holds, rows in order
+            done = a + c * n_q
+            _fold(out, q_vals[a:done].reshape(c, n_q),
+                  t_vals[t_start[at[a:done:n_q]][:, None] + np.arange(n_t)])
     return out
 
 
@@ -163,6 +190,10 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     Ground truth depends only on rho0 and rankings only on (k, estimator),
     so both are computed once and reused across the grid, after the checks
     of the thresholds and the L grid.  A rho0 no pair reaches warns once.
+    Each normal is a pure function of (seed, row, column), so the rows of R
+    over both supports are drawn once, at the largest k, and every k
+    projects through a copy of their first k columns: the same bits as
+    drawing each k on its own.
     """
     check_rho0(*rho0s)
     if l_grid is not None:
@@ -177,14 +208,21 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
                 "every query had an empty relevance set at rho0 %r; its curves are empty",
                 float(r0))
     rows: list[tuple[Estimator, float, int, Curve]] = []
-    for k in ks:
-        pcfg = ProjectionConfig(k=int(k), seed=seed)
-        store = sign_quantize(project_corpus(train, pcfg, threads=threads))
-        query_sketches = project_corpus(queries, pcfg, threads=threads)
+    cfgs = [ProjectionConfig(k=int(k), seed=seed) for k in ks]
+    positions, grid = union_rows((train, queries), cfgs[0].seed, max(cfg.k for cfg in cfgs),
+                                 threads=threads)
+    for pcfg in cfgs:
+        if grid is None:  # beyond the row cache: each projection on its own
+            sketches = [project_corpus(c, pcfg, threads=threads) for c in (train, queries)]
+        else:
+            table = np.ascontiguousarray(grid[:, :pcfg.k])  # the rows of R at this k
+            sketches = [project_corpus(c, pcfg, threads=threads, shared_rows=(pos, table))
+                        for c, pos in zip((train, queries), positions)]
+        store, query_sketches = sign_quantize(sketches[0]), sketches[1]
         for est in estimators:
             rankings = rank_queries(store, query_sketches, est)
             for r0 in rho0s:
-                rows.append((est, float(r0), int(k), pr_curve(rankings, relevance[r0], l_grid)))
+                rows.append((est, float(r0), pcfg.k, pr_curve(rankings, relevance[r0], l_grid)))
     return rows
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import importlib
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
@@ -37,6 +38,8 @@ MAX_MLE_SAMPLES = 10**9
 MAX_SYNTH_VALUES = 10**7
 #: the most (query, stored sketch) pairs estimate scores and writes at once
 _BLOCK_PAIRS = 1 << 16
+#: the thread counts of numpy's BLAS that main sets to 1 where the caller has not
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 #: names callers look up here, resolved in their home module at each access
@@ -218,6 +221,41 @@ def _score_rows(n: int, n_queries: int, per_block: int, estimator: str):
     return render
 
 
+def _curve_rows(grid):
+    """The CSV rows estimator,rho0,k,L,precision,recall of benchmark_grid's
+    curves, in order, as csv.writer writes them (no field needs quoting,
+    floats by repr), as a uint8 array.
+
+    Each point is a row of one byte matrix: its curve's "{estimator},{rho0},{k},"
+    from a table of them, the digits of L, a comma, the repr template, a
+    comma, the repr template and a newline, with a mask that keeps its bytes."""
+    import numpy as np
+
+    from .vectors import REPR_TEMPLATE, int_chars, write_reprs
+
+    heads = [f"{est.cli_name},{rho0!r},{k},".encode() for est, rho0, k, _ in grid]
+    ls, precision, recall = (np.concatenate([curve[i] for *_, curve in grid]) for i in range(3))
+    head_chars = np.zeros((len(heads), max(map(len, heads))), dtype=np.uint8)
+    head_keep = np.zeros(head_chars.shape, dtype=bool)
+    for row, head in enumerate(heads):
+        head_chars[row, :len(head)] = np.frombuffer(head, np.uint8)
+        head_keep[row, :len(head)] = True
+    curve_of = np.repeat(np.arange(len(grid)), [curve[0].size for *_, curve in grid])
+    width = len(str(ls.max())) if ls.size else 1
+    at = head_chars.shape[1] + width  # where the first comma goes
+    end = at + 2 * (1 + REPR_TEMPLATE.size)
+    chars = np.empty((ls.size, end + 1), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, :at - width], keep[:, :at - width] = head_chars[curve_of], head_keep[curve_of]
+    chars[:, at - width:at], keep[:, at - width:at] = int_chars(ls, width)
+    for column, values in ((at, precision), (at + 1 + REPR_TEMPLATE.size, recall)):
+        field = slice(column + 1, column + 1 + REPR_TEMPLATE.size)
+        chars[:, column], chars[:, field] = ord(","), REPR_TEMPLATE
+        write_reprs(values, chars[:, field], keep[:, field])
+    chars[:, end] = ord("\n")
+    return chars[keep]
+
+
 def _cmd_estimate(args) -> int:
     """Score the queries against the store in blocks of whole queries, of at
     most _BLOCK_PAIRS pairs (or one query), and write each block's CSV rows
@@ -347,12 +385,11 @@ def _cmd_bench(args) -> int:
     if args.dim is None:  # each file's largest index inferred its dim; both take the larger
         dim = max(train.dim, queries.dim)
         train, queries = replace(train, dim=dim), replace(queries, dim=dim)
-    rows = [[est.cli_name, rho0, k, *point]
-            for est, rho0, k, curve in bench_mod.benchmark_grid(
-                train, queries, ks, rho0s, estimators, args.seed, l_grid,
-                threads=args.threads)
-            for point in zip(*(column.tolist() for column in curve))]
-    _emit(args.out, ["estimator", "rho0", "k", "L", "precision", "recall"], rows)
+    text = _curve_rows(bench_mod.benchmark_grid(train, queries, ks, rho0s, estimators,
+                                                args.seed, l_grid, threads=args.threads))
+    with _byte_sink(args.out) as write:
+        write(b"estimator,rho0,k,L,precision,recall\n")
+        write(text)
     return 0
 
 
@@ -446,6 +483,11 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread unless the caller chose another count: a cold step then
+    # skips starting BLAS's thread pool, and no product depends on a thread
+    # count.  It acts only where numpy has not loaded yet.
+    for name in _BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
     argv = sys.argv[1:] if argv is None else argv
     # a step builds its own subcommand's parser alone
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)

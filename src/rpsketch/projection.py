@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,24 +108,46 @@ class FullStore:
         return self.values.shape[0]
 
 
-def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *,
-                   threads: int = 1) -> FullStore:
+def union_rows(corpora: Sequence[Corpus], seed: int, k: int, *, threads: int = 1):
+    """([each corpus's positions of its indices in the sorted union of all
+    their supports], the rows of R at that union, k normals each, drawn on
+    up to `threads` workers), with None for the rows when they would exceed
+    the row cache."""
+    union = np.concatenate([c.indices for c in corpora])
+    union.sort()  # np.unique hashes first, ~6x slower here
+    union = union[np.diff(union, prepend=-1) != 0]
+    cached = union.size * k <= _ROW_CACHE_LIMIT
+    return ([np.searchsorted(union, c.indices) for c in corpora],
+            rng.normal_grid(seed, union, k, threads=threads) if cached else None)
+
+
+def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *, threads: int = 1,
+                   shared_rows: tuple[np.ndarray, np.ndarray] | None = None) -> FullStore:
     """Project every row of a corpus onto k seeded Gaussian directions,
     value_j = sum_i u_i R[i, j], as one vector-matrix product per row of its
     values and its rows of R; an empty corpus gives a store of shape
     (0, cfg.k).  The rows of the union of supports are drawn once, on up to
     `threads` workers, when they fit the row cache.  Rows whose supports are
     one run of the union share one stacked product over that slice of them
-    (the same vector-matrix product per row); any other row gathers its own."""
+    (the same vector-matrix product per row); any other row gathers its own.
+
+    `shared_rows`, when given, is (pos, table) in place of union_rows's
+    result for this corpus alone: table[pos[j]] is the row of R at
+    corpus.indices[j], cfg.k normals drawn from cfg.seed, in a C-contiguous
+    table sorted by index.  So union_rows of several corpora, its table
+    cut to each k's first columns, serves them all from one draw
+    (bench.benchmark_grid)."""
     n, k, indptr, size = len(corpus), cfg.k, corpus.indptr, np.diff(corpus.indptr)
     if np.any(size == 0):
         raise DomainError("cannot project an empty vector")
     out = np.empty((n, k))
-    union = np.sort(corpus.indices)  # np.unique hashes first, ~6x slower here
-    union = union[np.diff(union, prepend=-1) != 0]
-    cached = union.size * k <= _ROW_CACHE_LIMIT
-    table = rng.normal_grid(cfg.seed, union, k, threads=threads) if cached else None
-    pos = np.searchsorted(union, corpus.indices)
+    if shared_rows is None:
+        (pos,), table = union_rows([corpus], cfg.seed, k, threads=threads)
+    else:
+        pos, table = shared_rows
+        if table.shape[1:] != (k,) or pos.shape != corpus.indices.shape:
+            raise ShapeError(f"need a position per index and table rows of k = {k} normals")
+    cached = table is not None
     start = pos[indptr[:-1]]
     run = (pos[indptr[1:] - 1] - start == size - 1) & cached
     for i in np.flatnonzero(~run):
@@ -132,7 +155,7 @@ def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *,
         rows = (table[pos[lo:hi]] if cached else
                 rng.normal_grid(cfg.seed, corpus.indices[lo:hi], k, threads=threads))
         out[i] = corpus.values[lo:hi] @ rows
-    key = start * (union.size + 1) + size  # one per (run start, length)
+    key = start * (len(pos) + 1) + size  # one per (run start, length)
     shared = np.flatnonzero(run)
     shared = shared[np.argsort(key[shared], kind="stable")]
     for same in np.split(shared, np.flatnonzero(np.diff(key[shared])) + 1) if shared.size else ():

@@ -79,12 +79,26 @@ def uniforms(seed, major, minor) -> np.ndarray:
 
 def normals(seed, major, minor) -> np.ndarray:
     """Standard normal deviates, broadcast over (seed, major, minor): minors
-    2p and 2p + 1 are the cosine and sine of one Box–Muller pair."""
+    2p and 2p + 1 are the cosine and sine of one Box–Muller pair.
+
+    The transform is written out here, operation for operation as the
+    library's kernel performs it, so that the reference shares no code with
+    what it checks: r = sqrt(-2 log U), and theta = 2 pi V as n quarter
+    turns plus phi in [-pi/4, pi/4], whose sine numpy computes and whose
+    cosine is sqrt(1 - sin^2); r cos(n pi/2) and r sin(n pi/2) are one
+    rounding each, so each output rounds twice more."""
     minor = np.asarray(minor, dtype=np.uint64)
     radius, angle = (uniforms(seed, major, minor & ~np.uint64(1) | np.uint64(b)) for b in (0, 1))
-    cos, sin = np.empty(radius.shape), np.empty(radius.shape)
-    rng._box_muller(radius.reshape(-1), angle.reshape(-1), cos.reshape(-1), sin.reshape(-1))
-    return np.where(minor & np.uint64(1), sin, cos)
+    r = np.sqrt(-2.0 * np.log(radius))
+    quarters = angle * 4.0
+    turns = np.rint(quarters)
+    phi = (quarters - turns) * (0.5 * math.pi)
+    quarter = turns.astype(np.intp)
+    r_cos = r * np.array([1.0, 0.0, -1.0, 0.0, 1.0])[quarter]  # r cos(n pi/2)
+    r_sin = r * np.array([0.0, 1.0, 0.0, -1.0, 0.0])[quarter]  # r sin(n pi/2)
+    sin = np.sin(phi)
+    cos = np.sqrt(1.0 - sin * sin)
+    return np.where(minor & np.uint64(1), r_cos * sin + r_sin * cos, r_cos * cos - r_sin * sin)
 
 
 def gaussian_entry(seed: int, row: int, col: int) -> float:

@@ -165,6 +165,17 @@ class TestExactCosinesBitwise:
         for density in (0.2, 1.0):
             self.check(random_corpus(gen, 1, 25, density), random_corpus(gen, 7, 25, density))
 
+    def test_one_pair_adds_in_index_order(self):
+        # a lone cosine is folded too, where numpy would add a reduced
+        # column pairwise; magnitudes far apart make the order show
+        gen = np.random.default_rng(9)
+        for dim in (6, 9, 40):
+            pair = gen.standard_normal((2, dim)) * 10.0 ** gen.integers(-8, 8, (2, dim))
+            pair[1, dim // 2] = 0.0  # an index the query holds alone splits the run
+            pair[1, dim // 3] = 0.0
+            self.check(corpus([normalize(pair[1])], dim), corpus([normalize(pair[0])], dim))
+            self.check(corpus([normalize(pair[0])], dim), corpus([normalize(pair[1])], dim))
+
     def test_zero_queries(self):
         gen = np.random.default_rng(7)
         self.check(random_corpus(gen, 9, 10, 1.0), random_corpus(gen, 0, 10, 1.0))
@@ -194,6 +205,22 @@ class TestExactCosinesBitwise:
             return corpus(unit, dim)
 
         self.check(sparse(800), sparse(100))
+
+    @pytest.mark.parametrize("dim", [1, 8, 300])
+    def test_memory_beyond_the_output_is_the_fold_budget(self, dim):
+        # every column is full on both sides, so all of it is folded; the
+        # per-index loop held a second (n_query, n_train) buffer
+        gen = np.random.default_rng(dim)
+        train, queries = (random_corpus(gen, n, dim, 1.0) for n in (600, 600))
+        nnz = train.values.size + queries.values.size
+        tracemalloc.start()
+        try:
+            sims = exact_cosines(train, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sims.tobytes() == bincount_cosines(train, queries).tobytes()
+        assert peak - sims.nbytes < 8 * bench._FOLD_VALUES + 2**18 + 48 * nnz, peak
 
 
 
@@ -408,6 +435,60 @@ class TestBenchmark:
                                                n_queries=1)
         with pytest.raises(ConfigError, match=r"rho0 must lie in \(0, 1\]"):
             benchmark_grid(train, queries, [8], [0.5, rho0], [Estimator.S], seed=1)
+
+
+def sparse_pair(seed: int, dim: int = 4000, terms: int = 40) -> tuple[Corpus, Corpus]:
+    """30 training and 7 query rows of ~terms Zipf-popular indices, with one
+    query a copy of a training row."""
+    gen = np.random.default_rng(seed)
+    popularity = 1.0 / np.arange(1, dim + 1) ** 1.05
+    popularity /= popularity.sum()
+    unit = []
+    for _ in range(36):
+        indices = np.unique(gen.choice(dim, size=terms, p=popularity))
+        unit.append(normalize((indices, gen.random(indices.size) + 0.5)))
+    return corpus(unit[:30], dim), corpus(unit[30:] + unit[4:5], dim)
+
+
+class TestSharedGrid:
+    """benchmark_grid draws the rows of R once, at the largest k, and slices
+    that grid per k; every store it ranks must be the bits of its own
+    per-k projection.  Slicing the k = 255 stores would not be: BLAS sums a
+    column tail its own way, so the first k outputs of a wider product can
+    differ from a product k wide."""
+
+    KS = (1, 7, 63, 64, 255)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_stores_and_curves_equal_per_k_projections(self, kind, monkeypatch):
+        if kind == "dense":
+            train, queries = make_clustered_corpus(4, dim=96, n_clusters=3, n_train=30,
+                                                   n_queries=7)
+        else:
+            train, queries = sparse_pair(9)
+        ranked, rank = [], bench.rank_queries
+
+        def recording(store, query_sketches, est):
+            ranked.append((store.bits.tobytes(), query_sketches.values.tobytes()))
+            return rank(store, query_sketches, est)
+
+        monkeypatch.setattr(bench, "rank_queries", recording)
+        estimators = (Estimator.SIGN_SIGN, Estimator.S_NORM)
+        rows = benchmark_grid(train, queries, self.KS, [0.3], estimators, 21, threads=2)
+        monkeypatch.undo()
+        want_ranked, want_rows = [], []
+        relevance = ground_truth(train, queries, 0.3)
+        for k in self.KS:
+            cfg = ProjectionConfig(k, 21)
+            store = sign_quantize(project_corpus(train, cfg))
+            query_sketches = project_corpus(queries, cfg)
+            for est in estimators:
+                want_ranked.append((store.bits.tobytes(), query_sketches.values.tobytes()))
+                curve = pr_curve(rank_queries(store, query_sketches, est), relevance)
+                want_rows.append((est, 0.3, k, [c.tobytes() for c in curve]))
+        assert ranked == want_ranked
+        assert [(est, r0, k, [c.tobytes() for c in curve])
+                for est, r0, k, curve in rows] == want_rows
 
 
 class TestClusteredCorpus:

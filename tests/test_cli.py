@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import importlib.util
+import io
 import math
 import struct
 import sys
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import mle_full, mle_row, one_row
-from rpsketch import (Estimator, FullStore, ProjectionConfig, cli, estimators, load_sketches,
-                      load_sparse_text, mle, project_corpus, projection)
+from rpsketch import (Estimator, FullStore, ProjectionConfig, benchmark_grid, cli, estimators,
+                      load_sketches, load_sparse_text, mle, project_corpus, projection)
 from rpsketch.cli import main
 from rpsketch.projection import _VERSION
 
@@ -783,6 +785,80 @@ class TestEstimateBytes:
         assert out.stat().st_size > 160 * 300 * 20
         assert max(extra) < 2**21, extra
         assert extra[1] < extra[0] + 2**16, extra
+
+
+def reference_curves(train_path, query_path, ks, rho0s, estimators, seed, l_grid=None) -> bytes:
+    """bench's CSV as csv.writer wrote it before the byte writer: one row per
+    curve point, floats by repr."""
+    train, queries = load_sparse_text(train_path), load_sparse_text(query_path)
+    dim = max(train.dim, queries.dim)
+    train, queries = (dataclasses.replace(c, dim=dim) for c in (train, queries))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["estimator", "rho0", "k", "L", "precision", "recall"])
+    writer.writerows([est.cli_name, rho0, k, *point]
+                     for est, rho0, k, curve in benchmark_grid(
+                         train, queries, ks, rho0s, [Estimator(e) for e in estimators],
+                         seed, l_grid)
+                     for point in zip(*(column.tolist() for column in curve)))
+    return text.getvalue().encode()
+
+
+class TestBenchBytes:
+    """bench writes its curves at the byte level; its bytes must be those of
+    csv.writer's rows of the same curves."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("bench")
+        assert main(["synth", "--dim", "40", "--clusters", "3", "--train", "23",
+                     "--query", "6", "--seed", "5", "--out-train", str(work / "train.txt"),
+                     "--out-query", str(work / "query.txt")]) == 0
+        return work
+
+    def bench(self, files, k, rho0, l_grid=None, out=None):
+        argv = ["bench", "--train", str(files / "train.txt"), "--query",
+                str(files / "query.txt"), "--k", k, "--rho0", rho0, "--seed", "5",
+                "--estimators", "sign-sign,g-norm,s-norm"]
+        argv += ["--l-grid", l_grid] if l_grid else []
+        assert main(argv + (["--out", str(out)] if out else [])) == 0
+        return reference_curves(files / "train.txt", files / "query.txt",
+                                [int(v) for v in k.split(",")],
+                                [float(v) for v in rho0.split(",")],
+                                ["sign-sign", "g-norm", "s-norm"], 5,
+                                l_grid and [int(v) for v in l_grid.split(",")])
+
+    @pytest.mark.parametrize("k,rho0,l_grid", [
+        ("16,5", "0.9,0.4", None),
+        ("7", "0.00001,0.6", "1,3,22"),  # rho0 in exponent notation
+        ("12", "0.7,1.0", None),  # nothing reaches 1.0: no rows for it
+        ("3", "1.0", "2,5")])  # no row at all
+    def test_equals_csv_writer_rows(self, files, k, rho0, l_grid, tmp_path):
+        out = tmp_path / "curves.csv"
+        want = self.bench(files, k, rho0, l_grid, out)
+        assert out.read_bytes() == want
+        assert (b"1e-05," in want) == ("0.00001" in rho0)
+        assert (want.count(b"\n") == 1) == (rho0 == "1.0")
+
+    def test_stdout(self, files, capsys):
+        print("before", end="")  # the text layer is flushed before the rows' bytes
+        want = self.bench(files, "9", "0.5", "4,1")
+        assert capsys.readouterr().out.encode() == b"before" + want
+
+    def test_floats_in_exponent_notation_and_wide_fields(self):
+        # reprs of every layout: exponent notation, subnormals, zero, 17 digits;
+        # heads of different widths; L of several digit counts
+        curves = [(Estimator.SIGN_SIGN, 1e-05, 7, (np.array([1, 10, 100]),
+                                                 np.array([1e-05, 5e-324, 0.1 + 0.2]),
+                                                 np.array([0.0, 1.0, 2.5e-07]))),
+                  (Estimator.G_NORM, 0.30000000000000004, 256, (np.array([12345]),
+                                                               np.array([1 / 3]),
+                                                               np.array([9.999e-05])))]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            [est.cli_name, rho0, k, *point] for est, rho0, k, curve in curves
+            for point in zip(*(column.tolist() for column in curve)))
+        assert cli._curve_rows(curves).tobytes() == text.getvalue().encode()
 
 
 class TestDeterminism:

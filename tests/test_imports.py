@@ -308,3 +308,39 @@ def test_first_draw_in_worker_threads_matches_one_thread(tmp_path):
         print(len(rng._pieces(*two.shape)), two.tobytes() == one.tobytes(), scipy_modules())
     """, tmp_path)
     assert out == "2 True []"
+
+
+def test_main_pins_blas_to_one_thread_unless_the_caller_chose(tmp_path):
+    # the BLAS thread settings in force when numpy is first looked up, and
+    # the outputs of a full sketch and a bench, under neither and under a
+    # preset OPENBLAS_NUM_THREADS
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    (tmp_path / "c.txt").write_text("".join(
+        f"{i % 7 + 1}:1 {i % 5 + 8}:0.{i + 1} {i % 3 + 14}:2\n" for i in range(24)))
+    code = PRELUDE + textwrap.dedent(f"""
+        import json, os
+        from rpsketch.cli import main
+        seen = []
+        class Watch:  # a finder that sees the first lookup of numpy, and finds nothing
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append([os.environ.get(n) for n in {names!r}])
+        sys.meta_path.insert(0, Watch())
+        sketch = main(["sketch", "--input", "c.txt", "--k", "40", "--kind", "full",
+                       "--seed", "3", "--out", "store.sfrp"])
+        bench = main(["bench", "--train", "c.txt", "--query", "c.txt", "--k", "40,9",
+                      "--rho0", "0.5", "--seed", "3", "--out", "curves.csv"])
+        print(sketch, bench, json.dumps(seen))
+    """)
+    base = {k: v for k, v in os.environ.items() if k not in names}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for preset, want in (({}, ["1", "1", "1"]),
+                         ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env={**base, **preset}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split(" ", 2) == ["0", "0", json.dumps([want]) + "\n"]
+        outputs.append([(tmp_path / name).read_bytes() for name in ("store.sfrp", "curves.csv")])
+    assert outputs[0] == outputs[1]

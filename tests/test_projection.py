@@ -13,8 +13,8 @@ from rpsketch import (DomainError, FullStore, ProjectionConfig,
                       ShapeError, SignStore, SketchFormatError, load_sketches,
                       project_corpus, save_sketches, sign_array, sign_quantize)
 from rpsketch import rng
-from rpsketch.errors import ConfigError
-from rpsketch.projection import _VERSION
+from rpsketch.errors import ConfigError, ShapeError
+from rpsketch.projection import _VERSION, union_rows
 
 
 class TestGaussianEntry:
@@ -116,6 +116,27 @@ class TestProject:
             one = full_store(project(v, ProjectionConfig(k, 5)))
             assert store.values[i].tobytes() == one.values[0].tobytes()
             assert store.sumsq[i] == one.sumsq[0]
+
+    @pytest.mark.parametrize("k", [1, 7, 33, 64, 255])
+    def test_shared_rows_cut_from_a_wider_draw_match_project(self, k):
+        # the other corpus holds indices 1 and 11, which no row of c does, so
+        # [0, 2] is a run of c's own union but not of the shared one; the
+        # rows are drawn 9 columns wider, then cut to their first k
+        rng_ = np.random.default_rng(k)
+        supports = [[2, 3], [3, 5], [0, 2], [0, 9], [5], [2, 3, 5, 8, 9], range(3, 10), [0, 2]]
+        vs = [(list(sup), rng_.standard_normal(len(sup))) for sup in supports]
+        c, other = corpus(vs, 12), corpus([([1, 2, 11], [1.0, 2.0, 3.0])], 12)
+        (pos, _), wide = union_rows([c, other], 5, k + 9)
+        store = project_corpus(c, ProjectionConfig(k, 5),
+                               shared_rows=(pos, np.ascontiguousarray(wide[:, :k])))
+        want = project_corpus(c, ProjectionConfig(k, 5))
+        assert store.values.tobytes() == want.values.tobytes()
+
+    def test_shared_rows_of_another_width_refused(self):
+        c = corpus([np.array([1.0, 0.0, 2.0])], 3)
+        table = rng.normal_grid(5, np.arange(3), 8)
+        with pytest.raises(ShapeError, match="k = 7"):
+            project_corpus(c, ProjectionConfig(7, 5), shared_rows=(c.indices, table))
 
     @pytest.mark.parametrize("layout", ["whole-union", "sub-runs", "mixed"])
     @pytest.mark.parametrize("k", [1, 7, 33, 64, 256])
