@@ -49,8 +49,10 @@ def check_l_grid(l_grid: Sequence[int], n: int) -> np.ndarray:
 
 
 def _by_column(corpus: Corpus) -> tuple[np.ndarray, ...]:
-    """Nonzeros by column, rows ascending: rows, columns, values, column offsets, lengths."""
-    order = np.argsort(corpus.indices, kind="stable")
+    """Nonzeros by column, rows ascending: rows, columns, values, column offsets,
+    lengths.  Indices below 2^16 sort as uint16 keys, which numpy radix-sorts."""
+    keys = corpus.indices.astype(np.uint16) if corpus.dim <= 1 << 16 else corpus.indices
+    order = np.argsort(keys, kind="stable")
     cols = corpus.indices[order]
     start = np.flatnonzero(np.diff(cols, prepend=-1))  # np.unique sorts again
     rows = np.repeat(np.arange(len(corpus)), np.diff(corpus.indptr))[order]
@@ -90,13 +92,20 @@ def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
     folded onto the running sums by _fold; the products of each run of
     other indices between two such are gathered from the column view and
     added with np.add.at, which applies them in order.  Beyond the output
-    and O(nnz) of column views, this holds about _FOLD_VALUES values."""
+    and O(nnz) of column views, this holds about _FOLD_VALUES values.  Two
+    fully dense corpora are one such run: their transposed value matrices
+    go to _fold as they are, with no column views."""
     if train.dim != queries.dim:
         raise ShapeError(f"dim mismatch: {train.dim} vs {queries.dim}")
     n_t, n_q = len(train), len(queries)
     if n_t == 0:
         raise ConfigError("empty training corpus")
     out = np.zeros((n_q, n_t))
+    if n_q and all(c.indices.size == len(c) * c.dim for c in (train, queries)):
+        # every row holds every index: one run of all columns, no column views
+        _fold(out, *(np.ascontiguousarray(c.values.reshape(len(c), -1).T)
+                     for c in (queries, train)))
+        return out
     t_rows, t_cols, t_vals, t_start, t_count = _by_column(train)
     q_rows, q_cols, q_vals, q_start, q_count = _by_column(queries)
     if not (t_cols.size and q_cols.size):

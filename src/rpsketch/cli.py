@@ -40,6 +40,8 @@ MAX_SYNTH_VALUES = 10**7
 _BLOCK_PAIRS = 1 << 16
 #: the thread counts of numpy's BLAS that main sets to 1 where the caller has not
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: glibc mallopt's M_TOP_PAD, and the spare bytes main asks malloc to keep atop the heap
+_M_TOP_PAD, _HEAP_TOP_PAD = -2, 64 << 20
 
 
 #: names callers look up here, resolved in their home module at each access
@@ -482,6 +484,25 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
+def _pad_heap_top() -> None:
+    """Have glibc's malloc keep _HEAP_TOP_PAD spare bytes atop the heap as it
+    grows and trims it, so that freed arrays leave pages that the next ones
+    reuse, not pages returned and faulted in again.  Left alone where the
+    caller set any MALLOC_* variable or glibc.malloc tunable, and where
+    libc has no mallopt."""
+    if (any(name.startswith("MALLOC_") for name in os.environ)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    import ctypes  # numpy loads it anyway
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to open
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def main(argv=None) -> int:
     # one BLAS thread unless the caller chose another count: a cold step then
     # skips starting BLAS's thread pool, and no product depends on a thread
@@ -500,6 +521,10 @@ def main(argv=None) -> int:
             raise UsageError(f"--threads must be >= 1, not {args.threads}")
         if not 0 <= args.seed < 2**64:
             raise UsageError(f"--seed must lie in [0, 2**64), not {args.seed}")
+        # every step but the numpy-free closed-form variance table pads the heap
+        if (args.command != "variance-table"
+                or Estimator.MLE_SIGN_FULL in _parse_estimators(args.estimators)):
+            _pad_heap_top()
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

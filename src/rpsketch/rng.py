@@ -23,6 +23,9 @@ _U53_SCALE = 2.0**-53
 _QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
 _QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
 _CHUNK_VALUES = 1 << 16  # values per grid piece: a row range, or part of one row
+# the pieces a grid needs per worker: fewer do not repay importing and
+# starting a thread pool
+_PIECES_PER_WORKER = 4
 
 
 def ordered_map(fn, tasks, threads: int = 1) -> list:
@@ -104,7 +107,9 @@ def _fill_pairs(keys: np.ndarray, rows: slice, first: int, out_cos: np.ndarray,
 
 
 def normal_grid(seed: int, majors, k: int, *, threads: int = 1) -> np.ndarray:
-    """(len(majors), k) standard normals: row i holds minors 0..k-1 of major counter majors[i]."""
+    """(len(majors), k) standard normals: row i holds minors 0..k-1 of major
+    counter majors[i], drawn on up to `threads` workers with at least
+    _PIECES_PER_WORKER pieces each (a smaller grid draws on the calling thread)."""
     keys = _keys(seed, majors)
     out = np.empty((keys.shape[0], k))
 
@@ -113,7 +118,8 @@ def normal_grid(seed: int, majors, k: int, *, threads: int = 1) -> np.ndarray:
         _fill_pairs(keys, rows, cols.start, out[rows, cols.start:cols.stop:2],
                     out[rows, cols.start + 1:cols.stop:2])
 
-    ordered_map(fill, _pieces(*out.shape), threads)
+    pieces = _pieces(*out.shape)
+    ordered_map(fill, pieces, min(threads, len(pieces) // _PIECES_PER_WORKER))
     return out
 
 

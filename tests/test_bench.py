@@ -14,6 +14,7 @@ from rpsketch import (Corpus, Estimator, ProjectionConfig, benchmark_grid,
 from rpsketch import bench
 from rpsketch.bench import _relevant, exact_cosines
 from rpsketch.errors import ConfigError, ContractError, DomainError, ShapeError
+from rpsketch.vectors import load_sparse_text
 
 
 def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
@@ -222,6 +223,82 @@ class TestExactCosinesBitwise:
         assert sims.tobytes() == bincount_cosines(train, queries).tobytes()
         assert peak - sims.nbytes < 8 * bench._FOLD_VALUES + 2**18 + 48 * nnz, peak
 
+
+
+class TestExactCosinesDensePath:
+    """Two corpora whose rows each hold every index go to the fold as their
+    value matrices, with no column views; anything else takes the general
+    path.  Both must equal the scatter-and-bincount sum bit for bit."""
+
+    @staticmethod
+    def check(train, queries, dense, monkeypatch):
+        views = []
+        by_column = bench._by_column
+        monkeypatch.setattr(bench, "_by_column", lambda c: views.append(c) or by_column(c))
+        TestExactCosinesBitwise.check(train, queries)
+        assert views == ([] if dense else [train, queries])
+
+    def test_dense_corpora_skip_the_column_views(self, monkeypatch):
+        gen = np.random.default_rng(11)
+        for dim, n_train, n_query in ((1, 3, 2), (7, 1, 1), (64, 30, 9), (600, 120, 3)):
+            self.check(random_corpus(gen, n_train, dim, 1.0),
+                       random_corpus(gen, n_query, dim, 1.0), True, monkeypatch)
+
+    def test_empty_query_corpus(self, monkeypatch):
+        gen = np.random.default_rng(12)
+        train = random_corpus(gen, 5, 16, 1.0)
+        for n_query in (0, 1):
+            queries = random_corpus(gen, n_query, 16, 1.0)
+            self.check(train, queries, n_query > 0, monkeypatch)
+        assert exact_cosines(train, random_corpus(gen, 0, 16, 1.0)).shape == (0, 5)
+
+    def test_dense_file_with_one_explicit_zero(self, tmp_path, monkeypatch):
+        # the parser drops the 0.0, so one row lacks an index: the general path
+        dense = np.random.default_rng(13).standard_normal((6, 12))
+        for name in ("full.txt", "zero.txt"):
+            (tmp_path / name).write_text("".join(
+                " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist())) + "\n"
+                for row in dense))
+            dense[4, 4] = 0.0
+        full, with_zero = (load_sparse_text(tmp_path / name, 12) for name in ("full.txt",
+                                                                           "zero.txt"))
+        assert "5:0.0 " in (tmp_path / "zero.txt").read_text()
+        assert with_zero.values.size == full.values.size - 1
+        self.check(full, full, True, monkeypatch)
+        self.check(with_zero, full, False, monkeypatch)
+        self.check(full, with_zero, False, monkeypatch)
+
+    def test_dense_training_rows_against_sparse_queries(self, monkeypatch):
+        gen = np.random.default_rng(14)
+        train = random_corpus(gen, 20, 30, 1.0)
+        self.check(train, random_corpus(gen, 8, 30, 0.3), False, monkeypatch)
+        self.check(random_corpus(gen, 8, 30, 0.3), train, False, monkeypatch)
+
+    def test_dim_mismatch_still_raises(self):
+        gen = np.random.default_rng(15)
+        with pytest.raises(ShapeError):
+            exact_cosines(random_corpus(gen, 3, 8, 1.0), random_corpus(gen, 2, 9, 1.0))
+
+
+def int64_column_view(corpus: Corpus) -> tuple[np.ndarray, ...]:
+    """_by_column as a stable argsort of the int64 indices computes it."""
+    order = np.argsort(corpus.indices, kind="stable")
+    cols = corpus.indices[order]
+    start = np.flatnonzero(np.diff(cols, prepend=-1))
+    rows_ = np.repeat(np.arange(len(corpus)), np.diff(corpus.indptr))[order]
+    return rows_, cols, corpus.values[order], start, np.diff(start, append=cols.size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 5, 2**16 - 1, 2**16, 2**16 + 1, 2**40]))
+def test_column_views_equal_an_int64_sort(data, dim):
+    # uint16 keys where the dim allows them; the edge indices dim - 1 and
+    # 0 are drawn often, and 65,535 and 65,536 sit at the key width's edge
+    index = st.one_of(st.integers(0, dim - 1), st.sampled_from([0, dim - 1]))
+    supports = data.draw(st.lists(st.sets(index, min_size=1, max_size=10), max_size=10))
+    c = corpus([(sorted(sup), np.arange(1.0, len(sup) + 1)) for sup in supports], dim)
+    got, want = bench._by_column(c), int64_column_view(c)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestRankQueries:

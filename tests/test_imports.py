@@ -13,7 +13,9 @@ and numpy (the tests use them as oracles); a static check guards imports on
 paths the steps below do not run.  A step builds only its own subcommand's
 parser, the closed-form step loads no dataclasses or logging, and a step
 that warns of nothing loads no logging; cold runs check that the warnings
-still reach stderr.
+still reach stderr.  A projection grid too small to split starts no thread
+pool, so it loads neither concurrent.futures nor logging, and the closed-form
+step loads no ctypes, which the heap setting uses.
 """
 
 import ast
@@ -172,7 +174,7 @@ def test_package_cli_shell_and_closed_form_variance_table_load_no_numpy(tmp_path
                                   "sign-sign,full,full-norm,mle-full,g,g-norm,s,s-norm",
                                   "--rho-grid", "-0.9:0.9:0.3", "--out", "factors.csv"])
         print(code, loaded("numpy", "rpsketch.estimators", "rpsketch.mle",
-                           "dataclasses", "inspect", "logging"))
+                           "dataclasses", "inspect", "logging", "ctypes"))
     """, tmp_path)
     assert out.splitlines() == ["[]", "[]", "0 []", "s-norm []", "0 []"]
     assert len((tmp_path / "factors.csv").read_text().splitlines()) == 1 + 8 * 7
@@ -297,17 +299,38 @@ def test_no_module_imports_scipy():
 
 
 def test_first_draw_in_worker_threads_matches_one_thread(tmp_path):
-    # two grid pieces, so the first normal draw, with its first calls into
-    # numpy's log, sin and sqrt loops, happens in two worker threads at once
+    # enough grid pieces for two workers, so the first normal draw, with its
+    # first calls into numpy's log, sin and sqrt loops, happens in two worker
+    # threads at once; only the pool loads concurrent.futures
     out = fresh("""
         import numpy as np
         from rpsketch import rng
-        majors = np.arange(2 * rng._CHUNK_VALUES // 2048, dtype=np.uint64)
+        pieces = 2 * rng._PIECES_PER_WORKER
+        majors = np.arange(pieces * rng._CHUNK_VALUES // 2048, dtype=np.uint64)
+        before = loaded("concurrent.futures")
         two = rng.normal_grid(5, majors, 2048, threads=2)
         one = rng.normal_grid(5, majors, 2048, threads=1)
-        print(len(rng._pieces(*two.shape)), two.tobytes() == one.tobytes(), scipy_modules())
+        print(len(rng._pieces(*two.shape)) == pieces, before, loaded("concurrent.futures"),
+              two.tobytes() == one.tobytes(), scipy_modules())
     """, tmp_path)
-    assert out == "2 True []"
+    assert out == "True [] ['concurrent.futures'] True []"
+
+
+def test_grids_too_small_to_split_start_no_thread_pool(tmp_path):
+    # 512 dims at k = 256 is a grid of two pieces, which --threads 2 once
+    # drew on two workers; a pool loads concurrent.futures, and it logging
+    (tmp_path / "c.txt").write_text("".join(
+        " ".join(f"{j + 1}:{(i + j) % 9 + 1}" for j in range(512)) + "\n" for i in range(6)))
+    out = fresh("""
+        from rpsketch.cli import main
+        common = ["--dim", "512", "--seed", "3", "--threads", "2"]
+        print(main(["sketch", "--input", "c.txt", "--k", "256", "--out", "store.sfrp", *common]),
+              main(["bench", "--train", "c.txt", "--query", "c.txt", "--k", "64,256",
+                    "--rho0", "0.5", "--out", "curves.csv", *common]),
+              len(sys.modules["rpsketch.rng"]._pieces(512, 256)),
+              loaded("concurrent.futures", "logging"))
+    """, tmp_path)
+    assert out == "0 0 2 []"
 
 
 def test_main_pins_blas_to_one_thread_unless_the_caller_chose(tmp_path):
@@ -344,3 +367,62 @@ def test_main_pins_blas_to_one_thread_unless_the_caller_chose(tmp_path):
         assert proc.stdout.split(" ", 2) == ["0", "0", json.dumps([want]) + "\n"]
         outputs.append([(tmp_path / name).read_bytes() for name in ("store.sfrp", "curves.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_main_pads_the_heap_unless_the_caller_chose(tmp_path):
+    # the mallopt calls of a full sketch and a bench, and their outputs,
+    # under no allocator setting and under a preset MALLOC_TOP_PAD_ or
+    # glibc.malloc tunable
+    (tmp_path / "c.txt").write_text("".join(
+        f"{i % 7 + 1}:1 {i % 5 + 8}:0.{i + 1} {i % 3 + 14}:2\n" for i in range(24)))
+    code = PRELUDE + textwrap.dedent("""
+        import ctypes, json
+        from rpsketch.cli import main
+        calls, cdll = [], ctypes.CDLL
+        class Spy:  # the C library, with its mallopt calls recorded
+            def __init__(self, name):
+                lib = cdll(name)
+                def mallopt(*args):
+                    calls.append(args)
+                    return lib.mallopt(*args)
+                self.mallopt = mallopt
+        ctypes.CDLL = Spy
+        sketch = main(["sketch", "--input", "c.txt", "--k", "40", "--kind", "full",
+                       "--seed", "3", "--out", "store.sfrp"])
+        bench = main(["bench", "--train", "c.txt", "--query", "c.txt", "--k", "40,9",
+                      "--rho0", "0.5", "--seed", "3", "--out", "curves.csv"])
+        print(sketch, bench, json.dumps(calls))
+    """)
+    base = {k: v for k, v in os.environ.items()
+            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for preset, want in (({}, [[-2, 64 << 20]] * 2),
+                         ({"MALLOC_TOP_PAD_": str(1 << 20)}, []),
+                         ({"GLIBC_TUNABLES": "glibc.malloc.top_pad=1048576"}, [])):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env={**base, **preset}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split(" ", 2) == ["0", "0", json.dumps(want) + "\n"]
+        outputs.append([(tmp_path / name).read_bytes() for name in ("store.sfrp", "curves.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_heap_padding_skipped_where_libc_has_no_mallopt(monkeypatch):
+    import ctypes
+
+    from rpsketch import cli
+
+    for name in [k for k in os.environ if k.startswith("MALLOC_")] + ["GLIBC_TUNABLES"]:
+        monkeypatch.delenv(name, raising=False)
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or object())
+    cli._pad_heap_top()
+    assert opened == [None]
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    cli._pad_heap_top()

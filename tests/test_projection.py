@@ -165,6 +165,39 @@ class TestProject:
             project_corpus(corpus([[1.0, 0.0], [0.0, 0.0]], 2), ProjectionConfig(8, 1))
 
 
+def searchsorted_union(corpora) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted union of the corpora's indices, and each corpus's positions
+    in it, as one sort and a searchsorted per corpus find them."""
+    union = np.unique(np.concatenate([c.indices for c in corpora]))
+    return union, [np.searchsorted(union, c.indices) for c in corpora]
+
+
+class TestUnionRows:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_corpora=st.integers(1, 3),
+           dim=st.sampled_from([1, 6, 2**16 - 1, 2**16, 2**16 + 1, 2**40]))
+    def test_positions_equal_a_sort_and_searchsorted(self, data, n_corpora, dim):
+        # a table of the dim's indices up to 2^16, a sort above; 0 and
+        # dim - 1 are drawn often, so 65,535 and 65,536 meet both
+        index = st.one_of(st.integers(0, dim - 1), st.sampled_from([0, dim - 1]))
+        corpora = [corpus([(sorted(sup), np.ones(len(sup))) for sup in data.draw(
+            st.lists(st.sets(index, min_size=1, max_size=10), max_size=6))], dim)
+            for _ in range(n_corpora)]
+        positions, table = union_rows(corpora, 5, 3)
+        union, want = searchsorted_union(corpora)
+        assert table.tobytes() == rng.normal_grid(5, union, 3).tobytes()
+        for c, got, pos in zip(corpora, positions, want):
+            assert got.dtype == pos.dtype and np.array_equal(got, pos)
+            assert table[got].tobytes() == rng.normal_grid(5, c.indices, 3).tobytes()
+
+    @pytest.mark.parametrize("dim", [2**16, 2**16 + 1])
+    def test_indices_at_the_top_of_the_dim(self, dim):
+        corpora = [corpus([([0, dim - 1], [1.0, 2.0]), ([dim - 2], [1.0])], dim),
+                   corpus([([dim - 1], [3.0])], dim)]
+        positions, _ = union_rows(corpora, 5, 2)
+        assert [p.tolist() for p in positions] == [[0, 2, 1], [2]]
+
+
 class TestSignQuantize:
     def test_all_positive(self):
         sk = sign_store(np.full(13, 2.0))
