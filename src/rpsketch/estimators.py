@@ -12,8 +12,9 @@ Three families:
 
 Every closed form (raw_values) reads a few per-pair statistics, from the
 simulation lab's float blocks (SampleStats) or from a packed SignStore
-scored through per-query byte tables (StoreStats).  Both add the mismatch
-weights in one order, so the lab and store values agree bitwise.
+scored through byte tables built for a group of queries at once
+(StoreStats).  Both add the mismatch weights in one order, so the lab and
+store values agree bitwise.
 
 Raw formula values may land outside [-1, 1]; results carry both the raw
 value and the clamped one with an explicit flag, because ranking wants
@@ -28,13 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mle
 from .errors import ContractError, DomainError, ShapeError
 from .names import Estimator
-from .projection import FullStore, SignStore, pack_signs, popcount, sum_product
+from .projection import FullStore, SignStore, pack_signs, sum_product
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 SQRT_TAU = math.sqrt(2.0 * math.pi)
+
+#: set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+
+#: a group of queries scores a sign store through about this many table
+#: values (16 queries at k = 256)
+_GROUP_VALUES = 1 << 17
 
 
 #: estimators that score a bit-packed SignStore; the others score a FullStore
@@ -90,23 +97,28 @@ def raw_values(estimator: Estimator, st: SampleStats | StoreStats) -> np.ndarray
     raise ContractError(f"estimator {estimator.cli_name!r} has no closed form")
 
 
-def full_mle(st: SampleStats) -> mle.MleBatch:
-    """Full-data MLE of each pair from its moments b = xy/k and m = (xx + yy)/k."""
+def full_mle(st: SampleStats):
+    """Full-data MLE of each pair from its moments b = xy/k and m = (xx + yy)/k,
+    as an mle.MleBatch."""
+    from . import mle
     if np.any(st.xx == 0.0) or np.any(st.yy == 0.0):
         raise DomainError("degenerate sketches")
     return mle.solve_full_batch(st.xy / st.k, (st.xx + st.yy) / st.k, st.k)
 
 
 def _mismatch_table(y: np.ndarray) -> np.ndarray:
-    """(ceil(k/8), 256) table: entry [p, v] sums |y_j| over the set bits of v
-    at byte p, adding them in ascending bit order onto entry 0 = 0.0."""
-    weights = np.zeros(8 * ((y.size + 7) // 8))
-    weights[:y.size] = np.abs(y)
-    weights = weights.reshape(-1, 8)
-    table = np.zeros((weights.shape[0], 256))
+    """(m, ceil(k/8), 256) tables of (m, k) queries: entry [q, p, v] sums
+    |y_qj| over the set bits of v at byte p, adding them in ascending bit
+    order onto entry 0 = 0.0."""
+    m, k = y.shape
+    weights = np.zeros((m, 8 * ((k + 7) // 8)))
+    weights[:, :k] = np.abs(y)
+    weights = weights.reshape(m, -1, 8)
+    table = np.empty((m, weights.shape[1], 256))
+    table[:, :, 0] = 0.0
     for bit in range(8):
         lo = 1 << bit
-        np.add(table[:, :lo], weights[:, bit:bit + 1], out=table[:, lo:2 * lo])
+        np.add(table[:, :, :lo], weights[:, :, bit:bit + 1], out=table[:, :, lo:2 * lo])
     return table
 
 
@@ -166,30 +178,45 @@ class SampleStats:
 
 
 class StoreStats:
-    """The statistics of SampleStats for every row of a sign store against one
-    query: mis is one lookup per byte of row XOR query signs in the query's
-    mismatch table, summed along the byte axis as SampleStats sums."""
+    """The statistics of SampleStats for every row of a sign store against a
+    group of (m, k) queries: matches and mis are (m, n) arrays, abs_sum and
+    yy (m, 1).  index is the store's bytes widened once per scoring call to
+    byte value + 256 * byte position, so row bytes XOR a query's sign bytes
+    index that query's flattened tables; a row's lookups are summed along the
+    byte axis as SampleStats sums."""
 
-    def __init__(self, store: SignStore, y: np.ndarray, yy: float):
-        self.k, self.y, self.yy = store.k, y, yy
-        self.diff = np.bitwise_xor(store.bits, pack_signs(y))
+    def __init__(self, index: np.ndarray, k: int, y: np.ndarray, yy: np.ndarray):
+        self.index, self.k, self.y, self.yy = index, k, y, yy[:, None]
 
-    @functools.cached_property
-    def matches(self) -> np.ndarray:
-        return self.k - popcount(self.diff).sum(axis=1)
+    def _lookup(self, tables: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out[q, i]: the sum of (m, 256 * ceil(k/8)) tables[q] over row i's
+        bytes XOR query q's sign bytes, one query at a time."""
+        idx = np.empty_like(self.index)
+        looked_up = np.empty(idx.shape, tables.dtype)
+        for q, signs in enumerate(pack_signs(self.y).astype(np.intp)):
+            np.bitwise_xor(self.index, signs, out=idx)
+            np.take(tables[q], idx, out=looked_up, mode="clip")
+            np.add.reduce(looked_up, axis=1, out=out[q])
+        return out
 
     @functools.cached_property
     def table(self) -> np.ndarray:
         return _mismatch_table(self.y)
 
     @functools.cached_property
-    def mis(self) -> np.ndarray:
-        offsets = 256 * np.arange(self.diff.shape[1], dtype=np.intp)
-        return np.take(self.table.ravel(), self.diff + offsets).sum(axis=1)
+    def matches(self) -> np.ndarray:
+        m, (n, width) = len(self.y), self.index.shape
+        popcounts = np.broadcast_to(np.tile(_POPCOUNT, width), (m, 256 * width))
+        return self.k - self._lookup(popcounts, np.empty((m, n), dtype=np.intp))
 
     @functools.cached_property
-    def abs_sum(self) -> float:
-        return self.table[:, 255].sum()
+    def mis(self) -> np.ndarray:
+        m, n = len(self.y), len(self.index)
+        return self._lookup(self.table.reshape(m, -1), np.empty((m, n)))
+
+    @functools.cached_property
+    def abs_sum(self) -> np.ndarray:
+        return np.ascontiguousarray(self.table[:, :, 255]).sum(axis=1, keepdims=True)
 
 
 def estimate_batch(store: SignStore | FullStore, queries: FullStore,
@@ -197,10 +224,12 @@ def estimate_batch(store: SignStore | FullStore, queries: FullStore,
     """Score every query row against every stored row: (n_query, n_store) arrays.
 
     A SignStore takes the SIGN_STORE_ESTIMATORS, a FullStore the others; any
-    other pairing raises ContractError before scoring.  Every query is scored
-    alone, so a row of the result equals the one-query result, and a one-row
-    store gives the value of that row in a larger store, bit for bit.  For
-    mle and mle-full, clamped is the solver's boundary flag.
+    other pairing raises ContractError before scoring.  The sign-store closed
+    forms take the queries in groups of about _GROUP_VALUES table values;
+    every query is scored through its own table, so a row of the result
+    equals the one-query result, and a one-row store gives the value of that
+    row in a larger store, bit for bit.  For mle and mle-full, clamped is the
+    solver's boundary flag.
     """
     sign = isinstance(store, SignStore)
     if (estimator in SIGN_STORE_ESTIMATORS) != sign:
@@ -211,11 +240,22 @@ def estimate_batch(store: SignStore | FullStore, queries: FullStore,
         raise ShapeError(f"k mismatch: queries {queries.k} vs store {store.k}")
     raw = np.empty((len(queries), n))
     flags = np.zeros(raw.shape, dtype=bool)
-    for i, (y, yy) in enumerate(zip(queries.values, queries.sumsq) if n else ()):
-        st = None if sign else SampleStats(store.values, y[None, :], xx=store.sumsq, yy=yy)
-        if estimator in (Estimator.MLE_FULL, Estimator.MLE_SIGN_FULL):
-            res = mle.mle_sign_full_store(store, y) if sign else full_mle(st)
+    if estimator in (Estimator.MLE_FULL, Estimator.MLE_SIGN_FULL):
+        from . import mle
+        for i, (y, yy) in enumerate(zip(queries.values, queries.sumsq) if n else ()):
+            res = (mle.mle_sign_full_store(store, y) if sign else
+                   full_mle(SampleStats(store.values, y[None, :], xx=store.sumsq, yy=yy)))
             raw[i], flags[i] = res.rho_hat, res.at_boundary
-        else:
-            raw[i] = raw_values(estimator, StoreStats(store, y, yy) if sign else st)
+    elif sign:
+        width = store.bits.shape[1]
+        index = store.bits.astype(np.intp)
+        index += 256 * np.arange(width)
+        group = max(1, _GROUP_VALUES // max(256 * width, 1))
+        for i in range(0, len(queries) if n else 0, group):
+            raw[i:i + group] = raw_values(estimator, StoreStats(
+                index, store.k, queries.values[i:i + group], queries.sumsq[i:i + group]))
+    else:
+        for i, (y, yy) in enumerate(zip(queries.values, queries.sumsq) if n else ()):
+            raw[i] = raw_values(estimator, SampleStats(
+                store.values, y[None, :], xx=store.sumsq, yy=yy))
     return BatchEstimate(raw, np.clip(raw, -1.0, 1.0), flags | (raw > 1.0) | (raw < -1.0))

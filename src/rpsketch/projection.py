@@ -24,8 +24,6 @@ _VERSION = 2  # Box–Muller normals; version 1 drew them by the inverse normal 
 KIND_SIGN = 0x00
 KIND_FULL = 0x01
 
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint16)
-
 # unions with more table entries than this are drawn per vector
 _ROW_CACHE_LIMIT = 50_000_000
 
@@ -192,11 +190,6 @@ def sign_array(s: SignStore) -> np.ndarray:
     """The (n, k) signs of a store as float64 +1/-1."""
     unpacked = np.unpackbits(s.bits, axis=-1, count=s.k, bitorder="little")
     return unpacked.astype(np.float64) * 2.0 - 1.0
-
-
-def popcount(arr: np.ndarray) -> np.ndarray:
-    """Per-byte set-bit counts via a 256-entry table."""
-    return _POPCOUNT[arr]
 
 
 def save_sketches(path, store: SignStore | FullStore) -> None:

@@ -234,16 +234,18 @@ def _powers_of_ten():
     """High and low words of the 128-bit mantissas of 10^q, q in [_Q_MIN,
     _Q_MAX], for the parser and _repr_mantissas: 5^q scaled into [2^127, 2^128),
     truncated for q >= 0 and rounded up for q < 0 (so that a decimal halfway case
-    computes at its midpoint or just above it), exactly from Python integers."""
-    rows = []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        if q >= 0:
-            m = 5**q
-            m = m >> max(m.bit_length() - 128, 0) << max(128 - m.bit_length(), 0)
-        else:
-            m = -(-(1 << (127 + (5**-q).bit_length())) // 5**-q)
-        rows.append((m >> 64, m & (1 << 64) - 1))
-    return np.array(rows, dtype=np.uint64).T.copy()
+    computes at its midpoint or just above it), exactly from Python integers:
+    one running power 5^e serves the rows of q = e and q = -e."""
+    rows = [0] * (_Q_MAX - _Q_MIN + 1)
+    power = 1  # 5^e
+    for e in range(max(_Q_MAX, -_Q_MIN) + 1):
+        bits = power.bit_length()
+        if e <= _Q_MAX:
+            rows[e - _Q_MIN] = power >> max(bits - 128, 0) << max(128 - bits, 0)
+        if 0 < e <= -_Q_MIN:
+            rows[-e - _Q_MIN] = -(-(1 << (127 + bits)) // power)
+        power *= 5
+    return np.array([(m >> 64, m & (1 << 64) - 1) for m in rows], dtype=np.uint64).T.copy()
 
 
 def _eisel_lemire(w, q):

@@ -8,7 +8,8 @@ query through one-row stores, the full-data MLE of one pair from its
 moments, and the planted corpus drawn one member at a time.  They also hold
 the references that only tests call: the counter stream's uniforms and
 normals broadcast over (seed, major, minor), the normal CDF of the MLE's
-erfcx kernel, and the half-line Gaussian integrals of the variance theory.
+erfcx kernel, the half-line Gaussian integrals of the variance theory, and
+the parser's table of powers of ten built one power at a time.
 The parity contract of the batch cores is that a one-row batch equals the
 same row of a larger batch, bit for bit.
 
@@ -272,3 +273,17 @@ def half_gaussian_cdf_integrals(rho: float) -> tuple[float, float, float]:
     else:  # pi - wedge(rho) = wedge(-rho): no cancellation as rho -> -1
         i3 = _wedge(-rho) / math.sqrt(2.0 * math.pi)
     return i1, i2, i3
+
+
+def powers_of_ten(q_min: int, q_max: int) -> np.ndarray:
+    """High and low words of the 128-bit mantissas of 10^q for q in [q_min,
+    q_max], one 5^|q| per row: truncated for q >= 0, rounded up for q < 0."""
+    rows = []
+    for q in range(q_min, q_max + 1):
+        if q >= 0:
+            m = 5**q
+            m = m >> max(m.bit_length() - 128, 0) << max(128 - m.bit_length(), 0)
+        else:
+            m = -(-(1 << (127 + (5**-q).bit_length())) // 5**-q)
+        rows.append((m >> 64, m & (1 << 64) - 1))
+    return np.array(rows, dtype=np.uint64).T.copy()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import Score, full_store, mle_full, mle_row, one_row, score_one, sign_store
 from rpsketch import (DomainError, Estimator, ShapeError, SignStore, estimate_batch, mle,
                       sign_quantize)
-from rpsketch import rng
+from rpsketch import estimators, rng
 from rpsketch.errors import ContractError, DegenerateInputError
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2)
@@ -395,6 +395,59 @@ class TestFullBatch:
         with pytest.raises(DomainError):
             estimate_batch(full_store(np.ones(4), np.zeros(4)),
                            full_store(np.ones(4)), Estimator.FULL_NORM)
+
+
+class TestGroupedScoring:
+    """The sign-store closed forms score a group of queries per table array;
+    every group's values equal one-query calls."""
+
+    @staticmethod
+    def _queries(k, seed):
+        """Two groups and three more queries of length k, some coordinates 0."""
+        group = max(1, estimators._GROUP_VALUES // (256 * ((k + 7) // 8)))
+        rng_ = np.random.default_rng(seed)
+        queries = rng_.standard_normal((2 * group + 3, k)) * rng_.exponential(size=(1, k))
+        queries[rng_.random(queries.shape) < 0.1] = 0.0
+        queries[:, 0] = 1.0  # nonzero, for the normalized estimators
+        return group, queries
+
+    @pytest.mark.parametrize("k", [1, 7, 9, 64, 256, 1000])
+    def test_groups_equal_one_query_calls(self, k):
+        group, queries = self._queries(k, seed=k)
+        assert len(queries) > 2 * group
+        store, _ = _random_store(k + 1, 13, k)
+        for est in _SIGN_STORE_CLOSED:
+            many = estimate_batch(store, full_store(*queries), est)
+            assert many.raw.shape == (len(queries), 13)
+            for j, q in enumerate(queries):
+                one = estimate_batch(store, full_store(q), est)
+                assert np.array_equal(many.raw[j], one.raw[0]), (est, j)
+                assert np.array_equal(many.rho_hat[j], one.rho_hat[0])
+                assert np.array_equal(many.clamped[j], one.clamped[0])
+
+    @pytest.mark.parametrize("k", [1, 7, 9, 64, 256, 1000])
+    def test_abs_sum_equals_one_table_column_sum(self, k):
+        # a reduction over column 255 of the group's (m, ceil(k/8), 256)
+        # tables must add as the column of one query's table and as the
+        # lab's byte partials do
+        _, queries = self._queries(k, seed=k + 2)
+        index = np.zeros((1, (k + 7) // 8), dtype=np.intp)
+        stats = estimators.StoreStats(index, k, queries, np.ones(len(queries)))
+        lab = estimators.SampleStats(queries, queries)
+        for j, q in enumerate(queries):
+            one = estimators._mismatch_table(q[None, :])[0]
+            assert stats.abs_sum[j, 0] == one[:, 255].sum() == lab.abs_sum[j]
+
+    @pytest.mark.parametrize("k", [9, 256])
+    def test_zero_query_in_a_later_group_rejected(self, k):
+        group, queries = self._queries(k, seed=3)
+        queries[group + 1] = 0.0
+        store, _ = _random_store(4, 5, k)
+        for est in (Estimator.G_NORM, Estimator.S_NORM):
+            with pytest.raises(DomainError, match="needs a nonzero query sketch"):
+                estimate_batch(store, full_store(*queries), est)
+        for est in (Estimator.SIGN_SIGN, Estimator.G, Estimator.S):
+            assert np.isfinite(estimate_batch(store, full_store(*queries), est).raw).all()
 
 
 class TestMonteCarloMoments:

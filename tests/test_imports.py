@@ -7,7 +7,8 @@ are a numpy product and the normal special functions of the MLE are a numpy
 erfcx, so no step loads a scipy module, the MLE steps included.  Importing
 numpy costs about as much again, and the package, the CLI shell and the
 closed-form variance factors need none of it: the package's public names
-and each subcommand's modules load on first use.  Each check runs in a
+and each subcommand's modules load on first use; an `estimate` or `bench`
+with closed forms alone loads no mle.  Each check runs in a
 fresh interpreter, because this test process has long since imported scipy
 and numpy (the tests use them as oracles); a static check guards imports on
 paths the steps below do not run.  A step builds only its own subcommand's
@@ -134,27 +135,45 @@ def test_lab_steps_build_no_parse_or_format_table(tmp_path):
     assert out.splitlines() == ["[0, 0, 0]", "[0, 0, 0]"]
 
 
-def readme_modules(subcommand: str) -> list[str]:
-    """The rpsketch modules README's table says a subcommand loads."""
+def readme_modules(row: str) -> list[str]:
+    """The rpsketch modules README's table says the step of a row loads."""
     for line in README.read_text(encoding="utf-8").splitlines():
         cells = [cell.strip() for cell in line.split("|")]
-        if len(cells) > 3 and cells[1] == f"`{subcommand}`":
+        if len(cells) > 3 and cells[1] == row:
             return [f"rpsketch.{name.strip(' `')}" for name in cells[2].split(",")]
-    raise AssertionError(f"no README row for {subcommand}")
+    raise AssertionError(f"no README row {row!r}")
+
+
+def loads_exactly_the_readme_rows(cases, cwd: Path) -> None:
+    """Each (README row, argv) step, run in a fresh interpreter after a sign
+    sketch of cwd/c.txt, loads exactly the rpsketch modules of its row."""
+    (cwd / "c.txt").write_text("1:1 3:2\n2:1\n1:0.5 2:2 3:1\n")
+    assert cold_cli("sketch", "--input", "c.txt", "--k", "16", "--seed", "3",
+                    "--out", "store.sfrp", cwd=cwd).returncode == 0
+    always = ["rpsketch.cli", "rpsketch.errors", "rpsketch.names"]
+    for row, argv in cases:
+        out = fresh(f"""
+            from rpsketch.cli import main
+            code = main({argv + ["--seed", "3", "--out", "out.csv"]!r})
+            print(code, sorted(m for m in sys.modules if m.startswith("rpsketch.")))
+        """, cwd)
+        assert out == f"0 {sorted(always + readme_modules(row))}", row
 
 
 def test_estimate_loads_exactly_the_modules_in_readme(tmp_path):
-    (tmp_path / "c.txt").write_text("1:1 3:2\n2:1\n1:0.5 2:2 3:1\n")
-    assert cold_cli("sketch", "--input", "c.txt", "--k", "16", "--seed", "3",
-                    "--out", "store.sfrp", cwd=tmp_path).returncode == 0
-    out = fresh("""
-        from rpsketch.cli import main
-        code = main(["estimate", "--store", "store.sfrp", "--queries", "c.txt",
-                     "--estimator", "s-norm", "--seed", "3", "--out", "scores.csv"])
-        print(code, sorted(m for m in sys.modules if m.startswith("rpsketch.")))
-    """, tmp_path)
-    always = ["rpsketch.cli", "rpsketch.errors", "rpsketch.names"]
-    assert out == f"0 {sorted(always + readme_modules('estimate'))}"
+    # a closed form loads no mle; the two MLE estimators do
+    estimate = ["estimate", "--store", "store.sfrp", "--queries", "c.txt", "--estimator"]
+    loads_exactly_the_readme_rows([
+        ("`estimate`, closed forms only", [*estimate, "s-norm"]),
+        ("`estimate` with `mle` or `mle-full`", [*estimate, "mle"])], tmp_path)
+
+
+def test_bench_loads_exactly_the_modules_in_readme(tmp_path):
+    bench = ["bench", "--train", "c.txt", "--query", "c.txt", "--k", "16", "--rho0", "0.5"]
+    loads_exactly_the_readme_rows([
+        ("`bench`, closed forms only, and `synth`", bench),
+        ("`bench` with `mle` or `mle-full`", [*bench, "--estimators", "s-norm,mle"])],
+        tmp_path)
 
 
 def test_package_cli_shell_and_closed_form_variance_table_load_no_numpy(tmp_path):

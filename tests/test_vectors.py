@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import corpus as make_corpus
-from oracles import cosine, normalize, rows
+from oracles import cosine, normalize, powers_of_ten, rows
 from rpsketch import (Corpus, DomainError, ShapeError, SparseTextError, load_sparse_text,
                       save_sparse_text, vectors)
 
@@ -690,6 +690,11 @@ class TestReprFormatter:
                 lhs, rhs = num * 2 ** max(q, 0), den * 2 ** max(-q, 0)  # 3/4 2^q = lhs/rhs
                 assert 10 ** max(k, 0) * rhs <= lhs * 10 ** max(-k, 0)
                 assert lhs * 10 ** max(-k - 1, 0) < 10 ** max(k + 1, 0) * rhs, q
+
+    def test_powers_of_ten_equal_one_power_per_row(self):
+        table = vectors._powers_of_ten()
+        assert table.shape == (2, vectors._Q_MAX - vectors._Q_MIN + 1)
+        assert np.array_equal(table, powers_of_ten(vectors._Q_MIN, vectors._Q_MAX))
 
     def test_power_table(self):
         ks = np.arange(-324, 293)  # the k of every positive normal double
