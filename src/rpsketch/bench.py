@@ -134,11 +134,6 @@ def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
     return out
 
 
-def _relevant(sims: np.ndarray, rho0: float) -> list[np.ndarray]:
-    """Per row of a cosine matrix, the column indices whose cosine is >= rho0."""
-    return [np.nonzero(row >= rho0)[0] for row in sims]
-
-
 def rank_queries(store: SignStore | FullStore, queries: FullStore,
                  estimator: Estimator) -> np.ndarray:
     """(n_query, n_store) training indices by descending estimate, ties by
@@ -147,40 +142,32 @@ def rank_queries(store: SignStore | FullStore, queries: FullStore,
                       axis=1, kind="stable")
 
 
-def pr_curve(rankings: Sequence[np.ndarray],
-             relevance: Sequence[np.ndarray],
+def pr_curve(rankings: np.ndarray, relevant: np.ndarray,
              l_grid: Sequence[int] | None = None) -> Curve:
     """Precision and recall at each L, averaged over queries with relevant
     points, as the columns (L, precision, recall).
 
-    Rankings share one length n, relevance indices lie in 0..n-1.  Queries
-    with empty relevance sets have undefined recall and are excluded from the
-    averages; if every query is empty the curve is empty too.
+    rankings holds each query's ranked point indices as a row; relevant,
+    boolean and of the same shape, is true at [q, i] where point i is
+    relevant to query q.  Queries with none have undefined recall and are
+    left out of the averages (an empty curve if all are).  Queries are
+    added in order: np.add.reduce would add a narrow grid's pairwise.
     """
-    if len(rankings) != len(relevance):
-        raise ShapeError("need one relevance set per ranking")
-    if not len(rankings):
-        return _EMPTY_CURVE
-    n = len(rankings[0])
-    if any(len(ranked) != n for ranked in rankings):
-        raise ShapeError("rankings differ in length")
+    rankings, relevant = np.asarray(rankings), np.asarray(relevant, dtype=bool)
+    if rankings.ndim != 2 or rankings.shape != relevant.shape:
+        raise ShapeError(f"need 2-d rankings and relevance of one shape, not "
+                         f"{rankings.shape} and {relevant.shape}")
+    n = rankings.shape[1]
     ls = np.arange(1, n + 1) if l_grid is None else check_l_grid(l_grid, n)
-    kept = [q for q, rel in enumerate(relevance) if len(rel)]
-    if not kept:
+    sizes = relevant.sum(axis=1)
+    kept = sizes > 0
+    if not kept.any():
         return _EMPTY_CURVE
-    sizes = np.array([len(relevance[q]) for q in kept])
-    rel = np.concatenate([relevance[q] for q in kept])
-    if rel.min() < 0 or rel.max() >= n:
-        raise ShapeError(f"relevance indices must lie in 0..{n - 1}")
-    mask = np.zeros((len(kept), n), dtype=bool)
-    mask[np.repeat(np.arange(len(kept)), sizes), rel] = True
-    ranked = np.asarray([rankings[q] for q in kept])
-    hits = np.cumsum(np.take_along_axis(mask, ranked, axis=1), axis=1)[:, ls - 1]
-    prec_sum, rec_sum = np.zeros(ls.size), np.zeros(ls.size)
-    for prec, rec in zip(hits / ls, hits / sizes[:, None]):  # in query order
-        prec_sum += prec
-        rec_sum += rec
-    return ls, prec_sum / len(kept), rec_sum / len(kept)
+    sizes = sizes[kept]
+    hits = np.take_along_axis(relevant[kept], rankings[kept], axis=1).cumsum(axis=1)[:, ls - 1]
+    prec_sum, rec_sum = (np.add.accumulate(part, axis=0)[-1]
+                         for part in (hits / ls, hits / sizes[:, None]))
+    return ls, prec_sum / sizes.size, rec_sum / sizes.size
 
 
 def interpolated_precision(curve: Curve, recall_level: float) -> float:
@@ -208,9 +195,9 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     if l_grid is not None:
         check_l_grid(l_grid, len(train))
     sims = exact_cosines(train, queries)
-    relevance = {r0: _relevant(sims, r0) for r0 in rho0s}
-    for r0, rel in relevance.items():
-        if rel and not any(map(len, rel)):
+    relevant = {r0: sims >= r0 for r0 in rho0s}
+    for r0, rel in relevant.items():
+        if len(rel) and not rel.any():
             import logging  # only here: most runs warn of nothing
 
             logging.getLogger(__name__).warning(
@@ -231,7 +218,7 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
         for est in estimators:
             rankings = rank_queries(store, query_sketches, est)
             for r0 in rho0s:
-                rows.append((est, float(r0), pcfg.k, pr_curve(rankings, relevance[r0], l_grid)))
+                rows.append((est, float(r0), pcfg.k, pr_curve(rankings, relevant[r0], l_grid)))
     return rows
 
 

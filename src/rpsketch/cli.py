@@ -181,81 +181,18 @@ def _byte_sink(path):
     yield buffer.write if buffer else lambda data: sys.stdout.write(bytes(data).decode())
 
 
-def _score_rows(n: int, n_queries: int, per_block: int, estimator: str):
-    """render(first, res): the CSV rows query,train,estimator,rho_hat,clamped
-    of the BatchEstimate res of queries first, first + 1, ... against an
-    n-row store, as csv.writer writes them (no field needs quoting, floats
-    by repr, flags as True/False), as a uint8 array.
-
-    A block's rows are the rows of one byte matrix: the query's digits,
-    ",{train},{estimator},", the repr template and the flag (",True\\n" or
-    ",False\\n" as one padded 8-byte word), with a mask that keeps each
-    row's bytes.  The middle two are written once."""
-    import numpy as np
-
-    from .vectors import REPR_TEMPLATE, int_chars, write_reprs
-
-    width = len(str(max(n_queries - 1, 0)))
-    train, train_keep = int_chars(np.arange(n), len(str(n - 1)))
-    name = np.frombuffer(f",{estimator},".encode(), np.uint8)
-    at = width + 1 + train.shape[1] + name.size  # where the repr template starts
-    end = at + REPR_TEMPLATE.size
-    chars = np.empty((min(per_block, n_queries) * n, end + 8), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    for table, train_part in ((chars, train), (keep, train_keep)):
-        table.reshape(-1, n, table.shape[1])[:, :, width + 1:at - name.size] = train_part
-    chars[:, width], chars[:, at - name.size:at] = ord(","), name
-    chars[:, at:end] = REPR_TEMPLATE
-    flags = np.frombuffer(b",False\n ,True\n  ", ">u8")
-    flag_keep = np.frombuffer(bytes([1] * 7 + [0] + [1] * 6 + [0] * 2), ">u8")
-
-    def render(first: int, res) -> np.ndarray:
-        c, k = chars[:res.rho_hat.size], keep[:res.rho_hat.size]
-        head, head_keep = int_chars(np.arange(first, first + len(res.rho_hat)), width)
-        c.reshape(-1, n, c.shape[1])[:, :, :width] = head[:, None]
-        k.reshape(-1, n, k.shape[1])[:, :, :width] = head_keep[:, None]
-        write_reprs(res.rho_hat.ravel(), c[:, at:end], k[:, at:end])
-        clamped = res.clamped.ravel().view(np.uint8)
-        c[:, end:].view(">u8")[:, 0] = flags.take(clamped)
-        k.view(np.uint8)[:, end:].view(">u8")[:, 0] = flag_keep.take(clamped)
-        return c[k]
-
-    return render
-
-
 def _curve_rows(grid):
     """The CSV rows estimator,rho0,k,L,precision,recall of benchmark_grid's
     curves, in order, as csv.writer writes them (no field needs quoting,
-    floats by repr), as a uint8 array.
-
-    Each point is a row of one byte matrix: its curve's "{estimator},{rho0},{k},"
-    from a table of them, the digits of L, a comma, the repr template, a
-    comma, the repr template and a newline, with a mask that keeps its bytes."""
+    floats by repr), as a uint8 array."""
     import numpy as np
 
-    from .vectors import REPR_TEMPLATE, int_chars, write_reprs
+    from .vectors import text_rows
 
     heads = [f"{est.cli_name},{rho0!r},{k},".encode() for est, rho0, k, _ in grid]
-    ls, precision, recall = (np.concatenate([curve[i] for *_, curve in grid]) for i in range(3))
-    head_chars = np.zeros((len(heads), max(map(len, heads))), dtype=np.uint8)
-    head_keep = np.zeros(head_chars.shape, dtype=bool)
-    for row, head in enumerate(heads):
-        head_chars[row, :len(head)] = np.frombuffer(head, np.uint8)
-        head_keep[row, :len(head)] = True
     curve_of = np.repeat(np.arange(len(grid)), [curve[0].size for *_, curve in grid])
-    width = len(str(ls.max())) if ls.size else 1
-    at = head_chars.shape[1] + width  # where the first comma goes
-    end = at + 2 * (1 + REPR_TEMPLATE.size)
-    chars = np.empty((ls.size, end + 1), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[:, :at - width], keep[:, :at - width] = head_chars[curve_of], head_keep[curve_of]
-    chars[:, at - width:at], keep[:, at - width:at] = int_chars(ls, width)
-    for column, values in ((at, precision), (at + 1 + REPR_TEMPLATE.size, recall)):
-        field = slice(column + 1, column + 1 + REPR_TEMPLATE.size)
-        chars[:, column], chars[:, field] = ord(","), REPR_TEMPLATE
-        write_reprs(values, chars[:, field], keep[:, field])
-    chars[:, end] = ord("\n")
-    return chars[keep]
+    ls, precision, recall = (np.concatenate([curve[i] for *_, curve in grid]) for i in range(3))
+    return text_rows((heads, curve_of), ls, b",", precision, b",", recall, b"\n")
 
 
 def _cmd_estimate(args) -> int:
@@ -269,7 +206,7 @@ def _cmd_estimate(args) -> int:
 
     from .estimators import estimate_batch
     from .projection import FullStore, ProjectionConfig, load_sketches, project_corpus
-    from .vectors import load_sparse_text
+    from .vectors import load_sparse_text, text_rows
 
     store = load_sketches(args.store)
     if store.k > MAX_K:  # the query sketches and per-query tables grow with k
@@ -284,12 +221,15 @@ def _cmd_estimate(args) -> int:
         return 0
     qs = project_corpus(queries, ProjectionConfig(store.k, args.seed), threads=args.threads)
     per_block = max(1, _BLOCK_PAIRS // len(store))
-    rows = _score_rows(len(store), len(qs), per_block, estimator.cli_name)
+    train, name = np.arange(len(store)), f",{estimator.cli_name},".encode()
 
-    def block(first: int):
-        end = first + per_block
-        return rows(first, estimate_batch(
-            store, FullStore(qs.values[first:end], qs.sumsq[first:end]), estimator))
+    def block(lo: int):
+        """The CSV rows of queries lo, lo + 1, ... as csv.writer writes them
+        (no field needs quoting, floats by repr, flags as True/False)."""
+        hi = min(lo + per_block, len(qs))
+        res = estimate_batch(store, FullStore(qs.values[lo:hi], qs.sumsq[lo:hi]), estimator)
+        return text_rows(np.arange(lo, hi)[:, None], b",", train, name, res.rho_hat,
+                         ([b",False\n", b",True\n"], res.clamped))
 
     first = block(0)  # a store of the wrong kind raises here, before --out is opened
     with _byte_sink(args.out) as write:
@@ -303,7 +243,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_variance_table(args) -> int:
     estimators = _parse_estimators(args.estimators)
     grid = _parse_rho_grid(args.rho_grid)
-    _at_most("--mle-samples", MAX_MLE_SAMPLES, args.mle_samples)
+    samples = {} if args.mle_samples is None else {"samples": args.mle_samples}
+    _at_most("--mle-samples", MAX_MLE_SAMPLES, *samples.values())
     from . import variance as var_mod
 
     rows = []
@@ -311,7 +252,7 @@ def _cmd_variance_table(args) -> int:
         for est in estimators:
             if est is Estimator.MLE_SIGN_FULL:
                 vf = var_mod.mle_variance_factor(
-                    rho, var_mod.FisherConfig(args.mle_samples, args.seed),
+                    rho, var_mod.FisherConfig(seed=args.seed, **samples),
                     threads=args.threads)
             else:
                 vf = var_mod.v_factor(est, rho)
@@ -398,14 +339,13 @@ def _cmd_bench(args) -> int:
 def _cmd_synth(args) -> int:
     _at_most("(--clusters + --train + --query) * --dim", MAX_SYNTH_VALUES,
              (args.clusters + args.train + args.query) * args.dim)
-    levels = _parse_levels(args.levels) if args.levels else ((0.05, 4), (0.30, 3),
-                                                             (1.50, 3))
+    levels = {"spread_levels": _parse_levels(args.levels)} if args.levels else {}
     from . import bench as bench_mod
     from .vectors import save_sparse_text
 
     train, queries = bench_mod.make_clustered_corpus(
         args.seed, dim=args.dim, n_clusters=args.clusters,
-        n_train=args.train, n_queries=args.query, spread_levels=levels)
+        n_train=args.train, n_queries=args.query, **levels)
     save_sparse_text(args.out_train, train)
     save_sparse_text(args.out_query, queries)
     return 0
@@ -427,7 +367,7 @@ _COMMANDS = {
     "variance-table": ("closed-form variance factors", _cmd_variance_table, {
         "--estimators": dict(required=True),
         "--rho-grid": dict(required=True, help="start:stop:step"),
-        "--mle-samples": dict(type=int, default=1_000_000)}),
+        "--mle-samples": dict(type=int, default=None)}),
     "simulate": ("empirical bias/variance/MSE", _cmd_simulate, {
         "--rho": dict(type=float, required=True),
         "--k": dict(type=int, required=True),

@@ -38,7 +38,7 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        object.__setattr__(self, "seed", int(rng._seed_word(self.seed)))
+        object.__setattr__(self, "seed", int(rng.seed_word(self.seed)))
 
 
 def sum_product(a: np.ndarray, b: np.ndarray):

@@ -51,7 +51,7 @@ def _mix64(z) -> np.ndarray:
     return z
 
 
-def _seed_word(seed) -> np.uint64:
+def seed_word(seed) -> np.uint64:
     """The seed as a 64-bit word: ConfigError unless it is an integer in [0, 2^64)."""
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
         raise ConfigError(f"seed must be an integer in [0, 2**64), not {seed!r}")
@@ -61,7 +61,7 @@ def _seed_word(seed) -> np.uint64:
 def _keys(seed, major) -> np.ndarray:
     """Mixed (seed, major) words: the first two links of the chain."""
     with np.errstate(over="ignore"):
-        key = _mix64(np.array(_seed_word(seed), dtype=np.uint64))
+        key = _mix64(np.array(seed_word(seed), dtype=np.uint64))
         return _mix64(key + _GAMMA_MAJOR * np.asarray(major, dtype=np.uint64))
 
 

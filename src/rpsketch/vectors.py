@@ -33,8 +33,8 @@ _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _Q_MIN, _Q_MAX = -348, 347  # powers of ten in the table of the parser and the formatter
 _FORMAT_CHUNK = 1 << 13  # values per pass of the repr formatter
 _WRITE_PAIRS = 1 << 16  # pairs per block of save_sparse_text
-# the formatter's template row and its column groups (see write_reprs)
-REPR_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"e+000", np.uint8)
+# the formatter's template row and its column groups (see _write_reprs)
+_REPR_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"e+000", np.uint8)
 _T_DIGITS, _T_POINT, _T_AFTER, _T_EXP = 6, 23, 24, 40
 _FREE = np.r_[_T_DIGITS:_T_POINT, _T_AFTER:_T_EXP]  # digit columns, for repr's own bytes
 _ZEROS = 0x3030303030303030  # b"0" * 8 as a word
@@ -398,27 +398,28 @@ def _word_column(a, col):
     return a[:, col:col + 8].view(">u8")[:, 0]
 
 
-def int_chars(x, width: int):
-    """(len(x), width) ASCII digits of integers in [0, 10^width), right
-    aligned with leading zeros, and masks that keep each one's digits from
-    its first nonzero one (its last, for 0)."""
+def _write_ints(x, chars, keep):
+    """Write the digits of integers x in [0, 10^width) as chars[i][keep[i]]
+    into uint8 and bool arrays (or views) of len(x) rows and width columns:
+    right aligned, the masks dropping leading zeros (all but the last of 0)."""
     x = np.asarray(x).astype(np.uint64)
+    width = chars.shape[1]
     digits = np.searchsorted(_POW10[1:width], x, side="right") + 1
     words = np.empty((x.size, -(-width // 8)), dtype=">u8")
     for j in range(words.shape[1] - 1, -1, -1):  # 8 digits a word, the last first
         words[:, j], x = _eight_digits(x % 10**8) | _ZEROS, x // 10**8
-    chars = words.view(np.uint8)[:, 8 * words.shape[1] - width:]
+    chars[...] = words.view(np.uint8)[:, 8 * words.shape[1] - width:]
     tails = np.arange(width) >= width - np.arange(width + 1)[:, None]
-    return chars, tails.take(digits, axis=0)
+    np.take(tails, digits, axis=0, out=keep, mode="clip")
 
 
 @functools.cache
 def _repr_layouts():
-    """Keep-masks of REPR_TEMPLATE, one per layout: 17 (E + 4) + n - 1 for
+    """Keep-masks of _REPR_TEMPLATE, one per layout: 17 (E + 4) + n - 1 for
     fixed notation (decimal exponent E in [-4, 15], n significant digits),
     340 + 2 (n - 1) + [|E| >= 100] for exponent notation, and these plus
     374 with the minus sign."""
-    masks = np.zeros((748, REPR_TEMPLATE.size), dtype=bool)
+    masks = np.zeros((748, _REPR_TEMPLATE.size), dtype=bool)
     for layout in range(374):
         keep = masks[layout]
         if layout < 340:
@@ -444,9 +445,9 @@ def _exponent_chars():
     return np.array([[*f"{e:+04d}".encode()] for e in range(-330, 331)], dtype=np.uint8)
 
 
-def write_reprs(x, chars, keep):
+def _write_reprs(x, chars, keep):
     """Write repr(x[i]) for float64 x as the bytes chars[i][keep[i]], into
-    uint8 and bool arrays (or views) of len(x) rows as wide as REPR_TEMPLATE,
+    uint8 and bool arrays (or views) of len(x) rows as wide as _REPR_TEMPLATE,
     whose chars rows hold it; only its digit and exponent columns change.
 
     Every repr is a subsequence of the template: a minus; "0.000" for fixed
@@ -490,6 +491,56 @@ def write_reprs(x, chars, keep):
             mask[i, _FREE[:text.size]] = True
 
 
+def text_rows(*columns) -> np.ndarray:
+    """The bytes of rows of text, as a uint8 array: in each row one field
+    per column, joined as they are.  A column is bytes, the same text in
+    every row; an array of integers in [0, 2^64), their digits; a float64
+    array, repr's bytes; or a pair (list of bytes, index array), the text
+    that each index picks.  The arrays broadcast together, and the rows
+    come in C order of their shape.
+
+    The rows are those of one byte matrix, with a mask that keeps each
+    row's bytes.  Each distinct value is rendered once and spread over the
+    rows; an array of the full shape is rendered in its field."""
+    fields = []  # per column: the values or picks, and the field's width
+    for col in columns:
+        if isinstance(col, bytes):
+            col = [col], np.intp(0)
+        if isinstance(col, tuple):
+            a, width = np.asarray(col[1]), max(map(len, col[0]), default=0)
+        else:
+            a = np.asarray(col)
+            width = (_REPR_TEMPLATE.size if a.dtype == np.float64
+                     else len(str(a.max())) if a.size else 1)
+        fields.append((col, a, width))
+    shape = np.broadcast_shapes(*(a.shape for _, a, _ in fields))
+    chars = np.empty((math.prod(shape), sum(width for *_, width in fields)), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    hi = 0
+    for col, a, width in fields:
+        lo, hi = hi, hi + width
+        if isinstance(col, tuple):
+            table = np.frombuffer(b"".join(text.ljust(width) for text in col[0]), np.uint8)
+            parts = (table.reshape(len(col[0]), width),
+                     np.arange(width) < np.array([len(text) for text in col[0]])[:, None])
+            parts = [part.take(a, axis=0) for part in parts]
+        else:
+            in_place = a.size == len(chars)  # the full shape
+            parts = (chars[:, lo:hi], keep[:, lo:hi]) if in_place else (
+                np.empty((a.size, width), dtype=np.uint8), np.empty((a.size, width), bool))
+            if a.dtype == np.float64:
+                parts[0][...] = _REPR_TEMPLATE
+                _write_reprs(a.ravel(), *parts)
+            else:
+                _write_ints(a.ravel(), *parts)
+            if in_place:
+                continue
+            parts = [part.reshape(*a.shape, width) for part in parts]
+        for whole, part in zip((chars, keep), parts):
+            whole.reshape(*shape, whole.shape[1])[..., lo:hi] = part
+    return chars[keep]
+
+
 def load_sparse_text(path, dim: int | None = None) -> Corpus:
     """Load a sparse text corpus; every vector is unit-normalized.
 
@@ -522,30 +573,22 @@ def save_sparse_text(path, corpus: Corpus) -> None:
     """Write a corpus in the 1-based sparse text format (no labels): each
     row's ``index:repr(value)`` pairs joined by spaces, then a newline.
 
-    Pairs are formatted in blocks of _WRITE_PAIRS, one row of a byte matrix
-    each (index digits, ':', the repr template, a space or the row's
-    newline) whose mask keeps the pair's bytes."""
+    Pairs are written in blocks of _WRITE_PAIRS by text_rows, each with its
+    space or its row's newline; the newline of an empty row goes before the
+    pair after it, which starts after the block's separator before it."""
     indptr, nnz = corpus.indptr, corpus.indices.size
     sizes = np.diff(indptr)
     ends = np.zeros(nnz, dtype=bool)  # the last pair of its row
     ends[indptr[1:][sizes > 0] - 1] = True
     empty = indptr[:-1][sizes == 0]  # the pairs that an empty row's newline precedes
-    width = len(str(int(corpus.indices.max()) + 1)) if nnz else 1
-    chars = np.empty((min(nnz, _WRITE_PAIRS), width + 2 + REPR_TEMPLATE.size), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[:, width] = ord(":")
-    chars[:, width + 1:-1] = REPR_TEMPLATE
     with open(path, "wb") as fh:
         for lo in range(0, nnz, _WRITE_PAIRS):
             hi = min(lo + _WRITE_PAIRS, nnz)
-            c, k = chars[:hi - lo], keep[:hi - lo]
-            c[:, :width], k[:, :width] = int_chars(corpus.indices[lo:hi] + 1, width)
-            write_reprs(corpus.values[lo:hi], c[:, width + 1:-1], k[:, width + 1:-1])
-            c[:, -1] = np.where(ends[lo:hi], ord("\n"), ord(" "))
-            text = c[k]
+            text = text_rows(corpus.indices[lo:hi] + 1, b":", corpus.values[lo:hi],
+                             ([b" ", b"\n"], ends[lo:hi]))
             before = empty[(empty >= lo) & (empty < hi)] - lo
-            if before.size:
-                offsets = np.concatenate(([0], np.cumsum(k.sum(axis=1))))
-                text = np.insert(text, offsets[before], ord("\n"))
+            if before.size:  # no byte of a pair is a space or a newline
+                starts = np.flatnonzero(text <= ord(" ")) + 1
+                text = np.insert(text, np.concatenate(([0], starts))[before], ord("\n"))
             fh.write(text)
         fh.write(b"\n" * int(np.count_nonzero(empty >= nnz)))

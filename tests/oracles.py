@@ -5,7 +5,8 @@ the one-vector forms: a projection as one vector-matrix product, sign
 agreement by unpacked bits, exact cosine by a sparse dot product, one pair
 of the bivariate counter stream, the score of one stored row against one
 query through one-row stores, the full-data MLE of one pair from its
-moments, and the planted corpus drawn one member at a time.  They also hold
+moments, the planted corpus drawn one member at a time, and a
+precision-recall curve added up one query at a time.  They also hold
 the references that only tests call: the counter stream's uniforms and
 normals broadcast over (seed, major, minor), the normal CDF of the MLE's
 erfcx kernel, the half-line Gaussian integrals of the variance theory, and
@@ -287,3 +288,24 @@ def powers_of_ten(q_min: int, q_max: int) -> np.ndarray:
             m = -(-(1 << (127 + (5**-q).bit_length())) // 5**-q)
         rows.append((m >> 64, m & (1 << 64) - 1))
     return np.array(rows, dtype=np.uint64).T.copy()
+
+
+def pr_curve(rankings, relevance, l_grid=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The precision-recall curve (L, precision, recall) of rankings with
+    per-query lists of relevant indices: each query with relevant points
+    counted by its own cumsum and added onto running sums of 0.0 in query
+    order, then averaged over those queries; empty columns if there are none."""
+    n = len(rankings[0]) if len(rankings) else 0
+    ls = np.arange(1, n + 1) if l_grid is None else np.asarray(sorted(l_grid))
+    prec_sum, rec_sum, included = np.zeros(ls.size), np.zeros(ls.size), 0
+    for ranked, rel in zip(rankings, relevance):
+        if len(rel):
+            included += 1
+            mask = np.zeros(n, dtype=bool)
+            mask[rel] = True
+            hits = np.cumsum(mask[ranked])[ls - 1]
+            prec_sum += hits / ls
+            rec_sum += hits / len(rel)
+    if not included:
+        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+    return ls, prec_sum / included, rec_sum / included

@@ -7,19 +7,28 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import clustered_corpus, corpus, cosine, full_store, normalize, rows, sign_store
 from rpsketch import (Corpus, Estimator, ProjectionConfig, benchmark_grid,
                       interpolated_precision, make_clustered_corpus, pr_curve,
                       project_corpus, rank_queries, sign_quantize)
 from rpsketch import bench
-from rpsketch.bench import _relevant, exact_cosines
+from rpsketch.bench import exact_cosines
 from rpsketch.errors import ConfigError, ContractError, DomainError, ShapeError
 from rpsketch.vectors import load_sparse_text
 
 
 def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
     """Per query, the training indices whose exact cosine is >= rho0."""
-    return _relevant(exact_cosines(train, queries), rho0)
+    return [np.flatnonzero(row >= rho0) for row in exact_cosines(train, queries)]
+
+
+def relevant(n: int, *sets) -> np.ndarray:
+    """The boolean (len(sets), n) relevance matrix of per-query index lists."""
+    out = np.zeros((len(sets), n), dtype=bool)
+    for row, indices in zip(out, sets):
+        row[list(indices)] = True
+    return out
 
 
 def to_dense(c: Corpus) -> np.ndarray:
@@ -347,90 +356,76 @@ class TestRankQueries:
 
 class TestPrCurve:
     def test_hand_enumeration(self):
-        ranking = np.array([2, 0, 4, 1, 3])
-        relevance = np.array([0, 4])
-        curve = pr_curve([ranking], [relevance])
+        ranking = np.array([[2, 0, 4, 1, 3]])
+        curve = pr_curve(ranking, relevant(5, [0, 4]))
         expected = [(1, 0.0, 0.0), (2, 1 / 2, 1 / 2), (3, 2 / 3, 1.0),
                     (4, 2 / 4, 1.0), (5, 2 / 5, 1.0)]
         assert points(curve) == expected
 
     def test_perfect_prefix(self):
-        ls, precision, recall = pr_curve([np.array([1, 0, 2])], [np.array([0, 1])],
-                                         l_grid=[2])
+        ls, precision, recall = pr_curve(np.array([[1, 0, 2]]), relevant(3, [0, 1]), l_grid=[2])
         assert ls.tolist() == [2] and precision[0] == 1.0 and recall[0] == 1.0
 
     def test_recall_one_at_full_sweep(self):
-        ranking = np.array([3, 1, 0, 2])
-        _, _, recall = pr_curve([ranking], [np.array([0])])
+        _, _, recall = pr_curve(np.array([[3, 1, 0, 2]]), relevant(4, [0]))
         assert recall[-1] == 1.0
 
     def test_recall_monotone(self):
         rng_ = np.random.default_rng(4)
-        ranking = rng_.permutation(40)
-        rel = rng_.choice(40, size=7, replace=False)
-        _, _, recalls = pr_curve([ranking], [rel])
+        ranking = rng_.permutation(40)[None]
+        _, _, recalls = pr_curve(ranking, relevant(40, rng_.choice(40, size=7, replace=False)))
         assert recalls.size == 40 and np.all(np.diff(recalls) >= 0.0)
 
     def test_empty_relevance_excluded_from_average(self):
-        r1 = np.array([0, 1, 2])
-        r2 = np.array([2, 1, 0])
-        _, precision, recall = pr_curve([r1, r2], [np.array([0]), np.array([], dtype=int)])
+        rankings = np.array([[0, 1, 2], [2, 1, 0]])
+        _, precision, recall = pr_curve(rankings, relevant(3, [0], []))
         # only the first query counts
         assert precision[0] == 1.0 and recall[0] == 1.0
 
     def test_all_empty_gives_empty_curve(self):
-        curve = pr_curve([np.array([0, 1])], [np.array([], dtype=int)])
+        curve = pr_curve(np.array([[0, 1]]), relevant(2, []))
         assert len(curve) == 3 and all(column.size == 0 for column in curve)
         assert points(curve) == [] and interpolated_precision(curve, 0.5) == 0.0
+        curve = pr_curve(np.zeros((0, 3), dtype=np.intp), np.zeros((0, 3), dtype=bool))
+        assert all(column.size == 0 for column in curve)  # no query at all
 
     def test_integer_products_before_averaging(self):
-        ranking = np.array([4, 2, 0, 3, 1])
-        rel = np.array([2, 3])
-        for L, precision, recall in points(pr_curve([ranking], [rel])):
+        rel = [2, 3]
+        for L, precision, recall in points(pr_curve(np.array([[4, 2, 0, 3, 1]]),
+                                                    relevant(5, rel))):
             assert (precision * L) == pytest.approx(round(precision * L))
             assert (recall * len(rel)) == pytest.approx(round(recall * len(rel)))
 
     def test_l_grid_validated(self):
         with pytest.raises(ConfigError):
-            pr_curve([np.array([0, 1])], [np.array([0])], l_grid=[5])
+            pr_curve(np.array([[0, 1]]), relevant(2, [0]), l_grid=[5])
 
     def test_repeated_l_refused(self):
         # a repeated L used to give its curve point twice
         with pytest.raises(ConfigError, match="distinct"):
-            pr_curve([np.array([0, 1])], [np.array([0])], l_grid=[1, 2, 1])
+            pr_curve(np.array([[0, 1]]), relevant(2, [0]), l_grid=[1, 2, 1])
 
-    def test_negative_relevance_index_rejected(self):
-        # -1 used to wrap to item 2 and report recall 1.0 at L = 3
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (1, 4)],
+                             ids=["more-rows", "narrower", "wider"])
+    def test_relevance_of_another_shape_rejected(self, shape):
+        # one relevance row per ranking, as wide as the rankings
         with pytest.raises(ShapeError):
-            pr_curve([np.array([0, 1, 2])], [np.array([-1])])
+            pr_curve(np.array([[0, 1, 2]]), np.zeros(shape, dtype=bool))
 
-    def test_relevance_index_past_the_end_rejected(self):
+    def test_rankings_not_a_matrix_rejected(self):
         with pytest.raises(ShapeError):
-            pr_curve([np.array([0, 1, 2])], [np.array([0, 3])])
+            pr_curve(np.array([0, 1, 2]), np.array([True, False, False]))
 
-    def test_rankings_of_unequal_length_rejected(self):
-        with pytest.raises(ShapeError):
-            pr_curve([np.array([0, 1, 2]), np.array([1, 0])], [np.array([0]), np.array([1])])
-
-    @pytest.mark.parametrize("l_grid", [None, [1, 3, 17, 40]])
+    @pytest.mark.parametrize("l_grid", [None, [1, 3, 17, 40], [7], [40, 1], [2, 5, 9]])
     def test_matches_per_query_loop_bitwise(self, l_grid):
         gen = np.random.default_rng(9)
         n = 40
-        rankings = [gen.permutation(n) for _ in range(30)]
-        relevance = [gen.choice(n, size=gen.integers(0, 12), replace=False)
-                     for _ in range(30)]
-        ls = np.arange(1, n + 1) if l_grid is None else np.asarray(l_grid)
-        prec_sum, rec_sum, included = np.zeros(ls.size), np.zeros(ls.size), 0
-        for ranked, rel in zip(rankings, relevance):
-            if len(rel):
-                included += 1
-                mask = np.zeros(n, dtype=bool)
-                mask[rel] = True
-                hits = np.cumsum(mask[ranked])[ls - 1]
-                prec_sum += hits / ls
-                rec_sum += hits / len(rel)
-        assert points(pr_curve(rankings, relevance, l_grid)) == [
-            (int(l), p / included, r / included) for l, p, r in zip(ls, prec_sum, rec_sum)]
+        rankings = np.array([gen.permutation(n) for _ in range(30)])
+        relevance = [gen.choice(n, size=gen.integers(0, 12), replace=False) for _ in range(30)]
+        got = pr_curve(rankings, relevant(n, *relevance), l_grid)
+        want = oracles.pr_curve(rankings, relevance, l_grid)
+        assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
+        assert got[0].size == (n if l_grid is None else len(l_grid))
 
 
 class TestInterpolatedPrecision:
@@ -554,7 +549,7 @@ class TestSharedGrid:
         rows = benchmark_grid(train, queries, self.KS, [0.3], estimators, 21, threads=2)
         monkeypatch.undo()
         want_ranked, want_rows = [], []
-        relevance = ground_truth(train, queries, 0.3)
+        relevance = exact_cosines(train, queries) >= 0.3
         for k in self.KS:
             cfg = ProjectionConfig(k, 21)
             store = sign_quantize(project_corpus(train, cfg))

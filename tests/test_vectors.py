@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import sys
 import tracemalloc
@@ -553,13 +555,8 @@ class TestDecimalKernel:
 
 
 def _reprs(x):
-    """write_reprs of float64 x, joined by newlines, as bytes."""
-    chars = np.tile(vectors.REPR_TEMPLATE, (x.size, 1))
-    keep = np.empty(chars.shape, bool)
-    vectors.write_reprs(x, chars, keep)
-    chars = np.concatenate([chars, np.full((x.size, 1), ord("\n"), np.uint8)], axis=1)
-    keep = np.concatenate([keep, np.ones((x.size, 1), bool)], axis=1)
-    return chars[keep].tobytes()
+    """The formatter's bytes of float64 x, each followed by a newline."""
+    return vectors.text_rows(x, b"\n").tobytes()
 
 
 def _assert_reprs(x):
@@ -714,5 +711,87 @@ class TestReprFormatter:
         ends = np.arange(min(top, 1000))
         x = np.unique(np.concatenate([ends, top - 1 - ends,
                                       np.random.default_rng(width).integers(0, top, 2000)]))
-        chars, keep = vectors.int_chars(x, width)
+        chars, keep = np.empty((x.size, width), np.uint8), np.empty((x.size, width), bool)
+        vectors._write_ints(x, chars, keep)
         assert [bytes(c[k]).decode() for c, k in zip(chars, keep)] == [str(v) for v in x.tolist()]
+
+
+def _csv_rows(rows) -> bytes:
+    """csv.writer's bytes of rows of Python values."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().encode()
+
+
+class TestTextRows:
+    """text_rows against csv.writer's rows of the same values."""
+
+    def test_each_column_kind(self):
+        ints = np.array([0, 7, 10, 99, 12345, 10**19 - 1, 2**64 - 1], dtype=np.uint64)
+        floats = np.array([0.1 + 0.2, -0.0, 5e-324, -2.2250738585072014e-308, math.inf,
+                           -math.inf, math.nan, 1e16, 1e-05, 123.0])
+        picks = np.array([2, 0, 1, 1, 0, 2, 2])
+        texts = [b"ab", b"c", b"long text"]
+        got = vectors.text_rows(ints, b",", floats[:7], b",", (texts, picks), b"\n")
+        assert got.dtype == np.uint8
+        assert got.tobytes() == _csv_rows(
+            [i, x, texts[p].decode()] for i, x, p in zip(ints.tolist(), floats.tolist(),
+                                                       picks.tolist()))
+        assert vectors.text_rows(floats[7:], b"\n").tobytes() == b"1e+16\n1e-05\n123.0\n"
+
+    def test_integers_of_every_width_and_zero(self):
+        ints = np.array([0, *(10**np.arange(19, dtype=np.uint64) - 1), 10**19 - 1], np.uint64)
+        assert vectors.text_rows(ints, b"\n").tobytes() == _csv_rows(
+            [v] for v in ints.tolist())
+        assert vectors.text_rows(np.zeros(3, np.int64), b"\n").tobytes() == b"0\n0\n0\n"
+
+    def test_every_repr_layout(self):
+        # exponent notation of 1-3 exponent digits, fixed notation at both
+        # switches, 1-17 digits, both signs, subnormals, zeros, inf and nan
+        x = np.array([1e-05, 1e-100, 1.5e300, 9.999999999999999e-05, 0.0001, 1e15, 1e16,
+                      123456789012345.67, 0.30000000000000004, 5e-324, 2.5e-310, 0.0,
+                      math.inf, math.nan, 1.0, 2.0**-1022])
+        x = np.concatenate([x, -x])
+        assert vectors.text_rows(x, b"\n").tobytes() == _csv_rows([v] for v in x.tolist())
+
+    def test_broadcast_column_by_row(self):
+        # the rows of estimate: a query per row of (m, 1), a train index per column of (n,)
+        gen = np.random.default_rng(3)
+        m, n = 4, 13
+        rho, flag = gen.standard_normal((m, n)), gen.random((m, n)) < 0.3
+        got = vectors.text_rows(np.arange(95, 95 + m)[:, None], b",", np.arange(n), b",s,", rho,
+                                ([b",False\n", b",True\n"], flag))
+        assert got.tobytes() == _csv_rows(
+            [95 + q, t, "s", rho[q, t].item(), bool(flag[q, t])]
+            for q in range(m) for t in range(n))
+        # a float column spread over rows, and an index picking one text for all
+        got = vectors.text_rows(np.arange(3)[:, None], b":", np.array([0.5, -2.0]),
+                                ([b"x", b";"], np.intp(1)))
+        assert got.tobytes() == b"0:0.5;0:-2.0;1:0.5;1:-2.0;2:0.5;2:-2.0;"
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0)])
+    def test_zero_rows(self, shape):
+        m, n = shape if len(shape) == 2 else (0, None)
+        columns = [np.arange(m)[:, None] if n is not None else np.arange(0), b",",
+                   np.zeros(shape), ([b"a", b"bb"], np.zeros(shape, dtype=np.intp))]
+        got = vectors.text_rows(*columns)
+        assert got.dtype == np.uint8 and got.size == 0
+
+    def test_one_row_of_constants(self):
+        assert vectors.text_rows(b"a,", b"", b"b\n").tobytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6])
+    def test_save_with_empty_rows_around_blocks(self, tmp_path, monkeypatch, block):
+        # blocks of 4 pairs: empty rows start the corpus and the second block,
+        # come two in a row in the middle of the first and after the end of
+        # the second block, and end the corpus; the other sizes cut them elsewhere
+        monkeypatch.setattr(vectors, "_WRITE_PAIRS", block)
+        sizes = np.array([0, 0, 1, 0, 0, 2, 1, 0, 3, 1, 0, 0, 2, 0, 0])
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        indices = np.concatenate([np.arange(n) * 7 for n in sizes]).astype(np.int64)
+        values = -np.arange(1, indices.size + 1) / 3
+        p = tmp_path / "c.txt"
+        save_sparse_text(p, Corpus(indptr, indices, values, 20))
+        assert p.read_bytes() == "".join(" ".join(f"{i + 1}:{x!r}" for i, x in zip(
+            indices[lo:hi].tolist(), values[lo:hi].tolist())) + "\n"
+            for lo, hi in zip(indptr[:-1], indptr[1:])).encode()
