@@ -30,7 +30,7 @@ from .vectors import Corpus
 #: a precision-recall curve as columns: L (int), precision and recall (float64)
 Curve = tuple[np.ndarray, np.ndarray, np.ndarray]
 _EMPTY_CURVE: Curve = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
-_FOLD_VALUES = 1 << 16  # running sums and products per fold of full columns
+_DENSE_VALUES = 1 << 18  # values in a dense copy; an eighth of it per band block or re-check
 
 
 def check_rho0(*rho0s: float) -> None:
@@ -59,78 +59,76 @@ def _by_column(corpus: Corpus) -> tuple[np.ndarray, ...]:
     return rows, cols, corpus.values[order], start, np.diff(start, append=cols.size)
 
 
-def _fold(out: np.ndarray, q: np.ndarray, t: np.ndarray) -> None:
-    """out[i, j] += q[c, i] * t[c, j] for c = 0, 1, ... in order: one
-    np.add.reduce over axis 0 per block of rows of out and of columns c,
-    of the block's running sums stacked on its products, in one buffer of
-    about _FOLD_VALUES values (two rows of out when one is wider than half
-    of that)."""
-    n_q, n_t = out.shape
-    cols = min(len(q), max(1, _FOLD_VALUES // n_t - 1))
-    step = min(n_q, max(1, _FOLD_VALUES // ((cols + 1) * n_t)))
-    buf = np.empty((cols + 1) * step * n_t)
-    for lo in range(0, len(q), cols):
-        qc, tc = q[lo:lo + cols], t[lo:lo + cols]
-        for r in range(0, n_q, step):
-            sums = out[r:r + step]
-            stack = buf[:(len(tc) + 1) * sums.size].reshape(len(tc) + 1, *sums.shape)
-            stack[0] = sums
-            np.multiply(qc[:, r:r + step, None], tc[:, None, :], out=stack[1:])
-            if sums.size > 1:  # an outer axis is reduced in order
-                np.add.reduce(stack, axis=0, out=sums)
-            else:  # a lone value would be summed pairwise; accumulate adds in order
-                sums[...] = np.add.accumulate(stack, axis=0)[-1]
-
-
-def exact_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
-    """(n_queries, n_train) matrix of exact cosines (vectors are unit norm).
-
-    Each cosine adds its products onto 0.0 in ascending index order, as a
-    sparse product does, but only where both supports hold the index: a
-    skipped product is +-0, which leaves a nonzero or +0 sum unchanged.
-    Each run of consecutive indices that every row on both sides holds is
-    folded onto the running sums by _fold; the products of each run of
-    other indices between two such are gathered from the column view and
-    added with np.add.at, which applies them in order.  Beyond the output
-    and O(nnz) of column views, this holds about _FOLD_VALUES values.  Two
-    fully dense corpora are one such run: their transposed value matrices
-    go to _fold as they are, with no column views."""
-    if train.dim != queries.dim:
-        raise ShapeError(f"dim mismatch: {train.dim} vs {queries.dim}")
-    n_t, n_q = len(train), len(queries)
-    if n_t == 0:
-        raise ConfigError("empty training corpus")
-    out = np.zeros((n_q, n_t))
-    if n_q and all(c.indices.size == len(c) * c.dim for c in (train, queries)):
-        # every row holds every index: one run of all columns, no column views
-        _fold(out, *(np.ascontiguousarray(c.values.reshape(len(c), -1).T)
-                     for c in (queries, train)))
+def _dense(c: Corpus) -> np.ndarray | None:
+    """The rows as an (n, dim) matrix: a view of the values where every row
+    holds every index, else a copy of at most _DENSE_VALUES values; else None."""
+    if c.indices.size == len(c) * c.dim:
+        return c.values.reshape(len(c), c.dim)
+    if len(c) * c.dim <= _DENSE_VALUES:
+        out = np.zeros((len(c), c.dim))
+        out[np.repeat(np.arange(len(c)), np.diff(c.indptr)), c.indices] = c.values
         return out
+
+
+def _meet_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
+    """Every cosine as its fixed-order sum, from the products where supports
+    meet, swept by column and added by np.add.at in array order."""
+    n_t = len(train)
+    out = np.zeros((len(queries), n_t))
     t_rows, t_cols, t_vals, t_start, t_count = _by_column(train)
-    q_rows, q_cols, q_vals, q_start, q_count = _by_column(queries)
+    q_rows, q_cols, q_vals, _, _ = _by_column(queries)
     if not (t_cols.size and q_cols.size):
         return out
     at = np.minimum(np.searchsorted(t_cols[t_start], q_cols), t_start.size - 1)
     lens = np.where(t_cols[t_start[at]] == q_cols, t_count[at], 0)  # products per query nonzero
     ends = np.cumsum(lens)
-    full = q_start[(q_count == n_q) & (lens[q_start] == n_t)]
-    first = np.flatnonzero(np.diff(full, prepend=-1 - n_q) != n_q)  # where runs start
     flat, done = out.reshape(-1), 0
-    runs = zip(full[first].tolist(), np.diff(first, append=full.size).tolist())
-    for a, c in [*runs, (q_cols.size, 0)]:
-        while done < a:  # the run [done, a), in pieces of at most nnz(train) products
-            b = np.searchsorted(ends, ends[done] - lens[done] + t_vals.size, "right")
-            b = min(a, max(done + 1, b))
-            n = lens[done:b]
-            idx = (np.repeat(t_start[at[done:b]] - (ends[done:b] - n), n)
-                   + np.arange(ends[done] - n[0], ends[b - 1]))
-            np.add.at(flat, np.repeat(q_rows[done:b] * n_t, n) + t_rows[idx],
-                      t_vals[idx] * np.repeat(q_vals[done:b], n))
-            done = b
-        if c:  # c indices that every row holds, rows in order
-            done = a + c * n_q
-            _fold(out, q_vals[a:done].reshape(c, n_q),
-                  t_vals[t_start[at[a:done:n_q]][:, None] + np.arange(n_t)])
+    while done < q_cols.size:
+        b = max(done + 1, np.searchsorted(ends, ends[done] - lens[done] + t_vals.size, "right"))
+        n = lens[done:b]
+        idx = (np.repeat(t_start[at[done:b]] - (ends[done:b] - n), n)
+               + np.arange(ends[done] - n[0], ends[b - 1]))
+        np.add.at(flat, np.repeat(q_rows[done:b] * n_t, n) + t_rows[idx],
+                  t_vals[idx] * np.repeat(q_vals[done:b], n))
+        done = b
+    return out
+
+
+def exact_cosines(train: Corpus, queries: Corpus, *, rho0s: Sequence[float] = ()) -> np.ndarray:
+    """(n_queries, n_train) cosines (rows are unit norm) whose `>= r0`, for r0
+    in rho0s, is that of the fixed-order sum: 0.0, then the product at each
+    index both rows hold, in ascending index order.
+
+    Corpora that fit as dense matrices take one BLAS product.  Any order of
+    n = dim products, FMA or not, is within gamma_n |x|.|y| + n 2^-1075 of
+    the exact dot, gamma_n = n 2^-53 / (1 - n 2^-53) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1), so the band is
+    2 gamma_n ||x|| ||y|| + n 2^-1074 at the largest norms (squares plus
+    n 2^-1074 for underflow), widened x2 for the rounding of norms and band.
+    Entries within it of some r0 are re-summed in the fixed order, by row
+    blocks: relevance does not depend on the BLAS build, kernel or threads.
+    Beyond the output and dense copies this holds 8 _DENSE_VALUES bytes."""
+    if train.dim != queries.dim:
+        raise ShapeError(f"dim mismatch: {train.dim} vs {queries.dim}")
+    n_t, n_q, dim = len(train), len(queries), train.dim
+    if n_t == 0:
+        raise ConfigError("empty training corpus")
+    t, q = _dense(train), _dense(queries)
+    if t is None or q is None:
+        return _meet_cosines(train, queries)
+    out = np.matmul(q, t.T)
+    gamma, tiny = dim * 2.0**-53 / (1.0 - dim * 2.0**-53), dim * 2.0**-1074
+    norms = [math.sqrt(np.einsum("ij,ij->i", m, m).max(initial=0.0) + tiny) for m in (q, t)]
+    band = 2.0 * (2.0 * gamma * norms[0] * norms[1] + tiny)
+    step, per = (max(1, _DENSE_VALUES // (8 * n)) for n in (n_t, dim))
+    for lo in range(0, n_q, step):
+        block = out[lo:lo + step]
+        for r0 in rho0s:
+            hits = np.flatnonzero((block >= r0 - band) & (block <= r0 + band))
+            for a in range(0, hits.size, per):  # +-0 products leave a bincount sum as it is
+                qi, tj = np.divmod(hits[a:a + per], n_t)
+                block[qi, tj] = np.bincount(np.repeat(np.arange(qi.size), dim),
+                                            (q[lo + qi] * t[tj]).ravel(), qi.size)
     return out
 
 
@@ -194,7 +192,7 @@ def benchmark_grid(train: Corpus, queries: Corpus, ks: Sequence[int],
     check_rho0(*rho0s)
     if l_grid is not None:
         check_l_grid(l_grid, len(train))
-    sims = exact_cosines(train, queries)
+    sims = exact_cosines(train, queries, rho0s=rho0s)
     relevant = {r0: sims >= r0 for r0 in rho0s}
     for r0, rel in relevant.items():
         if len(rel) and not rel.any():

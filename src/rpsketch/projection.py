@@ -170,8 +170,10 @@ def project_corpus(corpus: Corpus, cfg: ProjectionConfig, *, threads: int = 1,
     shared = np.flatnonzero(run)
     shared = shared[np.argsort(key[shared], kind="stable")]
     for same in np.split(shared, np.flatnonzero(np.diff(key[shared])) + 1) if shared.size else ():
-        s, u = start[same[0]], size[same[0]]
-        values = corpus.values[indptr[same, None] + np.arange(u)]
+        s, u, first = start[same[0]], size[same[0]], indptr[same[0]]
+        values = (corpus.values[first:first + same.size * u].reshape(-1, u)
+                  if same[-1] - same[0] == same.size - 1  # consecutive rows: one block
+                  else corpus.values[indptr[same, None] + np.arange(u)])
         out[same] = (values[:, None, :] @ table[s:s + u])[:, 0]
     return FullStore(out, sum_product(out, out))
 

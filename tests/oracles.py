@@ -2,7 +2,8 @@
 
 The library projects, quantizes and scores whole stores at once.  These are
 the one-vector forms: a projection as one vector-matrix product, sign
-agreement by unpacked bits, exact cosine by a sparse dot product, one pair
+agreement by unpacked bits, exact cosine by a sparse dot product, the
+fixed-order cosine matrix by scatter-and-bincount, one pair
 of the bivariate counter stream, the score of one stored row against one
 query through one-row stores, the full-data MLE of one pair from its
 moments, the planted corpus drawn one member at a time, and a
@@ -202,6 +203,19 @@ def cosine(u, v) -> float:
     _, au, av = np.intersect1d(iu, iv, assume_unique=True, return_indices=True)
     dot = float(np.dot(xu[au], xv[av])) if au.size else 0.0
     return dot / (nu * nv)
+
+
+def bincount_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
+    """The fixed-order cosines: each query scattered into a dense vector, and
+    every training nonzero's product with it summed per row by bincount,
+    onto 0.0 in ascending index order."""
+    row_of_nnz = np.repeat(np.arange(len(train)), np.diff(train.indptr))
+    dense, out = np.zeros(train.dim), np.empty((len(queries), len(train)))
+    for i, (indices, values) in enumerate(rows(queries)):
+        dense[indices] = values
+        out[i] = np.bincount(row_of_nnz, train.values * dense[train.indices], len(train))
+        dense[indices] = 0.0
+    return out
 
 
 def sample_pair(rho: float, seed: int, trial: int, j: int) -> tuple[float, float]:

@@ -20,7 +20,8 @@ from rpsketch.vectors import load_sparse_text
 
 def ground_truth(train: Corpus, queries: Corpus, rho0: float) -> list[np.ndarray]:
     """Per query, the training indices whose exact cosine is >= rho0."""
-    return [np.flatnonzero(row >= rho0) for row in exact_cosines(train, queries)]
+    return [np.flatnonzero(row >= rho0)
+            for row in exact_cosines(train, queries, rho0s=(rho0,))]
 
 
 def relevant(n: int, *sets) -> np.ndarray:
@@ -114,16 +115,26 @@ class TestExactCosines:
             exact_cosines(corpus((), 3), corpus((axis(0, 3),), 3))
 
 
-def bincount_cosines(train: Corpus, queries: Corpus) -> np.ndarray:
-    """Reference: each query scattered into a dense vector, and every training
-    nonzero's product with it summed per row by bincount, in index order."""
-    row_of_nnz = np.repeat(np.arange(len(train)), np.diff(train.indptr))
-    dense, out = np.zeros(train.dim), np.empty((len(queries), len(train)))
-    for i, (indices, values) in enumerate(rows(queries)):
-        dense[indices] = values
-        out[i] = np.bincount(row_of_nnz, train.values * dense[train.indices], len(train))
-        dense[indices] = 0.0
-    return out
+def check_relevance(train: Corpus, queries: Corpus, seed: int = 0) -> int:
+    """exact_cosines decides `>= r0` as the fixed-order sums do, at thresholds
+    that put pairs in its band: up to 100 values of the reference, up to 100
+    fast values (no rho0s) where they differ from it, and 1.0.  Every entry
+    is its fast value or its fixed-order one, and the column sweep gives the
+    fixed-order bits.  Returns how many fast values differ."""
+    want, fast = oracles.bincount_cosines(train, queries), exact_cosines(train, queries)
+    gen = np.random.default_rng(seed)
+
+    def some(values):
+        return gen.choice(values, min(values.size, 100), replace=False)
+
+    rho0s = np.unique(np.concatenate(
+        [some(want[want > 0]), some(fast[(fast != want) & (fast > 0)]), [1.0]]))
+    got = exact_cosines(train, queries, rho0s=rho0s)
+    assert got.shape == want.shape and ((got == fast) | (got == want)).all()
+    for r0 in rho0s:
+        assert np.array_equal(got >= r0, want >= r0), r0
+    assert bench._meet_cosines(train, queries).tobytes() == want.tobytes()
+    return int((fast != want).sum())
 
 
 def random_corpus(gen, n, dim, density, always=None, never=None):
@@ -142,14 +153,36 @@ def random_corpus(gen, n, dim, density, always=None, never=None):
     return corpus(unit, dim)
 
 
-class TestExactCosinesBitwise:
-    """exact_cosines sums only where supports meet; every bit must equal the
-    full scatter-and-bincount sum."""
+def spread_pair(gen, n_train, n_query, dim, density=1.0):
+    """Unit rows whose values span 10^-4..10^4, so products span 10^+-8 and
+    sums in BLAS order and in index order round apart; the first queries
+    copy training rows, whose cosines lie within rounding of 1.0."""
+    unit = []
+    for _ in range(n_train + n_query):
+        on = gen.random(dim) < density
+        on[gen.integers(dim)] = True
+        spread = gen.standard_normal(dim) * 10.0 ** gen.integers(-4, 5, dim)
+        unit.append(normalize(np.where(on, spread, 0.0)))
+    copies = unit[:min(n_train, n_query) // 2]
+    return corpus(unit[:n_train], dim), corpus(copies + unit[n_train + len(copies):], dim)
 
-    @staticmethod
-    def check(train, queries):
-        got, want = exact_cosines(train, queries), bincount_cosines(train, queries)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+def sparse_rows(gen, n, dim, size):
+    """n unit rows of ~size Zipf-popular indices out of dim."""
+    cdf = np.cumsum(1.0 / np.arange(1, dim + 1) ** 1.05)
+    unit = []
+    for _ in range(n):
+        terms = np.unique(np.searchsorted(cdf, gen.random(size) * cdf[-1]))
+        unit.append(normalize((terms, gen.random(terms.size) + 0.5)))
+    return corpus(unit, dim)
+
+
+class TestExactCosinesBitwise:
+    """exact_cosines's relevance at its rho0s is that of the fixed-order
+    sums, bit for bit, on both routes; the column sweep's values are the
+    fixed-order sums themselves."""
+
+    check = staticmethod(check_relevance)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 40),
@@ -160,7 +193,23 @@ class TestExactCosinesBitwise:
         gen = np.random.default_rng(seed)
         full = gen.random(dim) < full_share
         self.check(random_corpus(gen, n_train, dim, density, full),
-                   random_corpus(gen, n_query, dim, density, full))
+                   random_corpus(gen, n_query, dim, density, full), seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 80),
+           density=st.sampled_from([0.3, 1.0]), n_train=st.integers(1, 30),
+           n_query=st.integers(1, 10))
+    def test_spread_products_and_duplicates(self, seed, dim, density, n_train, n_query):
+        # pairs whose BLAS and index-order sums round apart, and copies at 1.0
+        self.check(*spread_pair(np.random.default_rng(seed), n_train, n_query, dim, density),
+                   seed)
+
+    def test_blas_and_index_order_round_apart(self):
+        # the band must be exercised: some fast values differ from the
+        # fixed-order sums, and relevance still follows the latter
+        gen = np.random.default_rng(23)
+        assert sum(self.check(*spread_pair(gen, 30, 10, dim), seed)
+                   for seed, dim in enumerate((8, 33, 64, 200))) > 0
 
     def test_disjoint_supports_give_positive_zeros(self):
         gen = np.random.default_rng(5)
@@ -168,7 +217,7 @@ class TestExactCosinesBitwise:
         train = random_corpus(gen, 12, 30, 0.5, never=~left)
         queries = random_corpus(gen, 6, 30, 0.5, never=left)
         self.check(train, queries)
-        assert not np.signbit(exact_cosines(train, queries)).any()
+        assert not np.signbit(bench._meet_cosines(train, queries)).any()
 
     def test_single_training_row(self):
         gen = np.random.default_rng(6)
@@ -176,12 +225,12 @@ class TestExactCosinesBitwise:
             self.check(random_corpus(gen, 1, 25, density), random_corpus(gen, 7, 25, density))
 
     def test_one_pair_adds_in_index_order(self):
-        # a lone cosine is folded too, where numpy would add a reduced
-        # column pairwise; magnitudes far apart make the order show
+        # a lone cosine, where numpy would add a reduced column pairwise;
+        # magnitudes far apart make the order show
         gen = np.random.default_rng(9)
         for dim in (6, 9, 40):
             pair = gen.standard_normal((2, dim)) * 10.0 ** gen.integers(-8, 8, (2, dim))
-            pair[1, dim // 2] = 0.0  # an index the query holds alone splits the run
+            pair[1, dim // 2] = 0.0  # an index the query holds alone
             pair[1, dim // 3] = 0.0
             self.check(corpus([normalize(pair[1])], dim), corpus([normalize(pair[0])], dim))
             self.check(corpus([normalize(pair[0])], dim), corpus([normalize(pair[1])], dim))
@@ -195,57 +244,59 @@ class TestExactCosinesBitwise:
         train = corpus([([0, 1, 3], [0.6, -0.6, math.sqrt(0.28)])], 4)
         queries = corpus([([0, 1, 2], [0.5, 0.5, math.sqrt(0.5)])], 4)
         self.check(train, queries)
-        assert exact_cosines(train, queries)[0, 0] == 0.0
+        assert bench._meet_cosines(train, queries)[0, 0] == 0.0
 
     def test_benchmark_shaped_corpora(self):
         # dense: the ranking workload's 400 x 40 rows in 512 dims; sparse:
-        # 800 x 100 rows of ~128 Zipf-popular terms in 65,536 dims
-        train, queries = make_clustered_corpus(3, dim=512, n_train=400, n_queries=40)
-        self.check(train, queries)
+        # 800 x 100 rows of ~128 Zipf-popular terms in 65,536 dims, too wide
+        # to densify, so swept by column in the fixed order
+        self.check(*make_clustered_corpus(3, dim=512, n_train=400, n_queries=40))
         gen = np.random.default_rng(8)
-        dim = 65536
-        popularity = 1.0 / np.arange(1, dim + 1) ** 1.05
-        popularity /= popularity.sum()
+        train, queries = sparse_rows(gen, 800, 65536, 200), sparse_rows(gen, 100, 65536, 200)
+        self.check(train, queries)
+        assert (exact_cosines(train, queries).tobytes()
+                == oracles.bincount_cosines(train, queries).tobytes())
 
-        def sparse(n):
-            unit = []
-            for _ in range(n):
-                terms = np.unique(gen.choice(dim, size=200, p=popularity))
-                unit.append(normalize((terms, gen.random(terms.size) + 0.5)))
-            return corpus(unit, dim)
-
-        self.check(sparse(800), sparse(100))
-
-    @pytest.mark.parametrize("dim", [1, 8, 300])
-    def test_memory_beyond_the_output_is_the_fold_budget(self, dim):
-        # every column is full on both sides, so all of it is folded; the
-        # per-index loop held a second (n_query, n_train) buffer
+    @pytest.mark.parametrize("dim", [1, 8, 300, 65536])
+    def test_memory_beyond_the_output_is_the_dense_budget(self, dim):
+        # dense rows are views of the values and their cosines one BLAS
+        # product into the output; the band, on which every copied row sits
+        # at rho0 = 1.0 (every pair at dim 1), is tested and re-checked in
+        # blocks of the budget, so there is no second (n_query, n_train)
+        # buffer.  The 65,536-dim rows are too wide to densify and are swept
+        # by column, in O(nnz).
         gen = np.random.default_rng(dim)
-        train, queries = (random_corpus(gen, n, dim, 1.0) for n in (600, 600))
-        nnz = train.values.size + queries.values.size
+        wide = dim == 65536
+        train = sparse_rows(gen, 1500, dim, 30) if wide else random_corpus(gen, 600, dim, 1.0)
+        nnz = 2 * train.values.size
         tracemalloc.start()
         try:
-            sims = exact_cosines(train, queries)
+            sims = exact_cosines(train, train, rho0s=(1.0, 0.5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sims.tobytes() == bincount_cosines(train, queries).tobytes()
-        assert peak - sims.nbytes < 8 * bench._FOLD_VALUES + 2**18 + 48 * nnz, peak
-
+        want = oracles.bincount_cosines(train, train)
+        np.testing.assert_allclose(sims, want, rtol=0, atol=1e-12)
+        assert np.array_equal(sims >= 1.0, want >= 1.0)
+        allowance = 96 * nnz if wide else 8 * bench._DENSE_VALUES
+        assert peak - sims.nbytes < allowance + 2**18, (peak, sims.nbytes, allowance)
 
 
 class TestExactCosinesDensePath:
-    """Two corpora whose rows each hold every index go to the fold as their
-    value matrices, with no column views; anything else takes the general
-    path.  Both must equal the scatter-and-bincount sum bit for bit."""
+    """Corpora that fit as dense matrices (views of the values where every
+    row holds every index, copies of at most _DENSE_VALUES otherwise) take
+    one BLAS product and no column views; wider ones are swept by column.
+    Both decide relevance as the fixed-order sums do."""
 
     @staticmethod
     def check(train, queries, dense, monkeypatch):
         views = []
         by_column = bench._by_column
-        monkeypatch.setattr(bench, "_by_column", lambda c: views.append(c) or by_column(c))
-        TestExactCosinesBitwise.check(train, queries)
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "_by_column", lambda c: views.append(c) or by_column(c))
+            exact_cosines(train, queries, rho0s=(0.5,))
         assert views == ([] if dense else [train, queries])
+        check_relevance(train, queries)
 
     def test_dense_corpora_skip_the_column_views(self, monkeypatch):
         gen = np.random.default_rng(11)
@@ -257,12 +308,12 @@ class TestExactCosinesDensePath:
         gen = np.random.default_rng(12)
         train = random_corpus(gen, 5, 16, 1.0)
         for n_query in (0, 1):
-            queries = random_corpus(gen, n_query, 16, 1.0)
-            self.check(train, queries, n_query > 0, monkeypatch)
+            self.check(train, random_corpus(gen, n_query, 16, 1.0), True, monkeypatch)
         assert exact_cosines(train, random_corpus(gen, 0, 16, 1.0)).shape == (0, 5)
 
     def test_dense_file_with_one_explicit_zero(self, tmp_path, monkeypatch):
-        # the parser drops the 0.0, so one row lacks an index: the general path
+        # the parser drops the 0.0, so one row lacks an index: a copy below
+        # the budget, the column sweep above it
         dense = np.random.default_rng(13).standard_normal((6, 12))
         for name in ("full.txt", "zero.txt"):
             (tmp_path / name).write_text("".join(
@@ -273,15 +324,19 @@ class TestExactCosinesDensePath:
                                                                            "zero.txt"))
         assert "5:0.0 " in (tmp_path / "zero.txt").read_text()
         assert with_zero.values.size == full.values.size - 1
-        self.check(full, full, True, monkeypatch)
-        self.check(with_zero, full, False, monkeypatch)
-        self.check(full, with_zero, False, monkeypatch)
+        for budget, copied in ((bench._DENSE_VALUES, True), (12 * 6 - 1, False)):
+            monkeypatch.setattr(bench, "_DENSE_VALUES", budget)
+            self.check(full, full, True, monkeypatch)
+            self.check(with_zero, full, copied, monkeypatch)
+            self.check(full, with_zero, copied, monkeypatch)
 
     def test_dense_training_rows_against_sparse_queries(self, monkeypatch):
         gen = np.random.default_rng(14)
-        train = random_corpus(gen, 20, 30, 1.0)
-        self.check(train, random_corpus(gen, 8, 30, 0.3), False, monkeypatch)
-        self.check(random_corpus(gen, 8, 30, 0.3), train, False, monkeypatch)
+        train, sparse = random_corpus(gen, 20, 30, 1.0), random_corpus(gen, 8, 30, 0.3)
+        for budget, copied in ((bench._DENSE_VALUES, True), (8 * 30 - 1, False)):
+            monkeypatch.setattr(bench, "_DENSE_VALUES", budget)
+            self.check(train, sparse, copied, monkeypatch)
+            self.check(sparse, train, copied, monkeypatch)
 
     def test_dim_mismatch_still_raises(self):
         gen = np.random.default_rng(15)
@@ -549,7 +604,7 @@ class TestSharedGrid:
         rows = benchmark_grid(train, queries, self.KS, [0.3], estimators, 21, threads=2)
         monkeypatch.undo()
         want_ranked, want_rows = [], []
-        relevance = exact_cosines(train, queries) >= 0.3
+        relevance = exact_cosines(train, queries, rho0s=(0.3,)) >= 0.3
         for k in self.KS:
             cfg = ProjectionConfig(k, 21)
             store = sign_quantize(project_corpus(train, cfg))

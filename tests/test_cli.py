@@ -1,9 +1,12 @@
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import math
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -11,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import mle_full, mle_row, one_row
+from oracles import bincount_cosines, mle_full, mle_row, one_row
 from rpsketch import (Estimator, FullStore, ProjectionConfig, benchmark_grid, cli, estimators,
                       load_sketches, load_sparse_text, mle, project_corpus, projection)
+from rpsketch.bench import exact_cosines
 from rpsketch.cli import main
 from rpsketch.projection import _VERSION
 
@@ -934,3 +938,77 @@ class TestDeterminism:
             "bench", "--train", str(train), "--query", str(query),
             "--k", "16,32", "--rho0", "0.5,0.9", "--seed", "13",
             "--estimators", "sign-sign,s-norm", "--out", out])
+
+
+class TestBenchBytesIndependentOfBlas:
+    """bench's relevance, and so its bytes, do not depend on the BLAS thread
+    count or kernel: a cosine within rounding of a rho0 is re-summed in the
+    fixed order.  One rho0 is such a cosine itself.  Each case runs bench in
+    a new process, whose environment picks the BLAS threads or kernel; a
+    kernel that this CPU cannot run (OpenBLAS falls back to another) is
+    skipped, so the test ids and skips report which cases ran."""
+
+    # the child runs the step, then names the OpenBLAS kernel it ran (None
+    # where numpy's BLAS is not a bundled OpenBLAS)
+    CHILD = """
+import ctypes, glob, os, sys
+from rpsketch import cli
+code = cli.main(sys.argv[1:])
+import numpy
+core = None
+for lib in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*")):
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        get = getattr(ctypes.CDLL(lib), name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            core = get().decode()
+print(code, core)
+"""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("blas")
+        train, query = work / "train.txt", work / "query.txt"
+        assert run(["synth", "--dim", "48", "--clusters", "3", "--train", "60", "--query",
+                    "12", "--seed", "5", "--out-train", str(train),
+                    "--out-query", str(query)]) == 0
+        # a fixed-order cosine that this process's BLAS rounds below it
+        corpora = load_sparse_text(train), load_sparse_text(query)
+        fixed, fast = bincount_cosines(*corpora), exact_cosines(*corpora)
+        below = fixed[(fast < fixed) & (fixed > 0.5)]
+        on_a_cosine = float((below if below.size else fixed[fixed > 0.5])[0])
+        return work, ["bench", "--train", str(train), "--query", str(query), "--k", "16,64",
+                      "--rho0", f"0.9,{on_a_cosine!r},1.0", "--estimators", "sign-sign,s-norm",
+                      "--seed", "5", "--threads", "1"]
+
+    @pytest.fixture(scope="class")
+    def one_thread(self, inputs):
+        return self.bench(inputs, "one-thread", {"OPENBLAS_NUM_THREADS": "1"})[0]
+
+    def bench(self, inputs, name: str, env: dict) -> tuple[bytes, str]:
+        """The output bytes of one child bench step and the kernel it ran."""
+        work, argv = inputs
+        out = work / f"{name}.csv"
+        clean = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, *argv, "--out", str(out)],
+                              env={**clean, "PYTHONPATH": path, **env}, cwd=work,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.split()[0] == "0", proc.stderr
+        return out.read_bytes(), proc.stdout.split()[1]
+
+    @pytest.mark.parametrize("name,env", [
+        ("openblas-threads-2", {"OPENBLAS_NUM_THREADS": "2"}),
+        ("kernel-haswell", {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"}),
+        ("kernel-nehalem", {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Nehalem"}),
+    ], ids=["openblas-threads-2", "kernel-haswell", "kernel-nehalem"])
+    def test_same_sha256_as_one_default_thread(self, inputs, one_thread, name, env):
+        got, core = self.bench(inputs, name, env)
+        requested = env.get("OPENBLAS_CORETYPE")
+        if requested and core not in (requested, "None"):
+            pytest.skip(f"this CPU runs {core}, not {requested}")
+        assert hashlib.sha256(got).hexdigest() == hashlib.sha256(one_thread).hexdigest()

@@ -138,18 +138,22 @@ class TestProject:
         with pytest.raises(ShapeError, match="k = 7"):
             project_corpus(c, ProjectionConfig(7, 5), shared_rows=(c.indices, table))
 
-    @pytest.mark.parametrize("layout", ["whole-union", "sub-runs", "mixed"])
+    @pytest.mark.parametrize("layout", ["whole-union", "sub-runs", "mixed", "apart"])
     @pytest.mark.parametrize("k", [1, 7, 33, 64, 256])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_project_corpus_shared_runs_match_project(self, layout, k, threads):
-        # rows with one run of the union share one stacked product; the
-        # others gather their own rows; each must equal project bit for bit
+        # rows with one run of the union share one stacked product, read as
+        # a view of the values where the rows are consecutive and gathered
+        # where they are not ("apart": two sparse rows hold one run with a
+        # row between); the others gather their own rows; each must equal
+        # project bit for bit
         dim = 16
         supports = {
             "whole-union": [range(dim)] * 6,
             "sub-runs": [range(dim), *[range(2, 7)] * 3, *[range(9, 11)] * 2, [4], [4]],
             "mixed": [range(3, 9), [0, 3, 8], range(3, 9), [1, 15], range(dim),
                       [5, 6], [2, 9, 14], range(3, 9), [5, 6], range(dim)],
+            "apart": [[4, 5, 6], [0, 9], [4, 5, 6], [7], [7], range(dim)],
         }[layout]
         rng_ = np.random.default_rng(k + 100 * threads)
         vs = [(list(sup), rng_.standard_normal(len(sup))) for sup in supports]
