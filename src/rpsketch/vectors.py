@@ -3,15 +3,16 @@
 A corpus keeps all of its rows in three CSR arrays, each row's support as
 sorted (index, value) pairs, because the target corpora are extremely
 sparse and projection iterates over the support in index order.  Text files
-use the common line-per-vector convention: an optional leading label token
-followed by whitespace-separated ``index:value`` pairs with 1-based indices.
-In memory everything is 0-based.
+hold one vector per line: an optional label, then ``index:value`` pairs with
+1-based indices, in the one grammar of _chunk_pairs, whose byte parser also
+names the first fault of a file outside it.  In memory all is 0-based.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ _CHUNK_CHARS = 1 << 18  # text is parsed in chunks of whole lines of about this 
 _PAD = b" " * 24  # around a chunk: separators, and room to read 24 bytes before an offset
 # mark kinds of the byte parser; the separators come first, so kind < _COLON
 # tests for one.  Digits are no marks; they share _OTHER for lookups.
-_NL, _BLANK, _CR, _COLON, _SIGN, _DOT, _EXP, _OTHER, _BAD = range(9)
-_KIND = np.full(256, _BAD, dtype=np.uint8)  # non-ASCII
+_NL, _BLANK, _CR, _COLON, _SIGN, _DOT, _EXP, _OTHER, _HIGH = range(9)
+_KIND = np.full(256, _HIGH, dtype=np.uint8)  # non-ASCII
 _KIND[:128] = _OTHER
 _KIND[[*b" \t\v\f\x1c\x1d\x1e\x1f"]] = _BLANK
 _KIND[[*b"\n\r:+-.eE"]] = _NL, _CR, _COLON, _SIGN, _SIGN, _DOT, _EXP, _EXP
@@ -56,57 +57,9 @@ class Corpus:
         return len(self.indptr) - 1
 
 
-def _parse_lines(path, dim: int | None):
-    """The reference parse, token by token: CSR arrays of the nonempty rows
-    and the skipped-line count, or the typed error of the first bad line."""
-    indptr, indices, values, skipped = [0], [], [], 0
-    # undecodable bytes become lone surrogates, which strict UTF-8 never
-    # yields, so each line can be checked with the numbering of good lines
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise SparseTextError(line_no, "not UTF-8 text") from None
-            tokens = line.split()
-            if tokens and ":" not in tokens[0]:
-                tokens = tokens[1:]  # leading label, discarded
-            prev = 0
-            for tok in tokens:
-                head, sep, tail = tok.partition(":")
-                if not sep or not head or not tail:
-                    raise SparseTextError(line_no, f"malformed pair {tok!r}")
-                try:
-                    i, x = int(head), float(tail)
-                except ValueError:
-                    raise SparseTextError(line_no, f"non-numeric pair {tok!r}") from None
-                if i < 1:
-                    raise SparseTextError(line_no, f"index {i} is not 1-based positive")
-                if i >= 1 << 63:
-                    raise SparseTextError(line_no, f"index {i} is beyond the int64 range")
-                if i <= prev:
-                    raise SparseTextError(
-                        line_no, f"index {i} not strictly increasing (after {prev})")
-                if not math.isfinite(x):
-                    raise SparseTextError(line_no, f"non-finite value in {tok!r}")
-                prev = i
-                if x != 0.0:
-                    indices.append(i - 1)
-                    values.append(x)
-            if len(indices) == indptr[-1]:
-                skipped += 1
-            elif dim is not None and indices[-1] >= dim:
-                raise SparseTextError(
-                    line_no, f"index {indices[-1] + 1} exceeds declared dim {dim}")
-            else:
-                indptr.append(len(indices))
-    return np.array(indptr), np.array(indices, dtype=np.int64), np.array(values), skipped
-
-
 def _parse_chunks(path, dim: int | None):
-    """_parse_lines on the file's bytes, in chunks of whole lines, into arrays
-    sized by the file's ':' and newline counts; None where the fast grammar
-    (_chunk_pairs) or a check fails."""
+    """A file's raw CSR arrays and skipped-line count, parsed in chunks of
+    whole lines by _chunk_pairs into arrays sized by its ':' and '\\n' counts."""
     with open(path, "rb") as fh:
         n_pairs = n_lines = 0
         for block in iter(lambda: fh.read(_CHUNK_CHARS), b""):
@@ -117,29 +70,24 @@ def _parse_chunks(path, dim: int | None):
         indices, values = np.empty(n_pairs, dtype=np.int64), np.empty(n_pairs)
         line_nnz, line, nnz = np.zeros(n_lines + 1, dtype=np.int64), 0, 0
         while lines := fh.readlines(_CHUNK_CHARS):
-            pairs = _chunk_pairs(b"".join(lines))
-            if pairs is None:
-                return None
-            idx, val, line_of, n = pairs
-            rise = np.diff(idx) > 0
-            rise |= np.diff(line_of) > 0  # across a line break
-            keep = val != 0.0
-            if (idx.min(initial=1) < 1 or not np.isfinite(val).all() or not rise.all()
-                    or dim is not None and idx[keep].max(initial=0) > dim):
-                return None
-            kept = np.count_nonzero(keep)
-            line_nnz[line:line + n] = np.bincount(line_of[keep], minlength=n)
-            indices[nnz:nnz + kept], values[nnz:nnz + kept] = idx[keep] - 1, val[keep]
-            line, nnz = line + n, nnz + kept
+            idx, val, line_of, n = _chunk_pairs(b"".join(lines), line,
+                                                2**63 if dim is None else dim)
+            line_nnz[line:line + n] = np.bincount(line_of, minlength=n)
+            indices[nnz:nnz + idx.size], values[nnz:nnz + idx.size] = idx - 1, val
+            line, nnz = line + n, nnz + idx.size
     rows = line_nnz[:line][line_nnz[:line] > 0]
     return np.concatenate(([0], np.cumsum(rows))), indices[:nnz], values[:nnz], line - rows.size
 
 
-def _chunk_pairs(data: bytes):
-    """Indices, values and line numbers (from 0) of the pairs in whole lines,
-    and their line count; None unless the bytes are ASCII, a '\\r' comes only
-    before a '\\n', and each line is an optional colon-free label and pairs of
-    a head of 1-18 digits and a tail [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)?.
+def _chunk_pairs(data: bytes, first_line: int, dim: int):
+    """Indices, values and line numbers (from 0) of the nonzero pairs in whole
+    lines, and their line count, if the bytes are UTF-8 with no whitespace
+    but ASCII's and a '\\r' only before a '\\n', and each line is an optional
+    colon-free label, then pairs of a head of 1-19 digits, in [1, 2^63) and
+    rising, and a tail [+-]?(D+(.D*)?|.D+)([eE][+-]?D+)? of a finite value,
+    heads of nonzero values at most dim.  Else the SparseTextError of the
+    first fault in byte order, at one byte in the order of those checks
+    (lines numbered from first_line + 1).
 
     Every byte but a digit is a mark.  A pair is a colon with a separator
     mark before its head and after it marks of the kinds sign, dot,
@@ -148,13 +96,11 @@ def _chunk_pairs(data: bytes):
     b = np.frombuffer(raw, np.uint8)
     at = np.flatnonzero(b - np.uint8(48) > 9)
     kind = _KIND.take(b.take(at))
-    if kind.max() == _BAD or (b.take(at[kind == _CR] + 1) != ord("\n")).any():
-        return None
     sep = kind < _COLON
     ci = np.flatnonzero(kind == _COLON)
     colon = at[ci]
     head = colon - at[ci - 1] - 1
-    ok = sep[ci - 1] & (head >= 1) & (head <= 18)
+    ok = sep[ci - 1] & (head >= 1)
     j = ci + 1
     sign = (kind[j] == _SIGN) & (at[j] == colon + 1)
     j += sign
@@ -171,14 +117,12 @@ def _chunk_pairs(data: bytes):
     n_int, n_frac = point - colon - 1 - sign, man_end - point - dot
     n_exp = end - man_end - 1 - exp_sign
     ok &= sep[j] & (n_int + n_frac > 0) & (~exp | (n_exp > 0))
-    if not ok.all():
-        return None
+    stray = np.zeros(0, dtype=np.intp)  # offsets of colon-free tokens after a line's first
     starts = sep[:-1] & ~(sep[1:] & (np.diff(at) == 1))  # a token after the separator
-    if np.count_nonzero(starts) != ci.size:  # labels: each must begin its line
+    if np.count_nonzero(starts) != ci.size or not ok.all():  # labels, or stray tokens
         token = np.flatnonzero(starts)
         token_line = np.cumsum(kind == _NL)[token]
-        if not (np.isin(token[1:], ci - 1) | (token_line[1:] != token_line[:-1])).all():
-            return None
+        stray = at[token[1:][~np.isin(token[1:], ci - 1) & (token_line[1:] == token_line[:-1])]] + 1
     newlines = at[kind == _NL]
     n_lines = newlines.size + (data[-1:] != b"\n")
     line = np.searchsorted(newlines, colon)
@@ -200,9 +144,50 @@ def _chunk_pairs(data: bytes):
     bits, decided = _eisel_lemire(mantissa, q)
     bits |= (sign & (b.take(colon + 1) == ord("-"))).astype(np.uint64) << np.uint64(63)
     val = bits.view(np.float64)
-    for i in np.flatnonzero(~(decided & exact)).tolist():
+    for i in np.flatnonzero(ok & ~(decided & exact)).tolist():
         val[i] = float(raw[colon[i] + 1:end[i]])
-    return idx.astype(np.int64), val, line, n_lines
+    index, keep = idx.astype(np.int64), val != 0.0
+    in_range = (idx - np.uint64(1) < np.uint64(2**63 - 1)) & (head <= 19)
+    rise = (np.diff(index) > 0) | (np.diff(line) > 0)  # or a line break between
+    cr = at[kind == _CR]
+    found = [(stray, 1), (cr[b.take(cr + 1) != ord("\n")], 6)]  # (fault offsets, rank)
+    if kind.max() == _HIGH:  # labels may hold UTF-8, but no whitespace beyond ASCII's
+        text = data.decode(errors="surrogateescape")  # a byte not of UTF-8: a lone surrogate
+        for rank, pattern in (0, "[\udc80-\udcff]"), (6, r"[^\S\x00-\x7f]"):
+            if hit := re.search(pattern, text):
+                off = len(_PAD) + len(text[:hit.start()].encode(errors="surrogateescape"))
+                found.append(([raw.rfind(b"\n", 0, off) + 1 if rank == 0 else off], rank))
+    if (ok.all() and in_range.all() and rise.all() and np.isfinite(val).all()
+            and index[keep].max(initial=0) <= dim and not any(len(o) for o, _ in found)):
+        return index[keep], val[keep], line[keep], n_lines
+    # the first fault: a token's at its start, a line's at its start or end
+    sep_at = at[sep]
+    token = sep_at[np.searchsorted(sep_at, colon) - 1] + 1
+    found += [(token[~ok], 1), (token[~in_range], 2), (token[1:][~rise], 3),
+              (token[~np.isfinite(val)], 4),
+              (np.append(newlines, len(_PAD) + len(data))[line[keep & (index > dim)]], 5)]
+    off, rank = min((int(offsets[0]), rank) for offsets, rank in found if len(offsets))
+    line_no = int(np.searchsorted(newlines, off))
+    tok = raw[off:sep_at[np.searchsorted(sep_at, off)]].decode(errors="replace")
+    head, _, tail = tok.partition(":")
+    i = head.lstrip("0") or "0"
+    if rank == 0:
+        message = "not UTF-8 text"
+    elif rank == 1:
+        message = f"{'non-numeric' if head and tail else 'malformed'} pair {tok!r}"
+    elif rank == 2:
+        message = ("index 0 is not 1-based positive" if i == "0" else
+                   f"index {i} is beyond the int64 range" if len(i) > 19 or int(i) >= 1 << 63
+                   else f"index {head} has more than 19 digits")
+    elif rank == 3:
+        message = f"index {i} not strictly increasing (after {index[colon.searchsorted(off) - 1]})"
+    elif rank == 4:
+        message = f"non-finite value in {tok!r}"
+    elif rank == 5:
+        message = f"index {index[keep & (line == line_no)].max()} exceeds declared dim {dim}"
+    else:  # a lone '\\r', or whitespace beyond ASCII
+        message = f"whitespace {raw[off:off + 3].decode(errors='ignore')[:1]!r} is not a separator"
+    raise SparseTextError(first_line + line_no + 1, message)
 
 
 def _eight(words, n):
@@ -547,10 +532,10 @@ def load_sparse_text(path, dim: int | None = None) -> Corpus:
     Labels are discarded and 1-based file indices become 0-based.  The
     dimensionality is the largest index seen unless ``dim`` overrides it.
     Lines with an empty support are skipped and counted in ``Corpus.skipped``.
-    A file that fails a check of the chunked parse is parsed again token by
-    token, which raises the error of its first bad line.
+    A file outside the grammar of _chunk_pairs raises the SparseTextError of
+    its first fault.
     """
-    indptr, indices, values, skipped = _parse_chunks(path, dim) or _parse_lines(path, dim)
+    indptr, indices, values, skipped = _parse_chunks(path, dim)
     if dim is None:
         dim = int(indices.max()) + 1 if indices.size else 0
     if skipped:

@@ -6,8 +6,9 @@ agreement by unpacked bits, exact cosine by a sparse dot product, the
 fixed-order cosine matrix by scatter-and-bincount, one pair
 of the bivariate counter stream, the score of one stored row against one
 query through one-row stores, the full-data MLE of one pair from its
-moments, the planted corpus drawn one member at a time, and a
-precision-recall curve added up one query at a time.  They also hold
+moments, the planted corpus drawn one member at a time, a
+precision-recall curve added up one query at a time, and sparse text parsed
+token by token with str.split, int and float.  They also hold
 the references that only tests call: the counter stream's uniforms and
 normals broadcast over (seed, major, minor), the normal CDF of the MLE's
 erfcx kernel, the half-line Gaussian integrals of the variance theory, and
@@ -33,7 +34,7 @@ import numpy as np
 from rpsketch import (Corpus, FullStore, MleResult, ProjectionConfig, SignStore,
                       estimate_batch, sign_quantize)
 from rpsketch import mle, rng
-from rpsketch.errors import DomainError, ShapeError
+from rpsketch.errors import DomainError, ShapeError, SparseTextError
 from rpsketch.estimators import SIGN_STORE_ESTIMATORS, Estimator
 from rpsketch.mle import solve_full_from_moments
 from rpsketch.projection import sum_product
@@ -190,6 +191,67 @@ def normalize(u) -> tuple[np.ndarray, np.ndarray]:
     if not (values.all() and np.isfinite(values).all()):
         raise DomainError("values must be finite and nonzero")
     return indices, values
+
+
+def reference_parse(path, dim: int | None = None):
+    """The token-by-token parse of a sparse text file: the CSR arrays of its
+    nonempty rows, values as written, and its skipped-line count; or the
+    SparseTextError of its first bad line.  It reads what str.split, int and
+    float read, so on files outside the loader's grammar it accepts more."""
+    indptr, indices, values, skipped = [0], [], [], 0
+    # undecodable bytes become lone surrogates, which strict UTF-8 never
+    # yields, so each line can be checked with the numbering of good lines
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SparseTextError(line_no, "not UTF-8 text") from None
+            tokens = line.split()
+            if tokens and ":" not in tokens[0]:
+                tokens = tokens[1:]  # leading label, discarded
+            prev = 0
+            for tok in tokens:
+                head, sep, tail = tok.partition(":")
+                if not sep or not head or not tail:
+                    raise SparseTextError(line_no, f"malformed pair {tok!r}")
+                try:
+                    i, x = int(head), float(tail)
+                except ValueError:
+                    raise SparseTextError(line_no, f"non-numeric pair {tok!r}") from None
+                if i < 1:
+                    raise SparseTextError(line_no, f"index {i} is not 1-based positive")
+                if i >= 1 << 63:
+                    raise SparseTextError(line_no, f"index {i} is beyond the int64 range")
+                if i <= prev:
+                    raise SparseTextError(
+                        line_no, f"index {i} not strictly increasing (after {prev})")
+                if not math.isfinite(x):
+                    raise SparseTextError(line_no, f"non-finite value in {tok!r}")
+                prev = i
+                if x != 0.0:
+                    indices.append(i - 1)
+                    values.append(x)
+            if len(indices) == indptr[-1]:
+                skipped += 1
+            elif dim is not None and indices[-1] >= dim:
+                raise SparseTextError(
+                    line_no, f"index {indices[-1] + 1} exceeds declared dim {dim}")
+            else:
+                indptr.append(len(indices))
+    return np.array(indptr), np.array(indices, dtype=np.int64), np.array(values), skipped
+
+
+def reference_load(path, dim: int | None = None):
+    """reference_parse with each row normalized on its own: the CSR arrays,
+    the dim (the largest index unless given) and the skipped-line count."""
+    indptr, indices, values, skipped = reference_parse(path, dim)
+    if dim is None:
+        dim = int(indices.max()) + 1 if indices.size else 0
+    bounds = indptr.tolist()
+    unit = corpus([normalize((indices[lo:hi], values[lo:hi]))
+                   for lo, hi in zip(bounds[:-1], bounds[1:])], dim)
+    return unit.indptr, unit.indices, unit.values, dim, skipped
 
 
 def cosine(u, v) -> float:

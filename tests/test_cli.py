@@ -322,6 +322,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,message", [
         (b"1:1 2:0.5\n99999999999999999999:1\n", "error: line 2: index 99999999999999999999"),
         (b"1:1\n1:1 2:\xff\n", "error: line 2: not UTF-8 text"),
+        # spellings that only a token-by-token parse with int and float read
+        (b"1:1\r2:1\n3:1\n", "error: line 1: "),  # a lone carriage return
+        (b"1:1\xc2\xa02:1\n", "error: line 1: "),  # a no-break space between pairs
+        (b"1:1\n1_0:1\n", "error: line 2: "),
+        (b"+5:1\n", "error: line 1: "),
+        ("1:\u0661\u0662\n".encode(), "error: line 1: "),  # Arabic-Indic digits
+        (b"1:1\n0000000000000000000005:1\n", "error: line 2: "),  # a 22-digit head
     ])
     def test_sparse_text_faults_are_data_errors(self, text, message, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import corpus as make_corpus
-from oracles import cosine, normalize, powers_of_ten, rows
+from oracles import (cosine, normalize, powers_of_ten, reference_load, reference_parse,
+                     rows)
 from rpsketch import (Corpus, DomainError, ShapeError, SparseTextError, load_sparse_text,
                       save_sparse_text, vectors)
 
@@ -226,52 +227,23 @@ class TestLoader:
         save_sparse_text(p, Corpus(np.zeros(3, np.int64), *EMPTY, 4))
         assert p.read_bytes() == b"\n\n"
 
-def _reference_load(path, dim=None):
-    """The token-by-token loader as it stood before the chunked parser, as
-    CSR arrays: rows normalized one at a time."""
-    def parse_line(line_no, tokens):
-        if tokens and ":" not in tokens[0]:
-            tokens = tokens[1:]
-        idx, val, prev = [], [], 0
-        for tok in tokens:
-            head, sep, tail = tok.partition(":")
-            if not sep or not head or not tail:
-                raise SparseTextError(line_no, f"malformed pair {tok!r}")
-            try:
-                i = int(head)
-                x = float(tail)
-            except ValueError:
-                raise SparseTextError(line_no, f"non-numeric pair {tok!r}") from None
-            if i < 1:
-                raise SparseTextError(line_no, f"index {i} is not 1-based positive")
-            if i <= prev:
-                raise SparseTextError(
-                    line_no, f"index {i} not strictly increasing (after {prev})")
-            if not math.isfinite(x):
-                raise SparseTextError(line_no, f"non-finite value in {tok!r}")
-            prev = i
-            if x != 0.0:
-                idx.append(i - 1)
-                val.append(x)
-        return idx, val
-
-    kept, skipped, max_index = [], 0, -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            tokens = line.split()
-            idx, val = parse_line(line_no, tokens) if tokens else ([], [])
-            if not idx:
-                skipped += 1
-                continue
-            if dim is not None and idx[-1] >= dim:
-                raise SparseTextError(
-                    line_no, f"index {idx[-1] + 1} exceeds declared dim {dim}")
-            max_index = max(max_index, idx[-1])
-            kept.append((idx, val))
-    if dim is None:
-        dim = max_index + 1
-    unit = make_corpus([normalize((i, v)) for i, v in kept], dim)
-    return unit.indptr, unit.indices, unit.values, dim, skipped
+    def test_nineteen_digit_indices_round_trip(self, tmp_path):
+        # 1-based heads 10^18, 10^18 + 1 and 2^63 - 1, of 19 digits: the byte
+        # path reads them back bit for bit; a head of 2^63 is an error
+        indices = np.array([10**18 - 1, 10**18, 2**63 - 2])
+        original = Corpus(np.array([0, 2, 3]), indices, np.array([0.1, -2.5e-300, 7.0]), 2**63 - 1)
+        p = tmp_path / "c.txt"
+        save_sparse_text(p, original)
+        assert p.read_bytes().startswith(b"1000000000000000000:")
+        indptr, got, values, skipped = vectors._parse_chunks(p, None)
+        assert (indptr.tolist(), skipped) == ([0, 2, 3], 0)
+        assert got.tobytes() == indices.tobytes() and values.tobytes() == original.values.tobytes()
+        loaded = load_sparse_text(p)
+        assert loaded.indices.tobytes() == indices.tobytes() and loaded.dim == 2**63 - 1
+        p.write_bytes(b"1:1\n9223372036854775808:1\n")
+        with pytest.raises(SparseTextError, match="^line 2: index 9223372036854775808 is beyond "
+                                                  "the int64 range$"):
+            load_sparse_text(p)
 
 
 def _outcome(load, path, dim):
@@ -287,39 +259,53 @@ def _outcome(load, path, dim):
             values.dtype, values.tobytes(), dim, skipped)
 
 
-_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0c", "\x85", "\x1c", " ", "\xa0"]
-_LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0c", "\x1c"]
+_LINE_ENDS = ["\n", "\n", "\n", "\r\n"]
 _VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),  # up to 17 digits
     st.floats(min_value=-1e3, max_value=1e3).map(lambda x: f"{x:.3g}"),
-    st.sampled_from(["0", "0.0", "-0.0", "nan", "inf", "-inf", "1_0.5", "1e0",
-                     "+2", "5", "1e-320", "1e300", "abc", "١٢"]))
-_BAD_TOKENS = ["1:2:3", ":5", "5:", "1.0:2", "1e0:2", "+5:1", "5_0:1", "34", "3:abc",
-               "::", ":"]
+    st.sampled_from(["0", "0.0", "-0.0", "1e0", "+2", "5", "1e-320", "1e300", "1e309", "abc"]))
+_BAD_TOKENS = ["1:2:3", ":5", "5:", "1.0:2", "1e0:2", "34", "3:abc", "::", ":", "00:1",
+               "9223372036854775808:1", "99999999999999999999:1"]
+# spellings that str.split, int and float read but the grammar refuses, each
+# after the separator it comes with
+_REFUSED = [" 1:1_0.5", " 1:nan", " 1:inf", " 1:-inf", " 1:\u0661\u0662", " +5:1", " 5_0:1",
+            " -3:1", " 0000000000000000000001:1", "\xa01:1", "\x851:1", "\u20031:1",
+            "\u30001:1", "\r1:1", " x\x85y"]
 
 
 @st.composite
-def _sparse_files(draw):
-    lines = []
-    for _ in range(draw(st.integers(0, 8))):
+def _sparse_files(draw, refused=False):
+    """Text files of labels and pairs, some of them bad, with a dim and, if
+    refused, the index of a line given a spelling (_REFUSED) that only the
+    token-by-token parse reads."""
+    lines = []  # each line's tokens, each after its separator
+    for _ in range(draw(st.integers(int(refused), 8))):
         kind = draw(st.sampled_from(["pairs"] * 6 + ["blank", "label", "bad"]))
         tokens = []
         if kind == "label" or draw(st.booleans()) and kind != "blank":
-            tokens.append(draw(st.sampled_from(["1", "-1", "lab", "x\x85y"])))
+            tokens.append(draw(st.sampled_from(["1", "-1", "lab", "\xe9t\xe9", "\u6807"])))
         if kind in ("pairs", "bad"):
             indices = sorted(draw(st.sets(st.integers(1, 40), max_size=12)))
+            if draw(st.integers(0, 4)) == 0:
+                indices.append(draw(st.integers(10**18, 2**63 - 1)))  # a 19-digit head
             if draw(st.integers(0, 9)) == 0 and indices:  # out of order
                 indices.reverse()
-            tokens += [f"{i}:{draw(_VALUES)}" for i in indices]
-            if kind == "bad":
+            width = draw(st.sampled_from([0, 0, 3, 19]))  # heads like 007
+            tokens += [f"{i:0{width}d}:{draw(_VALUES)}" for i in indices]
+            for _ in range(draw(st.integers(1, 2)) if kind == "bad" else 0):
                 tokens.insert(draw(st.integers(0, len(tokens))),
                               draw(st.sampled_from(_BAD_TOKENS)))
-        seps = [draw(st.sampled_from(_SEPARATORS)) for _ in tokens]
-        line = "".join(sep + tok for sep, tok in zip(seps, tokens))
-        lines.append(line + draw(st.sampled_from(_LINE_ENDS)))
-    if lines and draw(st.booleans()):
-        lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
-    return "".join(lines), draw(st.one_of(st.none(), st.integers(1, 45)))
+        lines.append([draw(st.sampled_from(_SEPARATORS)) + tok for tok in tokens])
+    fault = None
+    if refused:
+        fault = draw(st.integers(0, len(lines) - 1))
+        lines[fault].insert(draw(st.integers(0, len(lines[fault]))),
+                            draw(st.sampled_from(_REFUSED)))
+    text = ["".join(tokens) + draw(st.sampled_from(_LINE_ENDS)) for tokens in lines]
+    if text and draw(st.booleans()):
+        text[-1] = text[-1].rstrip("\r\n")  # no final newline
+    return "".join(text), draw(st.one_of(st.none(), st.integers(1, 45))), fault
 
 
 _ASCII_SEPARATORS = [" ", "  ", "\t", " \t ", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"]
@@ -341,16 +327,18 @@ _ASCII_VALUES = st.one_of(
 @st.composite
 def _ascii_files(draw):
     """Files in the byte parser's grammar.  One in four holds a fault that a
-    check must catch: out of order indices, a value that overflows, or an
-    18-digit head beyond a declared dim."""
-    fault = draw(st.sampled_from([None] * 9 + ["order", "overflow", "head"]))
+    check must catch: out of order indices, a value that overflows, a
+    19-digit head beyond a declared dim, or one of 2^63 or more."""
+    fault = draw(st.sampled_from([None] * 9 + ["order", "overflow", "head", "int64"]))
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         tokens = [draw(st.sampled_from(["+1", "lab"]))] if draw(st.booleans()) else []
         indices = sorted(draw(st.sets(st.integers(1, 40), max_size=12)))
         if draw(st.integers(0, 4)) == 0:
-            indices.append(draw(st.integers(10**17, 10**18 - 1)))  # an 18-digit head
-        width = draw(st.sampled_from([0, 0, 3, 18]))  # heads like 007
+            indices.append(draw(st.integers(10**17, 2**63 - 1)))  # an 18- or 19-digit head
+        if fault == "int64" and draw(st.booleans()):
+            indices.append(draw(st.integers(2**63, 10**19 - 1)))
+        width = draw(st.sampled_from([0, 0, 3, 19]))  # heads like 007
         values = [draw(_ASCII_VALUES) for _ in indices]
         if fault == "order" and len(indices) > 1:
             indices.reverse()
@@ -362,44 +350,72 @@ def _ascii_files(draw):
                      + draw(st.sampled_from(["", " "])) + draw(st.sampled_from(["\n", "\r\n"])))
     if lines and draw(st.booleans()):
         lines[-1] = lines[-1].rstrip("\r\n")  # no final newline
-    dim = draw(st.integers(1, 45)) if fault == "head" else draw(st.sampled_from([None, 10**18]))
+    dim = draw(st.integers(1, 45)) if fault == "head" else draw(st.sampled_from([None, 2**63]))
     return "".join(lines), dim
 
 
 def _raw_outcome(parse, path, dim):
     """The raw CSR arrays of a parse as bytes, or the error it raised."""
     try:
-        got = parse(path, dim)
+        indptr, indices, values, skipped = parse(path, dim)
     except SparseTextError as exc:
         return ("error", str(exc), exc.line_no)
-    if got is None:
-        return None
-    indptr, indices, values, skipped = got
     return (np.asarray(indptr, np.int64).tobytes(), indices.dtype, indices.tobytes(),
             values.dtype, values.tobytes(), skipped)
 
 
-def _byte_outcomes(path, dim):
-    """The byte parse (None where it declines) and the token-by-token parse
-    of a file; the first equals the second wherever it returns."""
-    reference = _raw_outcome(vectors._parse_lines, path, dim)
-    fast = _raw_outcome(vectors._parse_chunks, path, dim)
-    assert fast is None or fast == reference
-    return fast, reference
+# hand-picked files whose spellings the grammar refuses: the line and message
+# of the error each must raise (the token-by-token parse reads them)
+_REFUSED_FILES = {
+    "+5:1 6:2\n": (1, "non-numeric pair '+5:1'"),
+    "5_0:1\n": (1, "non-numeric pair '5_0:1'"),
+    "1:nan\n": (1, "non-numeric pair '1:nan'"),
+    "1:inf\n": (1, "non-numeric pair '1:inf'"),
+    "1:1_0.5 2:-0.0 3:0.12345678901234567\n": (1, "non-numeric pair '1:1_0.5'"),
+    "1:1\x0c2:2\n3:3\x853:4\r\n": (2, "non-numeric pair '3:3\\x853:4'"),
+    "lab\xa0el 1:1\n": (1, "whitespace '\\xa0' is not a separator"),
+    "1:1\n\u0661:1\n": (2, "non-numeric pair '\u0661:1'"),
+    "1:1\r2:2\n": (1, "whitespace '\\r' is not a separator"),
+    "1:1\n\r": (2, "whitespace '\\r' is not a separator"),
+    "0000000000000000000001:1\n": (1, "index 0000000000000000000001 has more than 19 digits"),
+}
+
+
+def _expected(text, path, dim):
+    """The outcome a hand-picked file must have: its error if it is in
+    _REFUSED_FILES, else the reference loader's."""
+    if text in _REFUSED_FILES:
+        line, message = _REFUSED_FILES[text]
+        return ("error", SparseTextError, f"line {line}: {message}", line)
+    return _outcome(reference_load, path, dim)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # rows of 1e300
 class TestChunkedLoader:
-    """The byte parser against the token-by-token loader it replaced."""
+    """The byte parser against the token-by-token reference."""
 
     @given(_sparse_files())
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_reference_loop(self, tmp_path, case):
-        text, dim = case
+        # files of the grammar (of pairs or not) load as the reference does
+        text, dim, _ = case
         p = tmp_path / "c.txt"
         p.write_bytes(text.encode("utf-8"))
-        assert _outcome(load_sparse_text, p, dim) == _outcome(_reference_load, p, dim)
+        assert _outcome(load_sparse_text, p, dim) == _outcome(reference_load, p, dim)
+
+    @given(_sparse_files(refused=True))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_refused_spellings_raise(self, tmp_path, case):
+        # a spelling outside the grammar is a fault on its line, if no fault
+        # comes before it
+        text, dim, fault = case
+        p = tmp_path / "c.txt"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(SparseTextError) as err:
+            load_sparse_text(p, dim)
+        assert err.value.line_no <= fault + 1
 
     @pytest.mark.parametrize("text, dim", [
         ("1:2:3 4\n", None), ("1:1 :5\n", None), ("1:1 5:\n", None),
@@ -413,48 +429,54 @@ class TestChunkedLoader:
         ("1:1e-320 2:1e-320\n", None), ("1:1e300 2:1e300\n", None),
         ("1:1 2:1e-330\n", None), ("1:1e20 2:1e-310\n", None),
         ("1:99999999999999999999\n", 5),
+        ("\xe9t\xe9 1:1\n", None), ("lab\xa0el 1:1\n", None), ("1:1\nlab 1:1 2:\xe9\n", None),
+        ("1:1\n\u0661:1\n", None), ("0000000000000000000001:1\n", None),
+        ("00000000000000000000000:1\n", None), ("1:1 1000000000000000000000000:1\n", None),
+        ("1:1 x 2::3\n", None),  # as many colons as tokens, the first fault no pair
     ])
     def test_hand_picked_files(self, tmp_path, text, dim):
         p = tmp_path / "c.txt"
         p.write_bytes(text.encode("utf-8"))
-        assert _outcome(load_sparse_text, p, dim) == _outcome(_reference_load, p, dim)
+        assert _outcome(load_sparse_text, p, dim) == _expected(text, p, dim)
 
     @given(_ascii_files())
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_ascii_files_take_the_byte_path(self, tmp_path, case):
-        # the byte parser itself returns the token-by-token arrays for every
-        # file in its grammar, and declines exactly where a check fails
+        # the byte parser's raw arrays, or its error, are the reference's
         text, dim = case
         p = tmp_path / "c.txt"
         p.write_bytes(text.encode("ascii"))
-        fast, reference = _byte_outcomes(p, dim)
-        assert (fast is None) == (reference[0] == "error")
+        assert (_raw_outcome(vectors._parse_chunks, p, dim)
+                == _raw_outcome(reference_parse, p, dim))
 
-    @pytest.mark.parametrize("text, fast", [
-        ("1:1\r2:2\n", False),  # a lone carriage return ends a line
+    @pytest.mark.parametrize("text, ok", [
+        ("1:1\r2:2\n", False),  # a lone carriage return
         ("1:1\n\r", False), ("1:1 2:2\r\n3:0.5\r\n", True), ("lab 1:1\r\n\r\n", True),
         ("1:1 lab\n", False), ("+1\x1f007:5.\x1c2e1:.5\n", False),
         ("\x1f+1\x1f007:5.\x1c20:.5\n", True), ("1:1e\n", False), ("1:e5\n", False),
         ("1:.\n", False), ("1:1.5.2\n", False), ("1:1-2\n", False), ("1:--1\n", False),
-        ("123456789012345678:1\n", True), ("1234567890123456789:1\n", False),
+        ("123456789012345678:1\n", True), ("1234567890123456789:1\n", True),
         ("1:123456789012345678901234567890 2:0.000000000000000000001234567890123\n", True),
         ("1:1e-320 2:1e-400 3:4.9e-324\n", True), ("1:1e309\n", False),
         ("1:1\x00 2:2\n", False), ("\x00lab 1:1\n", True),
     ])
-    def test_hand_picked_ascii_files(self, tmp_path, text, fast):
+    def test_hand_picked_ascii_files(self, tmp_path, text, ok):
+        # ok: the file is in the grammar (its rows may still not normalize)
         p = tmp_path / "c.txt"
         p.write_bytes(text.encode("ascii"))
-        assert (_byte_outcomes(p, None)[0] is not None) == fast
-        assert _outcome(load_sparse_text, p, None) == _outcome(_reference_load, p, None)
+        got = _outcome(load_sparse_text, p, None)
+        assert (got[:2] != ("error", SparseTextError)) == ok
+        assert got == _expected(text, p, None)
 
     def test_line_longer_than_a_chunk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(vectors, "_CHUNK_CHARS", 64)
         long = " ".join(f"{i}:{i / 7!r}" for i in range(1, 60))
         p = tmp_path / "c.txt"
         p.write_bytes(f"1:1\n{long}\n\n2:3 4:5\n{long}".encode("ascii"))
-        assert _byte_outcomes(p, None)[0] is not None
-        assert _outcome(load_sparse_text, p, None) == _outcome(_reference_load, p, None)
+        assert (_raw_outcome(vectors._parse_chunks, p, None)
+                == _raw_outcome(reference_parse, p, None))
+        assert _outcome(load_sparse_text, p, None) == _outcome(reference_load, p, None)
 
     def test_csr_arrays_skip_empty_lines(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -467,28 +489,86 @@ class TestChunkedLoader:
     def test_peak_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
         # dense files of 250 and 500 rows of 512 pairs, parsed in chunks of
         # 2^16 characters: the peak beyond the output arrays stays under one
-        # fixed allowance.  Parsing all tokens at once would need ~15 MB
-        # more at 250 rows.  (tracemalloc slows the parse ~20x, which keeps
-        # the files small.)
-        from rpsketch import vectors
-
+        # fixed allowance, also where the last line breaks index order and
+        # the parse fails there.  Parsing all tokens at once would need ~15
+        # MB more at 250 rows.  (tracemalloc slows the parse ~20x, which
+        # keeps the files small.)
         monkeypatch.setattr(vectors, "_CHUNK_CHARS", 1 << 16)
         allowance = 3 * 2**20
         rng_ = np.random.default_rng(3)
-        for n_rows in (250, 500):
+        for n_rows, last in [(250, ""), (500, ""), (250, "1:1 1:2\n"), (500, "1:1 1:2\n")]:
             p = tmp_path / f"dense{n_rows}.txt"
             block = np.round(rng_.uniform(0.1, 1.0, (n_rows, 512)), 3)
-            p.write_text("".join(" ".join(f"{j}:{x}" for j, x in enumerate(row, 1)) + "\n"
-                                 for row in block.tolist()))
+            text = "".join(" ".join(f"{j}:{x}" for j, x in enumerate(row, 1)) + "\n"
+                           for row in block.tolist()) + last
+            p.write_text(text)
             tracemalloc.start()
             try:
                 corpus = load_sparse_text(p)
-                _, peak = tracemalloc.get_traced_memory()
+            except SparseTextError as exc:
+                corpus = exc
             finally:
+                _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
-            out = corpus.indptr.nbytes + corpus.indices.nbytes + corpus.values.nbytes
-            assert corpus.indices.size == 512 * n_rows
-            assert peak - out < allowance, (n_rows, peak - out)
+            out = 16 * text.count(":") + 8 * (text.count("\n") + 2)  # arrays sized to the file
+            if last:
+                assert str(corpus) == (
+                    f"line {n_rows + 1}: index 1 not strictly increasing (after 1)")
+            else:
+                assert corpus.indices.size == 512 * n_rows
+            assert peak - out < allowance, (n_rows, last, peak - out)
+
+
+_FUZZ_BYTES = st.one_of(  # any bytes, or those the grammar turns on
+    st.binary(max_size=120),
+    st.lists(st.sampled_from([*b"0123456789:.eE+- \t\r\n\x1cx\x00\x85\xa0\xc2\xd9\xff"]),
+             max_size=120).map(bytes))
+
+
+@st.composite
+def _mutated_files(draw):
+    """A file of _ascii_files with one byte inserted, deleted or replaced."""
+    text, dim = draw(_ascii_files())
+    data = bytearray(text.encode("ascii"))
+    at = draw(st.integers(0, len(data)))
+    byte = draw(st.one_of(st.sampled_from(b"0123456789:.eE+- \r\n"), st.integers(0, 255)))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        data.insert(at, byte)
+    elif at < len(data):
+        data[at:at + 1] = b"" if edit == "delete" else bytes([byte])
+    return bytes(data), dim
+
+
+class TestFuzz:
+    """load_sparse_text on untrusted bytes returns a Corpus or raises
+    SparseTextError or DomainError (_outcome lets any other error through),
+    with the same outcome in chunks of any size."""
+
+    def check(self, path, dim, monkeypatch, chunk):
+        whole = _outcome(load_sparse_text, path, dim)
+        with monkeypatch.context() as patch:
+            patch.setattr(vectors, "_CHUNK_CHARS", chunk)
+            assert _outcome(load_sparse_text, path, dim) == whole
+
+    @given(_FUZZ_BYTES, st.sampled_from([None, 3]), st.sampled_from([1, 5, 32]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_arbitrary_bytes(self, tmp_path, monkeypatch, data, dim, chunk):
+        p = tmp_path / "c.txt"
+        p.write_bytes(data)
+        self.check(p, dim, monkeypatch, chunk)
+
+    @given(_mutated_files(), st.sampled_from([1, 5, 32]))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_one_byte_edits_of_valid_files(self, tmp_path, monkeypatch, case, chunk):
+        data, dim = case
+        p = tmp_path / "c.txt"
+        p.write_bytes(data)
+        self.check(p, dim, monkeypatch, chunk)
 
 
 def _kernel_inputs():
